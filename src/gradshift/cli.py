@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
+import tomllib
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,76 +47,32 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config file: line-oriented `key = value` with flat [tables]
-
-def parse_config_text(text: str) -> dict:
-    """Parse the key = value subset: quoted strings, ints, floats, booleans,
-    flat tables, arrays of scalars. Comments start with #."""
-    out: dict = {}
-    table = out
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {ln}: malformed table header {raw!r}")
-            name = line[1:-1].strip()
-            if not name or "." in name:
-                raise ConfigError(f"line {ln}: only flat tables are supported")
-            table = out.setdefault(name, {})
-            if not isinstance(table, dict):
-                raise ConfigError(f"line {ln}: duplicate key {name!r}")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not key or not val:
-            raise ConfigError(f"line {ln}: expected key = value, got {raw!r}")
-        if key in table:
-            raise ConfigError(f"line {ln}: duplicate key {key!r}")
-        table[key] = _parse_value(val, ln)
-    return out
-
-
-def _parse_value(val: str, ln: int):
-    if val.startswith("["):
-        if not val.endswith("]"):
-            raise ConfigError(f"line {ln}: unterminated array")
-        inner = val[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(p.strip(), ln) for p in inner.split(",")]
-    return _parse_scalar(val, ln)
-
-
-def _parse_scalar(val: str, ln: int):
-    if val.startswith('"') and val.endswith('"') and len(val) >= 2:
-        return val[1:-1]
-    if val == "true":
-        return True
-    if val == "false":
-        return False
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"line {ln}: cannot parse value {val!r}") from None
-
+# config file: TOML with flat tables
 
 _TOP_KEYS = {"output_dir", "seeds", "schedules", "holdout"}
-_GENERATOR_KEYS = {"kind", "T", "n", "seed", "total_degrees", "noise_sigma",
-                   "shift_per_step", "sigma", "class_means", "path"}
-_TRAIN_KEYS = {"lambda", "gp_factor", "k_critic", "lr_model", "lr_critic",
-               "batch_size", "epochs_per_domain", "optimizer",
-               "labeled_target", "loss", "loss_bound"}
-_MODEL_KEYS = {"feature_dim", "hidden", "critic_hidden", "summarizer_hidden",
-               "summarizer_layers"}
+# [train] and [model] keys are the fields of TrainConfig, LossSpec and
+# ModelSpec, renamed where the config spells them differently; the run sets
+# `seed` and `summarizer`, and training always uses the default `rho`
+_KEY_OF_FIELD = {"lam": "lambda", "kind": "loss", "bound": "loss_bound"}
+_UNSET_FIELDS = {"seed", "summarizer", "rho"}
+_COERCE = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+# kind -> (builder(seed=data seed, **keys), required keys, optional keys),
+# each key with its coercion; `seed` is the generator's base seed, and a
+# config's class means are 1-D with a default of its own
+_GENERATORS = {
+    "rotating_moons": (dom.make_rotating_moons, {"T": int, "n": int},
+                       {"seed": int, "total_degrees": float,
+                        "noise_sigma": float}),
+    "shifting_gaussians": (
+        functools.partial(dom.make_shifting_gaussians,
+                          class_means=((-2.0,), (2.0,))),
+        {"T": int, "n": int},
+        {"seed": int, "shift_per_step": float, "sigma": float,
+         "class_means": lambda means: [[float(v)] for v in means]}),
+    "file": (lambda seed, path: dom.load_sequence(path), {"path": str}, {}),
+}
 
 
 @dataclass
@@ -123,80 +81,90 @@ class ExperimentConfig:
     seeds: list[int]
     schedules: list[str]
     holdout: float
-    generator: dict
-    train: dict
-    model: dict
+    generator: dict             # coerced [generator] keys, `kind` included
+    train: ob.TrainConfig       # seed 0: each run replaces it with its own
+    model: ob.ModelSpec
+    loss_spec: ob.LossSpec
+    labeled_target: bool = True
     digest: bytes = b""
 
-    @property
-    def loss_spec(self) -> ob.LossSpec:
-        return ob.LossSpec(self.train.get("loss", "cross_entropy_bounded"),
-                           bound=float(self.train.get("loss_bound", 5.0)))
-
-    def train_config(self, seed: int) -> ob.TrainConfig:
-        t = self.train
-        return ob.TrainConfig(
-            lam=float(t.get("lambda", 1.0)),
-            gp_factor=float(t.get("gp_factor", 5.0)),
-            k_critic=int(t.get("k_critic", 5)),
-            lr_model=float(t.get("lr_model", 1e-3)),
-            lr_critic=float(t.get("lr_critic", 5e-4)),
-            batch_size=int(t.get("batch_size", 64)),
-            epochs_per_domain=int(t.get("epochs_per_domain", 40)),
-            seed=seed,
-            optimizer=t.get("optimizer", "adam"))
-
-    def model_spec(self) -> ob.ModelSpec:
-        m = self.model
-        return ob.ModelSpec(
-            feature_dim=int(m.get("feature_dim", 8)),
-            hidden=int(m.get("hidden", 16)),
-            critic_hidden=int(m.get("critic_hidden", 16)),
-            summarizer_hidden=int(m.get("summarizer_hidden", 32)),
-            summarizer_layers=int(m.get("summarizer_layers", 1)))
-
     def sequence_for(self, run_seed: int) -> dom.DomainSequence:
-        g = dict(self.generator)
-        kind = g.pop("kind")
-        base_seed = int(g.pop("seed", 0))
-        data_seed = dc.substream(base_seed, "data", run_seed)
-        if kind == "rotating_moons":
-            return dom.make_rotating_moons(
-                int(g.pop("T")), int(g.pop("n")),
-                total_degrees=float(g.pop("total_degrees", 120.0)),
-                noise_sigma=float(g.pop("noise_sigma", 0.1)), seed=data_seed)
-        if kind == "shifting_gaussians":
-            means = g.pop("class_means", [-2.0, 2.0])
-            means = [[float(v)] for v in means]
-            return dom.make_shifting_gaussians(
-                int(g.pop("T")), int(g.pop("n")),
-                shift_per_step=float(g.pop("shift_per_step", 0.3)),
-                class_means=means, sigma=float(g.pop("sigma", 0.5)),
-                seed=data_seed)
-        if kind == "file":
-            return dom.load_sequence(g.pop("path"))
+        keys = dict(self.generator)
+        build = _GENERATORS[keys.pop("kind")][0]
+        data_seed = dc.substream(keys.pop("seed", 0), "data", run_seed)
+        return build(seed=data_seed, **keys)
+
+
+def _checked(name: str, fn, value):
+    """fn(value) for a flat table's value, its errors named after the key."""
+    if isinstance(value, dict) or isinstance(value, list) and \
+            any(isinstance(v, dict) for v in value):
+        raise ConfigError(f"{name}: only flat tables with scalar or array "
+                          "values are supported")
+    try:
+        return fn(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{name}: {e}") from None
+
+
+def _coerced(table: dict, coercions: dict, where: str) -> dict:
+    unknown = set(table) - set(coercions)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    return {key: _checked(f"{where} {key}", coercions[key], value)
+            for key, value in table.items()}
+
+
+def _build(classes, table: dict, where: str) -> list:
+    """One instance of each dataclass from a config table. Each key is coerced
+    by its field's type and checked on its own against the other fields'
+    defaults, so an error names the key at fault."""
+    fields_of = {_KEY_OF_FIELD.get(f.name, f.name): (cls, f)
+                 for cls in classes for f in fields(cls)
+                 if f.name not in _UNSET_FIELDS}
+    values = _coerced(table, {key: _COERCE[f.type]
+                              for key, (_, f) in fields_of.items()}, where)
+    kwargs: dict = {cls: {} for cls in classes}
+    for key, value in values.items():
+        cls, f = fields_of[key]
+        _checked(f"{where} {key}", lambda v: cls(**{f.name: v}), value)
+        kwargs[cls][f.name] = value
+    return [cls(**kw) for cls, kw in kwargs.items()]
+
+
+def _generator_keys(gen: dict) -> dict:
+    kind = gen.get("kind")
+    if kind is None:
+        raise ConfigError("generator.kind: required")
+    if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ConfigError(f"generator.kind: unknown kind {kind!r}")
+    _, required, optional = _GENERATORS[kind]
+    out = _coerced(gen, {"kind": str, **required, **optional}, "[generator]")
+    for key in required:
+        if key not in gen:
+            raise ConfigError(f"generator.{key}: required for kind={kind}")
+    for key, low in (("T", 2), ("n", 1)):
+        if out.get(key, low) < low:
+            raise ConfigError(f"[generator] {key}: must be >= {low}, "
+                              f"got {out[key]}")
+    return out
 
 
 def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
-    def reject_unknown(table: dict, allowed: set, where: str):
-        unknown = set(table) - allowed
-        if unknown:
-            raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-
     tables = {k: v for k, v in data.items() if isinstance(v, dict)}
     top = {k: v for k, v in data.items() if not isinstance(v, dict)}
-    reject_unknown(top, _TOP_KEYS, "top level")
+    unknown = set(top) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"top level: unknown key(s) {sorted(unknown)}")
     unknown_tables = set(tables) - {"generator", "train", "model"}
     if unknown_tables:
         raise ConfigError(f"unknown table(s) {sorted(unknown_tables)}")
     if "generator" not in tables:
         raise ConfigError("missing [generator] table")
-    reject_unknown(tables["generator"], _GENERATOR_KEYS, "[generator]")
-    reject_unknown(tables.get("train", {}), _TRAIN_KEYS, "[train]")
-    reject_unknown(tables.get("model", {}), _MODEL_KEYS, "[model]")
     if "output_dir" not in top:
         raise ConfigError("output_dir: required")
+    if not isinstance(top["output_dir"], str):
+        raise ConfigError("output_dir: must be a string")
     seeds = top.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or \
             not all(isinstance(s, int) for s in seeds):
@@ -212,33 +180,29 @@ def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
                               f"(expected one of {list(ob.SCHEDULES)})")
     if len(set(schedules)) != len(schedules):
         raise ConfigError("schedules: duplicates not allowed")
-    holdout = float(top.get("holdout", 0.25))
+    holdout = _checked("holdout", float, top.get("holdout", 0.25))
     if not 0 < holdout < 1:
         raise ConfigError("holdout: must be in (0, 1)")
-    gen = tables["generator"]
-    if "kind" not in gen:
-        raise ConfigError("generator.kind: required")
-    if gen["kind"] not in ("rotating_moons", "shifting_gaussians", "file"):
-        raise ConfigError(f"generator.kind: unknown kind {gen['kind']!r}")
-    if gen["kind"] != "file":
-        for req in ("T", "n"):
-            if req not in gen:
-                raise ConfigError(f"generator.{req}: required")
-    elif "path" not in gen:
-        raise ConfigError("generator.path: required for kind=file")
-    cfg = ExperimentConfig(
+    generator = _generator_keys(tables["generator"])
+    train = dict(tables.get("train", {}))
+    labeled_target = _checked("[train] labeled_target", bool,
+                              train.pop("labeled_target", True))
+    train_cfg, loss_spec = _build((ob.TrainConfig, ob.LossSpec), train,
+                                  "[train]")
+    model_spec, = _build((ob.ModelSpec,), tables.get("model", {}), "[model]")
+    return ExperimentConfig(
         output_dir=top["output_dir"], seeds=list(seeds),
-        schedules=list(schedules), holdout=holdout, generator=dict(gen),
-        train=dict(tables.get("train", {})), model=dict(tables.get("model", {})),
-        digest=digest)
-    cfg.train_config(0)
-    cfg.model_spec()
-    return cfg
+        schedules=list(schedules), holdout=holdout, generator=generator,
+        train=train_cfg, model=model_spec, loss_spec=loss_spec,
+        labeled_target=labeled_target, digest=digest)
 
 
 def load_config(path) -> ExperimentConfig:
     raw = Path(path).read_bytes()
-    data = parse_config_text(raw.decode("utf-8"))
+    try:
+        data = tomllib.loads(raw.decode("utf-8"))
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(str(e)) from None
     return validate_config(data, hashlib.sha256(raw).digest())
 
 
@@ -393,12 +357,10 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     state_ckpt = outdir / "state" / f"{run_id}.ckpt"
     state_rows = outdir / "state" / f"{run_id}.rows.csv"
     seq = cfg.sequence_for(seed)
-    tcfg = cfg.train_config(seed)
-    spec = cfg.model_spec()
+    tcfg = replace(cfg.train, seed=seed)
+    spec = cfg.model
     if schedule == "gradual_temporal":
-        spec = ob.ModelSpec(**{**spec.__dict__, "summarizer": True})
-    loss_spec = cfg.loss_spec
-    labeled_target = bool(cfg.train.get("labeled_target", True))
+        spec = replace(spec, summarizer=True)
 
     start_model = None
     start_stage = 0
@@ -430,7 +392,7 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     try:
         model, _ = ob.train_schedule(
             schedule, seq, tcfg, spec, holdout=cfg.holdout,
-            labeled_target=labeled_target, loss_spec=loss_spec,
+            labeled_target=cfg.labeled_target, loss_spec=cfg.loss_spec,
             start_model=start_model, start_stage=start_stage,
             stage_callback=on_stage)
     except _Halted:
@@ -457,7 +419,7 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
     Returns the process exit code (0 ok, 2 config error, 3 divergence)."""
     try:
         cfg = load_config(config_path)
-    except (ConfigError, FileNotFoundError, UnicodeDecodeError) as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return EXIT_CONFIG
     outdir = Path(cfg.output_dir)
@@ -477,6 +439,9 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
                                     (str(config_path), schedule, seed, None)):
                         (schedule, seed) for schedule, seed in runs}
                 for fut in concurrent.futures.as_completed(futs):
+                    if fut.exception() is not None:
+                        # leaving the pool waits for its runs: drop the queued
+                        pool.shutdown(cancel_futures=True)
                     results[futs[fut]] = fut.result()
     except ob.TrainingDiverged as e:
         print(json.dumps({"error": f"training diverged: {e}"}, sort_keys=True))
@@ -564,15 +529,20 @@ def cmd_w1(args) -> int:
     return EXIT_OK
 
 
-def _bound_inputs(args) -> th.BoundInputs:
-    return th.BoundInputs(T=args.T, n=args.n, M=args.M, rho=args.rho,
-                          drift=args.Delta, delta=args.delta, vc=args.vc,
-                          rseq=args.rseq, rseq_c=args.rseq_c,
-                          c_online=args.c_online)
+# bound flag (as its argparse dest) -> BoundInputs field, whose default the
+# flag shares
+_BOUND_FLAGS = {"M": "M", "rho": "rho", "Delta": "drift", "delta": "delta",
+                "vc": "vc", "rseq": "rseq", "rseq_c": "rseq_c",
+                "c_online": "c_online"}
+
+
+def _bound_inputs(args, T: int) -> th.BoundInputs:
+    return th.BoundInputs(T=T, n=args.n, **{name: getattr(args, dest)
+                                            for dest, name in _BOUND_FLAGS.items()})
 
 
 def cmd_bound(args) -> int:
-    rep = th.evaluate_bound(_bound_inputs(args))
+    rep = th.evaluate_bound(_bound_inputs(args, args.T))
     out = {"inputs": _bound_echo(args), "e1": rep.e1, "e2": rep.e2,
            "e3": rep.e3, "total": rep.total, "parts": rep.parts}
     print(json.dumps(out, sort_keys=True))
@@ -580,20 +550,14 @@ def cmd_bound(args) -> int:
 
 
 def _bound_echo(args) -> dict:
-    out = {"n": args.n, "M": args.M, "rho": args.rho,
-           "Delta": args.Delta, "delta": args.delta, "vc": args.vc,
-           "rseq": args.rseq, "rseq_c": args.rseq_c, "c_online": args.c_online}
+    out = {"n": args.n, **{dest: getattr(args, dest) for dest in _BOUND_FLAGS}}
     if hasattr(args, "T"):
         out["T"] = args.T
     return out
 
 
 def cmd_sweep(args) -> int:
-    inp = th.BoundInputs(T=args.T_min, n=args.n, M=args.M, rho=args.rho,
-                         drift=args.Delta, delta=args.delta, vc=args.vc,
-                         rseq=args.rseq, rseq_c=args.rseq_c,
-                         c_online=args.c_online)
-    res = th.sweep_horizon(inp, range(args.T_min, args.T_max + 1, args.T_step))
+    res = th.sweep_horizon(_bound_inputs(args, args.T_min), range(args.T_min, args.T_max + 1, args.T_step))
     out = {"inputs": {**_bound_echo(args), "T_min": args.T_min,
                       "T_max": args.T_max, "T_step": args.T_step},
            "argmin_T": res.argmin_T,
@@ -683,18 +647,15 @@ def build_parser() -> argparse.ArgumentParser:
     w1.add_argument("--tol", type=float, default=1e-6)
     w1.add_argument("--seed", type=int, default=0)
 
+    bound_defaults = {f.name: f.default for f in fields(th.BoundInputs)}
+
     def add_bound_flags(sp, with_T=True):
         if with_T:
             sp.add_argument("--T", type=int, required=True)
         sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--M", type=float, default=1.0)
-        sp.add_argument("--rho", type=float, default=1.0)
-        sp.add_argument("--Delta", type=float, default=0.0)
-        sp.add_argument("--delta", type=float, default=0.1)
-        sp.add_argument("--vc", type=float, default=10.0)
-        sp.add_argument("--rseq", type=float, default=None)
-        sp.add_argument("--rseq-c", type=float, default=1.0)
-        sp.add_argument("--c-online", type=float, default=1.0)
+        for dest, name in _BOUND_FLAGS.items():
+            sp.add_argument("--" + dest.replace("_", "-"), type=float,
+                            default=bound_defaults[name])
 
     bound = sub.add_parser("bound", help="evaluate the excess-risk bound terms")
     add_bound_flags(bound)

@@ -92,7 +92,7 @@ def _shape_err(op: str, shapes) -> ShapeError:
 
 
 def _compute(op: str, vals: Sequence[np.ndarray], aux):
-    """Apply one primitive to raw arrays; shared by forward() and replay."""
+    """Apply one primitive to raw arrays."""
     if op in ("add", "sub", "mul"):
         a, b = vals
         if a.shape != b.shape:
@@ -455,18 +455,6 @@ def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int):
             return [(ids[0], f(tape, "sum", (g,), axis=None))]
         return [(ids[0], f(tape, "sum", (g,), axis=axis))]
     raise ValueError(f"no gradient rule for {op!r}")
-
-
-def replay(tape: Tape) -> bool:
-    """Recompute every non-leaf value from its inputs; True if bit-identical."""
-    for node in tape.nodes:
-        if node.op == "input":
-            continue
-        vals = [tape.nodes[i].value for i in node.inputs]
-        redo = np.asarray(_compute(node.op, vals, node.aux), dtype=np.float64)
-        if redo.shape != node.value.shape or not np.array_equal(redo, node.value):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

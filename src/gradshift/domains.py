@@ -81,32 +81,6 @@ class DomainSequence:
         return self.meta.get("delta_true")
 
 
-@dataclass
-class GeneratorSpec:
-    kind: str                  # rotating_moons | shifting_gaussians | file
-    T: int
-    n: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind != "file":
-            if self.T < 2:
-                raise ValueError(f"T must be >= 2, got {self.T}")
-            if self.n < 1:
-                raise ValueError(f"n must be >= 1, got {self.n}")
-
-
-def make_sequence(spec: GeneratorSpec) -> DomainSequence:
-    if spec.kind == "rotating_moons":
-        return make_rotating_moons(spec.T, spec.n, seed=spec.seed, **spec.params)
-    if spec.kind == "shifting_gaussians":
-        return make_shifting_gaussians(spec.T, spec.n, seed=spec.seed, **spec.params)
-    if spec.kind == "file":
-        return load_sequence(spec.params["path"])
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
-
-
 def _draw_labels(seed: int, n: int, k: int) -> np.ndarray:
     """Labels from the fixed uniform marginal over k classes."""
     u = dc.rng_uniform(seed, (n,))

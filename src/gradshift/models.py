@@ -101,28 +101,13 @@ class BoundMlp:
         return h
 
 
-def _as_node(tape: Tape, x) -> int:
-    return x if isinstance(x, (int, np.integer)) else tape.input(x)
-
-
-def feature_forward(g: MlpParams, x_batch, tape: Tape, *, bound: BoundMlp | None = None) -> int:
-    """Row-wise feature map g(x); returns the differentiable tape node."""
-    b = bound if bound is not None else BoundMlp(tape, g)
-    return b(_as_node(tape, x_batch))
-
-
-def classifier_forward(h: MlpParams, features, tape: Tape, *, bound: BoundMlp | None = None) -> int:
-    """Row-wise logits h(features)."""
-    b = bound if bound is not None else BoundMlp(tape, h)
-    return b(_as_node(tape, features))
-
-
 def critic_forward(c: MlpParams, features, tape: Tape, *, bound: BoundMlp | None = None) -> int:
     """One scalar per row; the final layer must have width 1."""
     if c.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {c.out_dim}")
     b = bound if bound is not None else BoundMlp(tape, c)
-    out = b(_as_node(tape, features))
+    out = b(features if isinstance(features, (int, np.integer))
+            else tape.input(features))
     # (n,1) -> (n,) without a reshape primitive
     return forward(tape, "sum", out, axis=1)
 

@@ -285,8 +285,8 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
                  optimizer: str = "adam") -> float:
     """Critic-only dual training on two fixed feature batches (in place).
 
-    Each step ascends mean c(a) - mean c(b) minus the gradient penalty, the
-    same inner update adapt_pair uses. Returns the final gap.
+    Each step is a critic_ascent_step, the inner update of every training
+    stage. Returns the final gap.
 
     The default lr is deliberately slow (the large-scale configs in this
     family run the critic 100x below the model lr): the two-sided penalty
@@ -298,22 +298,30 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     opt = _Opt(critic.arrays(), optimizer, lr)
     gap_val = 0.0
     for step in range(steps):
-        tape = Tape()
-        b = md.BoundMlp(tape, critic)
-        ca = md.critic_forward(critic, features_a, tape, bound=b)
-        cb = md.critic_forward(critic, features_b, tape, bound=b)
-        gap_rev = forward(tape, "sub", (forward(tape, "mean", cb),
-                                        forward(tape, "mean", ca)))
-        pen = gradient_penalty(critic, features_a, features_b, tape,
-                               dc.substream(seed, "gp", step), bound=b)
-        loss = forward(tape, "add", (gap_rev, forward(
-            tape, "mul", (pen, tape.input(np.asarray(gp_factor))))))
-        _check_finite(tape.val(loss), "critic loss", f"critic step {step}")
-        ids = b.param_ids()
-        grads = backward(tape, loss, ids)
-        opt.step([grads[i] for i in ids])
-        gap_val = -float(tape.val(gap_rev))
+        gap_val, _ = critic_ascent_step(critic, opt, features_a, features_b,
+                                        gp_factor, dc.substream(seed, "gp", step),
+                                        f"critic step {step}")
     return gap_val
+
+
+def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
+                       gp_factor: float, gp_seed: int, where: str):
+    """One dual update in place: ascend mean c(a) - mean c(b) minus gp_factor
+    times the gradient penalty. Returns (gap, penalty) before the update."""
+    tape = Tape()
+    b = md.BoundMlp(tape, critic)
+    ca = md.critic_forward(critic, features_a, tape, bound=b)
+    cb = md.critic_forward(critic, features_b, tape, bound=b)
+    gap_rev = forward(tape, "sub", (forward(tape, "mean", cb),
+                                    forward(tape, "mean", ca)))
+    pen = gradient_penalty(critic, features_a, features_b, tape, gp_seed, bound=b)
+    loss = forward(tape, "add", (gap_rev, forward(
+        tape, "mul", (pen, tape.input(np.asarray(gp_factor))))))
+    _check_finite(tape.val(loss), "critic loss", where)
+    ids = b.param_ids()
+    grads = backward(tape, loss, ids)
+    opt.step([grads[i] for i in ids])
+    return -float(tape.val(gap_rev)), float(tape.val(pen))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +351,12 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         raise ValueError("source/target dimension mismatch")
     if temporal and model.summarizer is None:
         raise ValueError("temporal stage requires a model with a summarizer")
-    loss_sum = gap_sum = pen_sum = 0.0
-    n_steps = 0
     started = time.perf_counter()
-    opt_model = None
-    opt_critic = None
+    model_arrays = model.g.arrays() + model.h.arrays()
+    if align and temporal:
+        model_arrays += model.summarizer.arrays()
+    opt_model = _Opt(model_arrays, cfg.optimizer, cfg.lr_model)
+    opt_critic = _Opt(model.critic.arrays(), cfg.optimizer, cfg.lr_critic)
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
         n_steps = 0
@@ -373,86 +382,13 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                         model.summarizer, model.summary_state, f_s.mean(axis=0))
                     hist = 0.5 * f_s + 0.5 * readout[None, :]
                 for kk in range(cfg.k_critic):
-                    tape = Tape()
-                    c_b = md.BoundMlp(tape, model.critic)
-                    ca = md.critic_forward(model.critic, f_t, tape, bound=c_b)
-                    cb = md.critic_forward(model.critic, hist, tape, bound=c_b)
-                    gap_rev = forward(tape, "sub", (forward(tape, "mean", cb),
-                                                    forward(tape, "mean", ca)))
-                    pen = gradient_penalty(
-                        model.critic, f_t, hist, tape,
-                        dc.substream(cfg.seed, "gp", stage, epoch, b, kk),
-                        bound=c_b)
-                    gp_node = tape.input(np.asarray(cfg.gp_factor))
-                    closs = forward(tape, "add", (gap_rev,
-                                                  forward(tape, "mul", (pen, gp_node))))
-                    _check_finite(tape.val(closs), "critic loss", where)
-                    ids = c_b.param_ids()
-                    grads = backward(tape, closs, ids)
-                    if opt_critic is None:
-                        opt_critic = _Opt(model.critic.arrays(), cfg.optimizer,
-                                          cfg.lr_critic)
-                    opt_critic.step([grads[i] for i in ids])
-                    gap_val = -float(tape.val(gap_rev))
-                    pen_val = float(tape.val(pen))
-            # model step (critic frozen)
-            tape = Tape()
-            g_b = md.BoundMlp(tape, model.g)
-            h_b = md.BoundMlp(tape, model.h)
-            if labeled_target:
-                x_lab = np.concatenate([xs, xt])
-                y_lab = np.concatenate([ys, yt])
-            else:
-                x_lab, y_lab = xs, ys
-            x_node = tape.input(x_lab)
-            feats = g_b(x_node)
-            logits = h_b(feats)
-            try:
-                ce, _ = loss_eval(loss_spec, logits, y_lab, tape)
-            except ValueError as e:
-                if "non-finite" in str(e):
-                    raise TrainingDiverged(f"non-finite logits at {where}") from e
-                raise
-            wrt = g_b.param_ids() + h_b.param_ids()
-            arrays = model.g.arrays() + model.h.arrays()
-            loss = ce
-            if align:
-                ns = len(xs)
-                m_dim = model.g.out_dim
-                f_s_node = forward(tape, "slice", feats, starts=[0, 0],
-                                   stops=[ns, m_dim])
-                if labeled_target:
-                    f_t_node = forward(tape, "slice", feats, starts=[ns, 0],
-                                       stops=[len(x_lab), m_dim])
-                else:
-                    f_t_node = g_b(tape.input(xt))
-                hist_node = f_s_node
-                r_b = None
-                if temporal:
-                    r_b = md.BoundRecurrent(tape, model.summarizer)
-                    mean_f = forward(tape, "mean", f_s_node, axis=0)
-                    _, readout = md.summarize_step(model.summarizer,
-                                                   model.summary_state, mean_f,
-                                                   tape, bound=r_b)
-                    half = tape.input(np.full((ns, m_dim), 0.5))
-                    hist_node = forward(tape, "add", (
-                        forward(tape, "mul", (f_s_node, half)),
-                        forward(tape, "mul", (forward(tape, "broadcast", readout,
-                                                      shape=(ns, m_dim), axis=0),
-                                              half))))
-                gap = alignment_gap(model.critic, f_t_node, hist_node, tape)
-                lam_node = tape.input(np.asarray(cfg.lam))
-                loss = forward(tape, "add", (ce, forward(tape, "mul",
-                                                         (gap, lam_node))))
-                if r_b is not None:
-                    wrt = wrt + r_b.param_ids()
-                    arrays = arrays + model.summarizer.arrays()
-            _check_finite(tape.val(loss), "model loss", where)
-            grads = backward(tape, loss, wrt)
-            if opt_model is None:
-                opt_model = _Opt(arrays, cfg.optimizer, cfg.lr_model)
-            opt_model.step([grads[i] for i in wrt])
-            loss_sum += float(tape.val(ce))
+                    gap_val, pen_val = critic_ascent_step(
+                        model.critic, opt_critic, f_t, hist, cfg.gp_factor,
+                        dc.substream(cfg.seed, "gp", stage, epoch, b, kk), where)
+            loss_sum += _model_step(model, opt_model, xs, ys, xt, yt, cfg.lam,
+                                    labeled_target=labeled_target, align=align,
+                                    temporal=temporal, loss_spec=loss_spec,
+                                    where=where)
             gap_sum += gap_val
             pen_sum += pen_val
             n_steps += 1
@@ -464,6 +400,58 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                         gp=pen_sum / max(n_steps, 1), target_acc=acc,
                         wall_s=time.perf_counter() - started,
                         epoch=cfg.epochs_per_domain - 1)
+
+
+def _model_step(model: AdaptationModel, opt: _Opt, xs, ys, xt, yt, lam: float,
+                *, labeled_target: bool, align: bool, temporal: bool,
+                loss_spec: LossSpec, where: str) -> float:
+    """One descent step on the feature map and classifier (and the summarizer
+    when temporal) with the critic frozen; returns the class loss."""
+    tape = Tape()
+    g_b = md.BoundMlp(tape, model.g)
+    h_b = md.BoundMlp(tape, model.h)
+    if labeled_target:
+        x_lab = np.concatenate([xs, xt])
+        y_lab = np.concatenate([ys, yt])
+    else:
+        x_lab, y_lab = xs, ys
+    x_node = tape.input(x_lab)
+    feats = g_b(x_node)
+    logits = h_b(feats)
+    _check_finite(tape.val(logits), "logits", where)
+    ce, _ = loss_eval(loss_spec, logits, y_lab, tape)
+    wrt = g_b.param_ids() + h_b.param_ids()
+    loss = ce
+    if align:
+        ns = len(xs)
+        m_dim = model.g.out_dim
+        f_s_node = forward(tape, "slice", feats, starts=[0, 0],
+                           stops=[ns, m_dim])
+        if labeled_target:
+            f_t_node = forward(tape, "slice", feats, starts=[ns, 0],
+                               stops=[len(x_lab), m_dim])
+        else:
+            f_t_node = g_b(tape.input(xt))
+        hist_node = f_s_node
+        if temporal:
+            r_b = md.BoundRecurrent(tape, model.summarizer)
+            mean_f = forward(tape, "mean", f_s_node, axis=0)
+            _, readout = md.summarize_step(model.summarizer, model.summary_state,
+                                           mean_f, tape, bound=r_b)
+            half = tape.input(np.full((ns, m_dim), 0.5))
+            hist_node = forward(tape, "add", (
+                forward(tape, "mul", (f_s_node, half)),
+                forward(tape, "mul", (forward(tape, "broadcast", readout,
+                                              shape=(ns, m_dim), axis=0),
+                                      half))))
+            wrt = wrt + r_b.param_ids()
+        gap = alignment_gap(model.critic, f_t_node, hist_node, tape)
+        lam_node = tape.input(np.asarray(lam))
+        loss = forward(tape, "add", (ce, forward(tape, "mul", (gap, lam_node))))
+    _check_finite(tape.val(loss), "model loss", where)
+    grads = backward(tape, loss, wrt)
+    opt.step([grads[i] for i in wrt])
+    return float(tape.val(ce))
 
 
 def adapt_pair(model: AdaptationModel, source: DomainBatch, target: DomainBatch,

@@ -36,6 +36,8 @@ def cost_matrix(A, B) -> np.ndarray:
     """Pairwise Euclidean distances, computed from direct differences so that
     identical points give exact zeros."""
     A, B = _points(A), _points(B)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     n, m = A.shape[0], B.shape[0]
     out = np.empty((n, m))
     block = max(1, int(2**22 / max(m * A.shape[1], 1)))
@@ -99,8 +101,6 @@ def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
         raise ValueError(
             f"w1_exact needs equal sizes, got {A.shape[0]} and {B.shape[0]}; "
             "use resample_to_equal first")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     n = A.shape[0]
     if n > ASSIGNMENT_GUARD:
         raise ValueError(f"n={n} exceeds the assignment guard "

@@ -1,11 +1,15 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradshift import cli
 from gradshift import diffcore as dc
+from gradshift import domains as dom
 from gradshift import models as md
 from gradshift import objectives as ob
 
@@ -41,26 +45,108 @@ def write_config(tmp_path, text=None, name="exp.toml"):
     return p
 
 
+MINIMAL = 'output_dir = "x"\n[generator]\nkind = "rotating_moons"\nT = 3\nn = 10\n'
+
+# (replace in SMALL_CONFIG, with, expected error)
+BAD_VALUES = [
+    pytest.param("lambda = 1.0", 'loss = "bogus"',
+                 r"\[train\] loss: unknown loss kind", id="loss"),
+    pytest.param("lambda = 1.0", "loss_bound = 0", r"\[train\] loss_bound:",
+                 id="loss_bound"),
+    pytest.param("lambda = 1.0", 'lr_model = "fast"',
+                 r"\[train\] lr_model: could not", id="lr_model"),
+    pytest.param("lambda = 1.0", "k_critic = 0", r"\[train\] k_critic:",
+                 id="k_critic"),
+    pytest.param("T = 3", "T = 1", r"\[generator\] T: must be >= 2", id="T"),
+    pytest.param("hidden = 8", "hidden = nan", r"\[model\] hidden:",
+                 id="hidden"),
+    pytest.param('"gradual"]', '"direct, gradual"]',
+                 "unknown schedule 'direct, gradual'", id="comma_in_string"),
+    pytest.param("[model]", "[model.hidden]",
+                 r"\[model\] hidden: only flat tables", id="nested_table"),
+    pytest.param("lambda = 1.0", "lambda = {value = 1.0}",
+                 r"\[train\] lambda: only flat", id="inline_table"),
+    pytest.param("[model]", "[[model.hidden]]",
+                 r"\[model\] hidden: only flat tables", id="array_of_tables"),
+    pytest.param('kind = "rotating_moons"', "kind = []",
+                 r"generator.kind: unknown kind \[\]", id="kind"),
+]
+
+# bytes spliced into a valid config, or values swapped for other TOML literals
+LITERALS = ["0", "-3", "nan", "inf", "1e400", "2.5", "true", '"x"', '"0.5"',
+            "[]", '[1, "a"]', "[[1.0]]", "{a = 1}", "1979-05-27"]
+VALID = SMALL_CONFIG.format(out="out")
+
+
+def _swap_values(choices):
+    lines = VALID.splitlines()
+    return "\n".join(l.split("=")[0] + "= " + LITERALS[c]
+                     if c is not None and "=" in l else l
+                     for l, c in zip(lines, choices)).encode()
+
+
+CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda i, junk: VALID.encode()[:i] + junk + VALID.encode()[i:],
+              st.integers(0, len(VALID)), st.binary(min_size=1, max_size=8)),
+    st.builds(_swap_values,
+              st.lists(st.none() | st.integers(0, len(LITERALS) - 1),
+                       min_size=len(VALID.splitlines()),
+                       max_size=len(VALID.splitlines()))))
+
+
 class TestConfigParse:
-    def test_round_trip_types(self):
-        data = cli.parse_config_text(
-            'a = 1\nb = 2.5\nc = "hi"\nd = true\ne = [1, 2]\n[t]\nf = false\n')
-        assert data == {"a": 1, "b": 2.5, "c": "hi", "d": True,
-                        "e": [1, 2], "t": {"f": False}}
+    def test_round_trip_types(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, MINIMAL.replace(
+            'output_dir = "x"', 'output_dir = "hi"\nseeds = [1, 2]\n'
+            "holdout = 0.5") + "[train]\nlabeled_target = false\n"
+            "lambda = 2\noptimizer = \"sgd\"\n"))
+        assert (cfg.output_dir, cfg.seeds, cfg.holdout) == ("hi", [1, 2], 0.5)
+        assert cfg.generator == {"kind": "rotating_moons", "T": 3, "n": 10}
+        assert cfg.labeled_target is False
+        assert cfg.train == ob.TrainConfig(lam=2.0, optimizer="sgd")
+        assert cfg.model == ob.ModelSpec() and cfg.loss_spec == ob.LossSpec()
 
-    def test_comments_and_blanks(self):
-        data = cli.parse_config_text("# top\n\na = 3  # trailing\n")
-        assert data == {"a": 3}
+    def test_comments_and_blanks(self, tmp_path):
+        text = "# top\n\n" + MINIMAL.replace(
+            'output_dir = "x"', 'output_dir = "runs/#1"  # trailing')
+        cfg = cli.load_config(write_config(tmp_path, text))
+        assert cfg.output_dir == "runs/#1"
 
-    def test_error_carries_line(self):
+    def test_error_carries_line(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="line 2"):
-            cli.parse_config_text("a = 1\nbogus line\n")
+            cli.load_config(write_config(tmp_path, "a = 1\nbogus line\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = write_config(tmp_path, SMALL_CONFIG.format(out=tmp_path) +
-                         "\nwhatever = 3\n")
-        with pytest.raises(cli.ConfigError, match="whatever"):
-            cli.load_config(p)
+        base = SMALL_CONFIG.format(out=tmp_path)
+        for text, key in [
+                (base + "\nwhatever = 3\n", "whatever"),
+                (base.replace("noise_sigma", "sigma = 0.5\nnoise_sigma"),
+                 "sigma"),
+                (base.replace("lambda", "seed = 3\nlambda"), "seed"),
+                (base.replace("lambda", "rho = 2.0\nlambda"), "rho"),
+                (base.replace("critic_hidden", "summarizer = true\n"
+                              "critic_hidden"), "summarizer")]:
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("old,new,error", BAD_VALUES)
+    def test_bad_value_rejected(self, tmp_path, old, new, error):
+        text = SMALL_CONFIG.format(out=tmp_path)
+        assert old in text
+        with pytest.raises(cli.ConfigError, match=error):
+            cli.load_config(write_config(tmp_path, text.replace(old, new, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=CONFIG_BYTES)
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("fuzz") / "c.toml"
+        p.write_bytes(raw)
+        try:
+            cfg = cli.load_config(p)
+        except cli.ConfigError:
+            return
+        assert isinstance(cfg, cli.ExperimentConfig)
 
     def test_unknown_schedule_rejected(self, tmp_path):
         text = SMALL_CONFIG.format(out=tmp_path).replace(
@@ -73,6 +159,37 @@ class TestConfigParse:
         p = write_config(tmp_path, 'output_dir = "x"\nseeds = [1]\n')
         with pytest.raises(cli.ConfigError, match="generator"):
             cli.load_config(p)
+
+
+class TestGeneratorTable:
+    def sequence(self, tmp_path, generator, run_seed=0):
+        text = MINIMAL.split("[generator]")[0] + "[generator]\n" + generator
+        return cli.load_config(write_config(tmp_path, text)).sequence_for(run_seed)
+
+    def test_dispatch(self, tmp_path):
+        seq = self.sequence(tmp_path, 'kind = "rotating_moons"\nT = 3\nn = 20\n'
+                            "seed = 4\ntotal_degrees = 90.0\n")
+        assert seq.T == 3 and seq.meta["total_degrees"] == 90.0
+        seq2 = self.sequence(tmp_path, 'kind = "shifting_gaussians"\nT = 2\n'
+                             "n = 10\nseed = 4\nshift_per_step = 0.2\n")
+        assert seq2.delta_true == 0.2
+        assert seq2.meta["class_means"] == [[-2.0], [2.0]]
+
+    def test_file_dispatch(self, tmp_path):
+        seq = dom.make_shifting_gaussians(2, 8, seed=1)
+        p = tmp_path / "s.csv"
+        dom.save_sequence(seq, p)
+        assert self.sequence(tmp_path, f'kind = "file"\npath = "{p}"\n').T == 2
+
+    def test_invalid(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="T: must be >= 2"):
+            self.sequence(tmp_path, 'kind = "rotating_moons"\nT = 1\nn = 10\n')
+        with pytest.raises(cli.ConfigError, match="unknown kind"):
+            self.sequence(tmp_path, 'kind = "bogus"\nT = 2\nn = 10\n')
+        with pytest.raises(cli.ConfigError, match="generator.n: required"):
+            self.sequence(tmp_path, 'kind = "shifting_gaussians"\nT = 2\n')
+        with pytest.raises(cli.ConfigError, match=r"unknown key\(s\) \['T'\]"):
+            self.sequence(tmp_path, 'kind = "file"\npath = "x.csv"\nT = 2\n')
 
 
 class TestCheckpointFormat:
@@ -202,6 +319,26 @@ class TestRunExperiment:
         assert cli.run_experiment(p2) == 0
         assert (tmp_path / "outp" / "metrics.csv").read_bytes() == serial
 
+    def test_parallel_divergence_stops_early(self, tmp_path, monkeypatch):
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def run_one(cfg, schedule, seed, halt_after):
+            (started / str(seed)).touch()
+            if seed == 1:
+                raise ob.TrainingDiverged("injected")
+            time.sleep(0.5)
+            return [], False
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(cli, "_run_one", run_one)
+        monkeypatch.setenv("GRADSHIFT_THREADS", "2")
+        text = SMALL_CONFIG.format(out=tmp_path / "out").replace(
+            "seeds = [1, 2]", "seeds = [1, 2, 3, 4, 5, 6, 7, 8]").replace(
+            ', "gradual"]', "]")
+        assert cli.run_experiment(write_config(tmp_path, text)) == 3
+        assert len(list(started.iterdir())) < 8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_3(self, tmp_path, capsys):
         text = SMALL_CONFIG.format(out=tmp_path / "outd").replace(
@@ -237,6 +374,16 @@ class TestSubcommands:
                          "--epsilon", "1e-3", "--max-iters", "20000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["distance"] <= 1e-2
+
+    def test_w1_dimension_mismatch_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0.0,0.0\n1.0,0.0\n")
+        b.write_text("0.0,1.0,0.0\n1.0,1.0,0.0\n")
+        for method in ("exact", "sinkhorn"):
+            assert cli.main(["w1", str(a), str(b), "--method", method]) == 2
+            out = json.loads(capsys.readouterr().out)
+            assert out["error"] == "dimension mismatch: 2 vs 3"
 
     def test_w1_parse_failure_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

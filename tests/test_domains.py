@@ -118,31 +118,6 @@ class TestShiftingGaussians:
         assert stat < CHI2_P001[df]
 
 
-class TestGeneratorSpec:
-    def test_dispatch(self):
-        spec = dom.GeneratorSpec("rotating_moons", T=3, n=20, seed=4,
-                                 params={"total_degrees": 90.0})
-        seq = dom.make_sequence(spec)
-        assert seq.T == 3 and seq.meta["total_degrees"] == 90.0
-        spec2 = dom.GeneratorSpec("shifting_gaussians", T=2, n=10, seed=4,
-                                  params={"shift_per_step": 0.2})
-        assert dom.make_sequence(spec2).delta_true == 0.2
-
-    def test_file_dispatch(self, tmp_path):
-        seq = dom.make_shifting_gaussians(2, 8, seed=1)
-        p = tmp_path / "s.csv"
-        dom.save_sequence(seq, p)
-        spec = dom.GeneratorSpec("file", T=2, n=8, seed=0,
-                                 params={"path": str(p)})
-        assert dom.make_sequence(spec).T == 2
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            dom.GeneratorSpec("rotating_moons", T=1, n=10, seed=0)
-        with pytest.raises(ValueError, match="unknown generator"):
-            dom.make_sequence(dom.GeneratorSpec("bogus", T=2, n=10, seed=0))
-
-
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         seq = dom.make_shifting_gaussians(3, 25, shift_per_step=0.2,

@@ -38,20 +38,20 @@ class TestForwards:
         p = md.MlpParams([np.eye(3)], [np.zeros(3)], ["identity"])
         x = dc.rng_normal(4, (5, 3))
         t = Tape()
-        out = md.feature_forward(p, x, t)
+        out = md.BoundMlp(t, p)(t.input(x))
         assert np.array_equal(t.val(out), x)
 
     def test_zero_weights_zero_features(self):
         p = md.MlpParams([np.zeros((3, 4))], [np.zeros(4)], ["relu"])
         t = Tape()
-        out = md.feature_forward(p, dc.rng_normal(0, (6, 3)), t)
+        out = md.BoundMlp(t, p)(t.input(dc.rng_normal(0, (6, 3))))
         assert np.array_equal(t.val(out), np.zeros((6, 4)))
 
     def test_vs_hand_rolled_forward(self):
         p = md.init_mlp(8, [2, 8, 4], ["relu", "identity"])
         x = dc.rng_normal(9, (7, 2))
         t = Tape()
-        out = t.val(md.feature_forward(p, x, t))
+        out = t.val(md.BoundMlp(t, p)(t.input(x)))
         # independent forward, written out by hand
         h = np.maximum(x @ p.weights[0] + p.biases[0], 0.0)
         ref = h @ p.weights[1] + p.biases[1]
@@ -60,7 +60,7 @@ class TestForwards:
     def test_zero_classifier_uniform_softmax(self):
         h = md.MlpParams([np.zeros((4, 3))], [np.zeros(3)], ["identity"])
         t = Tape()
-        logits = t.val(md.classifier_forward(h, dc.rng_normal(1, (5, 4)), t))
+        logits = t.val(md.BoundMlp(t, h)(t.input(dc.rng_normal(1, (5, 4)))))
         assert np.array_equal(logits, np.zeros((5, 3)))
         sm = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         assert np.allclose(sm, 1.0 / 3.0)
@@ -73,11 +73,11 @@ class TestForwards:
         h = md.init_mlp(6, [4, 6, 2], ["relu", "identity"])
         x = dc.rng_normal(7, (9, 3))
         t = Tape()
-        composed = t.val(md.classifier_forward(h, md.feature_forward(g, x, t), t))
+        composed = t.val(md.BoundMlp(t, h)(md.BoundMlp(t, g)(t.input(x))))
         fused = md.MlpParams(g.weights + h.weights, g.biases + h.biases,
                              g.activations + h.activations)
         t2 = Tape()
-        mono = t2.val(md.classifier_forward(fused, x, t2))
+        mono = t2.val(md.BoundMlp(t2, fused)(t2.input(x)))
         assert np.max(np.abs(composed - mono)) < 1e-12
         assert np.max(np.abs(composed - md.mlp_eval(fused, x))) < 1e-12
 
@@ -123,7 +123,7 @@ class TestForwards:
                              [params_flat[1], params_flat[3]],
                              ["tanh", "identity"])
             t = Tape()
-            out = md.feature_forward(p, x, t)
+            out = md.BoundMlp(t, p)(t.input(x))
             return float(t.val(forward(t, "mean", forward(t, "square", out))))
 
         t = Tape()
