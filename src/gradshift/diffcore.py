@@ -39,7 +39,7 @@ class TapeError(RuntimeError):
 def array(data) -> np.ndarray:
     """Validate and convert input data to a finite float64 ndarray."""
     a = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("array values must be finite (NaN/Inf rejected)")
     return a
 
@@ -67,9 +67,11 @@ class Tape:
 
     def input(self, value, name: str | None = None) -> int:
         """Register a leaf array and return its node id."""
-        v = array(value)
-        self.nodes.append(Node("input", (), v, aux=name,
-                               grad_pass=self._in_grad_pass))
+        return self._leaf(array(value), name)
+
+    def _leaf(self, v: np.ndarray, name: str | None = None) -> int:
+        """Register a float64 array known to be finite, unchecked."""
+        self.nodes.append(Node("input", (), v, name, self._in_grad_pass))
         return len(self.nodes) - 1
 
     def val(self, nid: int) -> np.ndarray:
@@ -91,22 +93,53 @@ def _shape_err(op: str, shapes) -> ShapeError:
     return ShapeError(f"{op}: incompatible shapes {[tuple(s) for s in shapes]}")
 
 
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+_UNARY = {"relu": lambda x: np.maximum(x, 0.0), "tanh": np.tanh, "exp": np.exp,
+          "log": np.log, "square": np.square, "sqrt": np.sqrt,
+          "reciprocal": lambda x: 1.0 / x}
+
+
 def _compute(op: str, vals: Sequence[np.ndarray], aux):
-    """Apply one primitive to raw arrays."""
-    if op in ("add", "sub", "mul"):
+    """Apply one primitive to raw arrays (most frequent ops first)."""
+    binary = _BINARY.get(op)
+    if binary is not None:
         a, b = vals
         if a.shape != b.shape:
             raise _shape_err(op, (a.shape, b.shape))
-        return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b)
+        return binary(a, b)
     if op == "matmul":
         a, b = vals
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise _shape_err(op, (a.shape, b.shape))
         return a @ b
-    if op == "relu":
-        return np.maximum(vals[0], 0.0)
-    if op == "tanh":
-        return np.tanh(vals[0])
+    if op == "broadcast":
+        x = vals[0]
+        shape, axis = aux
+        shape = tuple(shape)
+        if x.shape == ():
+            return np.full(shape, float(x))
+        if x.ndim == 1 and len(shape) == 2:
+            out = np.empty(shape)
+            if axis == 0 and shape[1] == x.shape[0]:
+                out[...] = x
+                return out
+            if axis == 1 and shape[0] == x.shape[0]:
+                out[...] = x[:, None]
+                return out
+        raise _shape_err("broadcast", (x.shape, shape))
+    unary = _UNARY.get(op)
+    if unary is not None:
+        return unary(vals[0])
+    if op in ("sum", "mean"):
+        x, axis = vals[0], aux
+        if axis not in (None, 0, 1) or (axis == 1 and x.ndim < 2):
+            raise _shape_err(op, (x.shape,))
+        return x.sum(axis=axis) if op == "sum" else x.mean(axis=axis)
+    if op == "transpose":
+        x = vals[0]
+        if x.ndim != 2:
+            raise _shape_err(op, (x.shape,))
+        return x.T.copy()
     if op == "sigmoid":
         x = vals[0]
         out = np.empty_like(x)
@@ -115,27 +148,6 @@ def _compute(op: str, vals: Sequence[np.ndarray], aux):
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
         return out
-    if op == "exp":
-        return np.exp(vals[0])
-    if op == "log":
-        return np.log(vals[0])
-    if op == "square":
-        return np.square(vals[0])
-    if op == "sqrt":
-        return np.sqrt(vals[0])
-    if op == "reciprocal":
-        return 1.0 / vals[0]
-    if op in ("sum", "mean"):
-        x, axis = vals[0], aux
-        if axis not in (None, 0, 1) or (axis == 1 and x.ndim < 2):
-            raise _shape_err(op, (x.shape,))
-        fn = np.sum if op == "sum" else np.mean
-        return fn(x, axis=axis)
-    if op == "transpose":
-        x = vals[0]
-        if x.ndim != 2:
-            raise _shape_err(op, (x.shape,))
-        return x.T.copy()
     if op == "concat":
         axis = aux
         try:
@@ -156,19 +168,10 @@ def _compute(op: str, vals: Sequence[np.ndarray], aux):
         idx = tuple(slice(s, s + d) for s, d in zip(starts, x.shape))
         out[idx] = x
         return out
-    if op == "broadcast":
-        x = vals[0]
-        shape, axis = aux
-        shape = tuple(shape)
-        if x.shape == ():
-            return np.full(shape, float(x))
-        if x.ndim == 1 and len(shape) == 2:
-            if axis == 0 and shape[1] == x.shape[0]:
-                return np.broadcast_to(x, shape).copy()
-            if axis == 1 and shape[0] == x.shape[0]:
-                return np.broadcast_to(x[:, None], shape).copy()
-        raise _shape_err("broadcast", (x.shape, shape))
     raise ValueError(f"unknown primitive {op!r}")
+
+
+_OPS = PRIMITIVES | _INTERNAL_OPS
 
 
 def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
@@ -179,18 +182,20 @@ def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
     `axis`; `slice` takes `starts`/`stops`; `broadcast` takes `shape` and,
     for vector-to-matrix, `axis` naming the replicated axis.
     """
-    if op not in PRIMITIVES and op not in _INTERNAL_OPS:
+    if op not in _OPS:
         raise ValueError(f"unknown primitive {op!r}")
     ids = tuple(inputs) if isinstance(inputs, (list, tuple)) else (inputs,)
+    nodes, n = tape.nodes, len(tape.nodes)
     for nid in ids:
-        tape._check_id(nid)
-    vals = [tape.nodes[nid].value for nid in ids]
+        if type(nid) is not int or not 0 <= nid < n:
+            tape._check_id(nid)
+    vals = [nodes[nid].value for nid in ids]
     if op in ("sum", "mean"):
         aux = axis
-    elif op == "slice":
-        aux = (tuple(starts), tuple(stops))
     elif op == "broadcast":
         aux = (tuple(shape), axis)
+    elif op == "slice":
+        aux = (tuple(starts), tuple(stops))
     elif op == "concat":
         aux = 0 if axis is None else axis
     elif op == "pad_slice":
@@ -198,9 +203,9 @@ def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
     else:
         aux = None
     value = _compute(op, vals, aux)
-    tape.nodes.append(Node(op, ids, np.asarray(value, dtype=np.float64), aux,
-                           grad_pass=tape._in_grad_pass))
-    return len(tape.nodes) - 1
+    nodes.append(Node(op, ids, np.asarray(value, dtype=np.float64), aux,
+                      tape._in_grad_pass))
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -227,70 +232,75 @@ def backward(tape: Tape, scalar_output: int, wrt: Iterable[int]) -> dict[int, np
     wrt = list(wrt)
     for nid in wrt:
         tape._check_id(nid)
-    if tape.nodes[scalar_output].value.shape != ():
+    nodes = tape.nodes
+    if nodes[scalar_output].value.shape != ():
         raise TapeError("backward requires a scalar output node, got shape "
-                        f"{tape.nodes[scalar_output].value.shape}")
+                        f"{nodes[scalar_output].value.shape}")
+    # adjoints reach only ancestors of the output, and leaves only in wrt
+    wrt_set = set(wrt)
+    def wanted(i):
+        return i in wrt_set or nodes[i].op != "input"
     adj: dict[int, np.ndarray] = {scalar_output: np.ones(())}
-    relevant = _ancestors(tape, scalar_output)
     for nid in range(scalar_output, -1, -1):
-        if nid not in adj or nid not in relevant:
+        g = adj.get(nid)
+        if g is None or nodes[nid].op == "input":
             continue
-        node = tape.nodes[nid]
-        if node.op == "input":
-            continue
-        for in_id, contrib in _vjp_numeric(tape, node, adj[nid]):
-            if in_id in adj:
-                adj[in_id] = adj[in_id] + contrib
-            else:
-                adj[in_id] = contrib
+        for in_id, contrib in _vjp_numeric(tape, nodes[nid], g, wanted):
+            prev = adj.get(in_id)
+            adj[in_id] = contrib if prev is None else prev + contrib
     out = {}
     for nid in wrt:
         g = adj.get(nid)
-        out[nid] = np.zeros_like(tape.nodes[nid].value) if g is None else g
+        out[nid] = np.zeros_like(nodes[nid].value) if g is None else g
     return out
 
 
-def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray):
+def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray, wanted):
+    """Adjoint contributions to the inputs for which wanted(id) holds."""
     op, ids, aux = node.op, node.inputs, node.aux
     vals = [tape.nodes[i].value for i in ids]
-    if op == "add":
-        return [(ids[0], g), (ids[1], g)]
-    if op == "sub":
-        return [(ids[0], g), (ids[1], -g)]
-    if op == "mul":
-        return [(ids[0], g * vals[1]), (ids[1], g * vals[0])]
-    if op == "matmul":
-        return [(ids[0], g @ vals[1].T), (ids[1], vals[0].T @ g)]
-    if op == "relu":
-        return [(ids[0], g * (vals[0] > 0))]
+    if op in _BINARY or op == "matmul":
+        (a, b), (va, vb) = ids, vals
+        out = []
+        if wanted(a):
+            out.append((a, g @ vb.T if op == "matmul" else
+                        g * vb if op == "mul" else g))
+        if wanted(b):
+            out.append((b, va.T @ g if op == "matmul" else g * va
+                        if op == "mul" else -g if op == "sub" else g))
+        return out
+    if op != "concat" and not wanted(ids[0]):
+        return ()
+    if op == "broadcast":
+        return [(ids[0], g.sum() if vals[0].shape == () else g.sum(axis=aux[1]))]
     if op == "tanh":
         return [(ids[0], g * (1.0 - np.square(node.value)))]
-    if op == "sigmoid":
-        return [(ids[0], g * node.value * (1.0 - node.value))]
-    if op == "exp":
-        return [(ids[0], g * node.value)]
-    if op == "log":
-        return [(ids[0], g / vals[0])]
     if op == "square":
         return [(ids[0], g * 2.0 * vals[0])]
-    if op == "sqrt":
-        return [(ids[0], g * 0.5 / node.value)]
-    if op == "reciprocal":
-        return [(ids[0], -g * np.square(node.value))]
     if op in ("sum", "mean"):
         x, axis = vals[0], aux
         scale = 1.0
         if op == "mean":
             scale = 1.0 / (x.size if axis is None else x.shape[axis])
         if axis is None:
-            back = np.full(x.shape, float(g) * scale)
-        elif axis == 0:
-            back = np.broadcast_to(g * scale, x.shape).copy()
-        else:
-            back = np.broadcast_to((g * scale)[:, None], x.shape).copy()
+            return [(ids[0], np.full(x.shape, float(g) * scale))]
+        back = np.empty(x.shape)
+        back[...] = g * scale if axis == 0 else (g * scale)[:, None]
         return [(ids[0], back)]
     if op == "transpose":
         return [(ids[0], g.T.copy())]
+    if op == "relu":
+        return [(ids[0], g * (vals[0] > 0))]
+    if op == "sigmoid":
+        return [(ids[0], g * node.value * (1.0 - node.value))]
+    if op == "exp":
+        return [(ids[0], g * node.value)]
+    if op == "log":
+        return [(ids[0], g / vals[0])]
+    if op == "sqrt":
+        return [(ids[0], g * 0.5 / node.value)]
+    if op == "reciprocal":
+        return [(ids[0], -g * np.square(node.value))]
     if op == "concat":
         axis = aux
         outs = []
@@ -298,7 +308,8 @@ def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray):
         for i, v in zip(ids, vals):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(ofs, ofs + v.shape[axis])
-            outs.append((i, g[tuple(idx)].copy()))
+            if wanted(i):
+                outs.append((i, g[tuple(idx)].copy()))
             ofs += v.shape[axis]
         return outs
     if op == "slice":
@@ -311,12 +322,6 @@ def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray):
         _, starts = aux
         idx = tuple(slice(s, s + d) for s, d in zip(starts, vals[0].shape))
         return [(ids[0], g[idx].copy())]
-    if op == "broadcast":
-        x = vals[0]
-        _, axis = aux
-        if x.shape == ():
-            return [(ids[0], np.sum(g))]
-        return [(ids[0], np.sum(g, axis=axis))]
     raise ValueError(f"no gradient rule for {op!r}")
 
 
@@ -346,49 +351,45 @@ def input_gradient(tape: Tape, scalar_output: int, wrt_input: int) -> int:
     tape._in_grad_pass = True
     try:
         if scalar_output not in live:
-            return tape.input(np.zeros(x_shape))
-        adj: dict[int, int] = {scalar_output: tape.input(np.ones(()))}
+            return tape._leaf(np.zeros(x_shape))
+        adj: dict[int, int] = {scalar_output: tape._leaf(np.ones(()))}
         for nid in sorted(live, reverse=True):
-            if nid not in adj:
+            if nid not in adj or tape.nodes[nid].op == "input":
                 continue
-            node = tape.nodes[nid]
-            if node.op == "input":
-                continue
-            for in_id, contrib in _vjp_symbolic(tape, nid, node, adj[nid]):
-                if in_id not in live:
-                    continue
-                if in_id in adj:
-                    adj[in_id] = forward(tape, "add", (adj[in_id], contrib))
-                else:
-                    adj[in_id] = contrib
+            for in_id, contrib in _vjp_symbolic(tape, nid, tape.nodes[nid],
+                                                adj[nid], live.__contains__):
+                adj[in_id] = forward(tape, "add", (adj[in_id], contrib)) \
+                    if in_id in adj else contrib
         return adj[wrt_input]
     finally:
         tape._in_grad_pass = False
 
 
-def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int):
-    """Adjoint contributions as tape nodes (mirrors _vjp_numeric)."""
+def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int, wanted):
+    """Adjoint contributions as tape nodes (mirrors _vjp_numeric). A live
+    node's single input is live, so only binary ops and concat consult
+    wanted."""
     op, ids, aux = node.op, node.inputs, node.aux
     f = forward
-
-    def const(v):
-        return tape.input(v)
+    const = tape._leaf
 
     def neg(x):
         return f(tape, "sub", (const(np.zeros(tape.shape(x))), x))
 
-    if op == "add":
-        return [(ids[0], g), (ids[1], g)]
-    if op == "sub":
-        return [(ids[0], g), (ids[1], neg(g))]
-    if op == "mul":
-        return [(ids[0], f(tape, "mul", (g, ids[1]))),
-                (ids[1], f(tape, "mul", (g, ids[0])))]
-    if op == "matmul":
-        bt = f(tape, "transpose", (ids[1],))
-        at = f(tape, "transpose", (ids[0],))
-        return [(ids[0], f(tape, "matmul", (g, bt))),
-                (ids[1], f(tape, "matmul", (at, g)))]
+    if op in _BINARY or op == "matmul":
+        a, b = ids
+        if op == "matmul":
+            bt = f(tape, "transpose", (b,)) if wanted(a) else None
+            at = f(tape, "transpose", (a,)) if wanted(b) else None
+        out = []
+        if wanted(a):
+            out.append((a, f(tape, "matmul", (g, bt)) if op == "matmul" else
+                        f(tape, "mul", (g, b)) if op == "mul" else g))
+        if wanted(b):
+            out.append((b, f(tape, "matmul", (at, g)) if op == "matmul" else
+                        f(tape, "mul", (g, a)) if op == "mul" else
+                        neg(g) if op == "sub" else g))
+        return out
     if op == "relu":
         # mask is piecewise constant in the input, so a detached leaf is the
         # exact a.e. derivative for the second-order pass as well
@@ -436,7 +437,9 @@ def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int):
             stops = list(gshape)
             starts[axis] = ofs
             stops[axis] = ofs + ishape[axis]
-            outs.append((i, f(tape, "slice", (g,), starts=starts, stops=stops)))
+            if wanted(i):
+                outs.append((i, f(tape, "slice", (g,), starts=starts,
+                                  stops=stops)))
             ofs += ishape[axis]
         return outs
     if op == "slice":
@@ -449,10 +452,7 @@ def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int):
         stops = [s + d for s, d in zip(starts, ishape)]
         return [(ids[0], f(tape, "slice", (g,), starts=starts, stops=stops))]
     if op == "broadcast":
-        x_shape = tape.shape(ids[0])
-        _, axis = aux
-        if x_shape == ():
-            return [(ids[0], f(tape, "sum", (g,), axis=None))]
+        axis = None if tape.shape(ids[0]) == () else aux[1]
         return [(ids[0], f(tape, "sum", (g,), axis=axis))]
     raise ValueError(f"no gradient rule for {op!r}")
 

@@ -123,6 +123,18 @@ class TestBackward:
         backward(t, y, [x])
         assert len(t) == n
 
+    def test_wrt_subset_bit_identical(self):
+        # leaves outside wrt get no adjoint; the others must not change
+        t = Tape()
+        x = t.input(dc.rng_normal(1, (4, 3)))
+        w = t.input(dc.rng_normal(2, (3, 2)))
+        c = t.input(np.full((4, 2), 0.5))
+        h = forward(t, "tanh", forward(t, "matmul", (x, w)))
+        y = forward(t, "sum", forward(t, "mul", (h, c)))
+        full = backward(t, y, [x, w, c])
+        for nid in (x, w, c):
+            assert np.array_equal(backward(t, y, [nid])[nid], full[nid])
+
     def test_mlp_gradient_vs_fd(self):
         # random 3-layer perceptron, MSE head, checked against central differences
         sizes = [(4, 8), (8, 8), (8, 2)]
