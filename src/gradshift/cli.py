@@ -55,7 +55,21 @@ _TOP_KEYS = {"output_dir", "seeds", "schedules", "holdout"}
 # `seed` and `summarizer`, and training always uses the default `rho`
 _KEY_OF_FIELD = {"lam": "lambda", "kind": "loss", "bound": "loss_bound"}
 _UNSET_FIELDS = {"seed", "summarizer", "rho"}
-_COERCE = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _class_means(means):
+    if not means:
+        raise ValueError("needs at least one class mean")
+    return [[float(v)] for v in means]
+
+
+_COERCE = {"int": int, "float": float, "str": str, "bool": _boolean}
 
 
 # kind -> (builder(seed=data seed, **keys), required keys, optional keys),
@@ -70,7 +84,7 @@ _GENERATORS = {
                           class_means=((-2.0,), (2.0,))),
         {"T": int, "n": int},
         {"seed": int, "shift_per_step": float, "sigma": float,
-         "class_means": lambda means: [[float(v)] for v in means]}),
+         "class_means": _class_means}),
     "file": (lambda seed, path: dom.load_sequence(path), {"path": str}, {}),
 }
 
@@ -185,7 +199,7 @@ def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
         raise ConfigError("holdout: must be in (0, 1)")
     generator = _generator_keys(tables["generator"])
     train = dict(tables.get("train", {}))
-    labeled_target = _checked("[train] labeled_target", bool,
+    labeled_target = _checked("[train] labeled_target", _boolean,
                               train.pop("labeled_target", True))
     train_cfg, loss_spec = _build((ob.TrainConfig, ob.LossSpec), train,
                                   "[train]")
@@ -350,7 +364,9 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
              halt_after: int | None):
     """Execute one (schedule, seed) run with stage-boundary state saving.
 
-    Returns (rows, halted) where rows are metrics-CSV field tuples.
+    With halt_after set, the run saves its state and halts after that stage,
+    or after its last stage if it has fewer. Returns (rows, halted) where
+    rows are metrics-CSV field tuples.
     """
     run_id = f"{schedule}-s{seed}"
     outdir = Path(cfg.output_dir)
@@ -358,9 +374,7 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     state_rows = outdir / "state" / f"{run_id}.rows.csv"
     seq = cfg.sequence_for(seed)
     tcfg = replace(cfg.train, seed=seed)
-    spec = cfg.model
-    if schedule == "gradual_temporal":
-        spec = replace(spec, summarizer=True)
+    spec = replace(cfg.model, summarizer=schedule == "gradual_temporal")
 
     start_model = None
     start_stage = 0
@@ -379,31 +393,33 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
                      str(metrics.epoch), _fmt(metrics.class_loss),
                      _fmt(metrics.alignment), _fmt(metrics.gp),
                      _fmt(metrics.target_acc), "0"))
-        if halt_after is not None and idx >= halt_after and \
-                schedule in ("gradual", "gradual_temporal"):
-            ckpt = Checkpoint(model_to_arrays(model), idx, tcfg.epochs_per_domain,
-                              cfg.digest)
-            save_checkpoint(state_ckpt, ckpt)
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(rows)
-            _atomic_write_text(state_rows, buf.getvalue())
-            raise _Halted()
+        if halt_after is not None and idx >= halt_after:
+            raise _Halted(idx, model)
 
     try:
-        model, _ = ob.train_schedule(
+        model, trace = ob.train_schedule(
             schedule, seq, tcfg, spec, holdout=cfg.holdout,
             labeled_target=cfg.labeled_target, loss_spec=cfg.loss_spec,
             start_model=start_model, start_stage=start_stage,
             stage_callback=on_stage)
-    except _Halted:
-        return rows, True
+        last_stage = start_stage + len(trace) - 1
+    except _Halted as e:
+        last_stage, model = e.args
     except ob.TrainingDiverged as e:
         raise ob.TrainingDiverged(f"run {run_id}: {e}") from e
+    if halt_after is not None:
+        # a run with fewer stages halts after its last one
+        save_checkpoint(state_ckpt, Checkpoint(
+            model_to_arrays(model), last_stage, tcfg.epochs_per_domain,
+            cfg.digest))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _atomic_write_text(state_rows, buf.getvalue())
+        return rows, True
     ckpt = Checkpoint(model_to_arrays(model), seq.T - 1, 0, cfg.digest)
     save_checkpoint(outdir / "checkpoints" / f"{run_id}.ckpt", ckpt)
     for p in (state_ckpt, state_rows):
-        if p.exists():
-            p.unlink()
+        p.unlink(missing_ok=True)
     return rows, False
 
 
@@ -634,8 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config")
     run.add_argument("--halt-after", type=int, default=None,
-                     help="stop each multi-stage run after this stage index "
-                          "(state is saved; rerun to resume)")
+                     help="stop each run after this stage index, or after "
+                          "its last stage if it has fewer (state is saved; "
+                          "rerun to resume)")
 
     w1 = sub.add_parser("w1", help="Wasserstein-1 between two point files")
     w1.add_argument("file_a")

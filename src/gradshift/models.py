@@ -113,7 +113,7 @@ def critic_forward(c: MlpParams, features, tape: Tape, *, bound: BoundMlp | None
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Plain numpy forward pass (no tape); matches the recorded forward."""
+    """Inference forward pass in plain numpy; matches BoundMlp's recorded one."""
     h = np.asarray(x, dtype=np.float64)
     for w, b, act in zip(params.weights, params.biases, params.activations):
         h = h @ w + b
@@ -264,31 +264,15 @@ class BoundRecurrent:
         return new_rows, ro
 
 
-def summarize_step(r: RecurrentParams, state: SummaryState,
-                   domain_feature_summary, tape: Tape | None = None,
+def summarize_step(r: RecurrentParams, state: SummaryState, x: int, tape: Tape,
                    *, bound: BoundRecurrent | None = None):
-    """Absorb one domain's mean feature vector into the recurrent state.
-
-    Returns (new SummaryState, readout). With a tape the readout is a node id
-    and the whole step is differentiable w.r.t. the summarizer parameters and
-    the input vector; without one plain arrays come back.
-    """
-    x = np.asarray(domain_feature_summary, dtype=np.float64) \
-        if not isinstance(domain_feature_summary, (int, np.integer)) else None
-    local = tape is None
-    if local:
-        tape = Tape()
-    if x is not None:
-        if x.shape != (r.input_size,):
-            raise ValueError(f"summary vector shape {x.shape} does not match "
-                             f"summarizer input size {r.input_size}")
-        x_row = forward(tape, "broadcast", tape.input(x), shape=(1, x.shape[0]), axis=0)
-    else:
-        node = domain_feature_summary
-        if tape.shape(node) != (r.input_size,):
-            raise ValueError(f"summary vector shape {tape.shape(node)} does not "
-                             f"match summarizer input size {r.input_size}")
-        x_row = forward(tape, "broadcast", node, shape=(1, r.input_size), axis=0)
+    """Absorb one domain's mean feature vector, the (input_size,) node x, into
+    the recurrent state on the tape. Returns (new SummaryState, readout node),
+    differentiable w.r.t. the summarizer parameters and x."""
+    if tape.shape(x) != (r.input_size,):
+        raise ValueError(f"summary vector shape {tape.shape(x)} does not "
+                         f"match summarizer input size {r.input_size}")
+    x_row = forward(tape, "broadcast", x, shape=(1, r.input_size), axis=0)
     b = bound if bound is not None else BoundRecurrent(tape, r)
     state_rows = [forward(tape, "broadcast", tape.input(h), shape=(1, r.hidden), axis=0)
                   for h in state.hidden]
@@ -297,6 +281,4 @@ def summarize_step(r: RecurrentParams, state: SummaryState,
     readout = forward(tape, "sum", readout_row, axis=0)
     new_state = SummaryState([tape.val(forward(tape, "sum", row, axis=0)).copy()
                               for row in new_rows], state.count + 1)
-    if local:
-        return new_state, tape.val(readout).copy()
     return new_state, readout

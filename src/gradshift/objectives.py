@@ -74,6 +74,11 @@ class ModelSpec:
     summarizer_layers: int = 1
     summarizer: bool = False
 
+    def __post_init__(self):
+        if min(self.feature_dim, self.hidden, self.critic_hidden,
+               self.summarizer_hidden, self.summarizer_layers) < 1:
+            raise ValueError("model sizes must be >= 1")
+
 
 @dataclass
 class AdaptationModel:
@@ -212,13 +217,11 @@ def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
                      seed: int, *, bound: md.BoundMlp | None = None) -> int:
     """Mean (||grad_x critic(x_hat)|| - 1)^2 over per-row random interpolates.
 
-    Interpolates are leaves; gradients flow to the critic parameters through
-    the recorded input-gradient computation.
+    The features are fixed arrays and the interpolates leaves; gradients flow
+    to the critic parameters through the recorded input-gradient computation.
     """
-    fa = np.asarray(tape.val(features_a) if isinstance(features_a, (int, np.integer))
-                    else features_a, dtype=np.float64)
-    fb = np.asarray(tape.val(features_b) if isinstance(features_b, (int, np.integer))
-                    else features_b, dtype=np.float64)
+    fa = np.asarray(features_a, dtype=np.float64)
+    fb = np.asarray(features_b, dtype=np.float64)
     if fa.shape[0] != fb.shape[0]:
         # resample the smaller batch with replacement up to the larger
         n = max(fa.shape[0], fb.shape[0])
@@ -292,8 +295,8 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     family run the critic 100x below the model lr): the two-sided penalty
     equilibrates at a slope of 1 + W1/(2 * gp_factor), so a fully converged
     critic overshoots W1 by 10% at gp_factor=5 on unit-distance data, while a
-    slow-lr snapshot tracks W1 from below. Training stages (adapt_pair) use
-    the faster TrainConfig.lr_critic instead.
+    slow-lr snapshot tracks W1 from below. Training stages use the faster
+    TrainConfig.lr_critic instead.
     """
     opt = _Opt(critic.arrays(), optimizer, lr)
     gap_val = 0.0
@@ -310,32 +313,19 @@ def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     times the gradient penalty. Returns (gap, penalty) before the update."""
     tape = Tape()
     b = md.BoundMlp(tape, critic)
-    ca = md.critic_forward(critic, features_a, tape, bound=b)
-    cb = md.critic_forward(critic, features_b, tape, bound=b)
-    gap_rev = forward(tape, "sub", (forward(tape, "mean", cb),
-                                    forward(tape, "mean", ca)))
+    gap = alignment_gap(critic, features_a, features_b, tape, bound=b)
     pen = gradient_penalty(critic, features_a, features_b, tape, gp_seed, bound=b)
-    loss = forward(tape, "add", (gap_rev, forward(
-        tape, "mul", (pen, tape.input(np.asarray(gp_factor))))))
+    loss = forward(tape, "sub", (forward(
+        tape, "mul", (pen, tape.input(np.asarray(gp_factor)))), gap))
     _check_finite(tape.val(loss), "critic loss", where)
     ids = b.param_ids()
     grads = backward(tape, loss, ids)
     opt.step([grads[i] for i in ids])
-    return -float(tape.val(gap_rev)), float(tape.val(pen))
+    return float(tape.val(gap)), float(tape.val(pen))
 
 
 # ---------------------------------------------------------------------------
 # adaptation stages
-
-def _batch_indices(seed: int, stage: int, epoch: int, n: int, batch_size: int):
-    order = dc.rng_permutation(dc.substream(seed, "order", stage, epoch), n)
-    return [order[s:s + batch_size] for s in range(0, n, batch_size)]
-
-
-def _target_batch(seed: int, stage: int, epoch: int, n: int, pos: int, size: int):
-    order = dc.rng_permutation(dc.substream(seed, "torder", stage, epoch), n)
-    return order[(pos + np.arange(size)) % n]
-
 
 def _check_finite(value, what: str, where: str):
     if not np.all(np.isfinite(value)):
@@ -346,7 +336,13 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                cfg: TrainConfig, *, labeled_target: bool, align: bool,
                temporal: bool, stage: int, loss_spec: LossSpec,
                eval_batch: DomainBatch | None):
-    """Train one adaptation stage in place; returns EpochMetrics."""
+    """Train one adaptation stage in place; returns EpochMetrics.
+
+    Each batch is one primal-dual step on one tape. It records the features
+    and the class loss; when aligning, the critic ascends k_critic times on
+    the recorded features, then the gap under the updated critic is recorded
+    and the model descends on class loss plus lam times that gap.
+    """
     if source.d != target.d or source.k != target.k:
         raise ValueError("source/target dimension mismatch")
     if temporal and model.summarizer is None:
@@ -357,38 +353,74 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         model_arrays += model.summarizer.arrays()
     opt_model = _Opt(model_arrays, cfg.optimizer, cfg.lr_model)
     opt_critic = _Opt(model.critic.arrays(), cfg.optimizer, cfg.lr_critic)
+    m_dim = model.g.out_dim
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
         n_steps = 0
         tpos = 0
-        for b, src_idx in enumerate(_batch_indices(cfg.seed, stage, epoch,
-                                                   source.n, cfg.batch_size)):
+        order = dc.rng_permutation(dc.substream(cfg.seed, "order", stage, epoch),
+                                   source.n)
+        torder = dc.rng_permutation(dc.substream(cfg.seed, "torder", stage, epoch),
+                                    target.n)
+        for b, start in enumerate(range(0, source.n, cfg.batch_size)):
+            src_idx = order[start:start + cfg.batch_size]
+            ns = len(src_idx)
             xs, ys = source.features[src_idx], source.labels[src_idx]
-            tgt_idx = _target_batch(cfg.seed, stage, epoch, target.n, tpos,
-                                    len(src_idx))
-            tpos += len(src_idx)
+            tgt_idx = torder[(tpos + np.arange(ns)) % target.n]
+            tpos += ns
             xt, yt = target.features[tgt_idx], target.labels[tgt_idx]
-            pen_val = 0.0
-            gap_val = 0.0
             where = f"stage {stage} epoch {epoch} batch {b}"
+            tape = Tape()
+            g_b = md.BoundMlp(tape, model.g)
+            h_b = md.BoundMlp(tape, model.h)
+            if labeled_target:
+                x_lab = np.concatenate([xs, xt])
+                y_lab = np.concatenate([ys, yt])
+            else:
+                x_lab, y_lab = xs, ys
+            feats = g_b(tape.input(x_lab))
+            logits = h_b(feats)
+            _check_finite(tape.val(logits), "logits", where)
+            ce, _ = loss_eval(loss_spec, logits, y_lab, tape)
+            wrt = g_b.param_ids() + h_b.param_ids()
+            loss = ce
+            gap_val = pen_val = 0.0
             if align:
-                f_s = md.mlp_eval(model.g, xs)
-                f_t = md.mlp_eval(model.g, xt)
-                _check_finite(f_s, "source features", where)
-                _check_finite(f_t, "target features", where)
-                hist = f_s
+                f_s_node = forward(tape, "slice", feats, starts=[0, 0],
+                                   stops=[ns, m_dim])
+                if labeled_target:
+                    f_t_node = forward(tape, "slice", feats, starts=[ns, 0],
+                                       stops=[len(x_lab), m_dim])
+                else:
+                    f_t_node = g_b(tape.input(xt))
+                _check_finite(tape.val(f_s_node), "source features", where)
+                _check_finite(tape.val(f_t_node), "target features", where)
+                hist_node = f_s_node
                 if temporal:
+                    r_b = md.BoundRecurrent(tape, model.summarizer)
+                    mean_f = forward(tape, "mean", f_s_node, axis=0)
                     _, readout = md.summarize_step(
-                        model.summarizer, model.summary_state, f_s.mean(axis=0))
-                    hist = 0.5 * f_s + 0.5 * readout[None, :]
+                        model.summarizer, model.summary_state, mean_f, tape,
+                        bound=r_b)
+                    half = tape.input(np.full((ns, m_dim), 0.5))
+                    hist_node = forward(tape, "add", (
+                        forward(tape, "mul", (f_s_node, half)),
+                        forward(tape, "mul", (forward(
+                            tape, "broadcast", readout, shape=(ns, m_dim),
+                            axis=0), half))))
+                    wrt = wrt + r_b.param_ids()
                 for kk in range(cfg.k_critic):
                     gap_val, pen_val = critic_ascent_step(
-                        model.critic, opt_critic, f_t, hist, cfg.gp_factor,
+                        model.critic, opt_critic, tape.val(f_t_node),
+                        tape.val(hist_node), cfg.gp_factor,
                         dc.substream(cfg.seed, "gp", stage, epoch, b, kk), where)
-            loss_sum += _model_step(model, opt_model, xs, ys, xt, yt, cfg.lam,
-                                    labeled_target=labeled_target, align=align,
-                                    temporal=temporal, loss_spec=loss_spec,
-                                    where=where)
+                gap = alignment_gap(model.critic, f_t_node, hist_node, tape)
+                loss = forward(tape, "add", (ce, forward(
+                    tape, "mul", (gap, tape.input(np.asarray(cfg.lam))))))
+            _check_finite(tape.val(loss), "model loss", where)
+            grads = backward(tape, loss, wrt)
+            opt_model.step([grads[i] for i in wrt])
+            loss_sum += float(tape.val(ce))
             gap_sum += gap_val
             pen_sum += pen_val
             n_steps += 1
@@ -402,77 +434,11 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                         epoch=cfg.epochs_per_domain - 1)
 
 
-def _model_step(model: AdaptationModel, opt: _Opt, xs, ys, xt, yt, lam: float,
-                *, labeled_target: bool, align: bool, temporal: bool,
-                loss_spec: LossSpec, where: str) -> float:
-    """One descent step on the feature map and classifier (and the summarizer
-    when temporal) with the critic frozen; returns the class loss."""
-    tape = Tape()
-    g_b = md.BoundMlp(tape, model.g)
-    h_b = md.BoundMlp(tape, model.h)
-    if labeled_target:
-        x_lab = np.concatenate([xs, xt])
-        y_lab = np.concatenate([ys, yt])
-    else:
-        x_lab, y_lab = xs, ys
-    x_node = tape.input(x_lab)
-    feats = g_b(x_node)
-    logits = h_b(feats)
-    _check_finite(tape.val(logits), "logits", where)
-    ce, _ = loss_eval(loss_spec, logits, y_lab, tape)
-    wrt = g_b.param_ids() + h_b.param_ids()
-    loss = ce
-    if align:
-        ns = len(xs)
-        m_dim = model.g.out_dim
-        f_s_node = forward(tape, "slice", feats, starts=[0, 0],
-                           stops=[ns, m_dim])
-        if labeled_target:
-            f_t_node = forward(tape, "slice", feats, starts=[ns, 0],
-                               stops=[len(x_lab), m_dim])
-        else:
-            f_t_node = g_b(tape.input(xt))
-        hist_node = f_s_node
-        if temporal:
-            r_b = md.BoundRecurrent(tape, model.summarizer)
-            mean_f = forward(tape, "mean", f_s_node, axis=0)
-            _, readout = md.summarize_step(model.summarizer, model.summary_state,
-                                           mean_f, tape, bound=r_b)
-            half = tape.input(np.full((ns, m_dim), 0.5))
-            hist_node = forward(tape, "add", (
-                forward(tape, "mul", (f_s_node, half)),
-                forward(tape, "mul", (forward(tape, "broadcast", readout,
-                                              shape=(ns, m_dim), axis=0),
-                                      half))))
-            wrt = wrt + r_b.param_ids()
-        gap = alignment_gap(model.critic, f_t_node, hist_node, tape)
-        lam_node = tape.input(np.asarray(lam))
-        loss = forward(tape, "add", (ce, forward(tape, "mul", (gap, lam_node))))
-    _check_finite(tape.val(loss), "model loss", where)
-    grads = backward(tape, loss, wrt)
-    opt.step([grads[i] for i in wrt])
-    return float(tape.val(ce))
-
-
-def adapt_pair(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
-               cfg: TrainConfig, labeled_target: bool = True, *, stage: int = 0,
-               temporal: bool = False, loss_spec: LossSpec = LossSpec(),
-               eval_batch: DomainBatch | None = None):
-    """One primal-dual adaptation stage: k_critic critic ascent steps per
-    descent step on the feature map and classifier. Returns (model', metrics);
-    the input model is not modified."""
-    out = model.copy()
-    metrics = _run_stage(out, source, target, cfg, labeled_target=labeled_target,
-                         align=True, temporal=temporal, stage=stage,
-                         loss_spec=loss_spec, eval_batch=eval_batch)
-    return out, metrics
-
-
 def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,
               stage: int = 0, loss_spec: LossSpec = LossSpec(),
               eval_batch: DomainBatch | None = None):
-    """Plain empirical risk minimization sharing adapt_pair's seed and batch
-    order (the lambda=0 degenerate case without the critic loop)."""
+    """Plain empirical risk minimization sharing an adaptation stage's seed
+    and batch order (the lambda=0 degenerate case without the critic loop)."""
     out = model.copy()
     metrics = _run_stage(out, batch, batch, cfg, labeled_target=False,
                          align=False, temporal=False, stage=stage,
@@ -487,10 +453,11 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
                    start_stage: int = 0, stage_callback=None):
     """Run one adaptation schedule; returns (final model, per-stage metrics).
 
+    Every schedule is a list of (source, target) stages, trained in order.
     Evaluation is always on the held-out split of the final domain.
-    `start_model`/`start_stage` resume a gradual schedule from a stage
-    boundary; `stage_callback(stage_index, model, metrics)` fires after each
-    completed stage.
+    `start_model`/`start_stage` resume any schedule from a stage boundary
+    (past its last stage nothing is trained); `stage_callback(stage_index,
+    model, metrics)` fires after each completed stage.
     """
     if kind not in SCHEDULES:
         raise ValueError(f"unknown schedule {kind!r}; expected one of {SCHEDULES}")
@@ -507,40 +474,32 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         model = start_model.copy()
     else:
         model = build_model(spec, seq.d, seq.k, dc.substream(cfg.seed, "init"))
+    domains = train_seq.domains
+    if kind == "no_adaptation":
+        stages = [(domains[0], domains[0])]
+    elif kind == "direct":
+        pooled = DomainBatch(0, np.concatenate([d.features for d in domains[:-1]]),
+                             np.concatenate([d.labels for d in domains[:-1]]),
+                             seq.k)
+        stages = [(pooled, domains[-1])]
+    else:
+        stages = list(zip(domains[:-1], domains[1:]))
+    align = kind != "no_adaptation"
     trace: list[EpochMetrics] = []
-
-    def finish_stage(idx, metrics):
+    for t in range(start_stage, len(stages)):
+        source, target = stages[t]
+        metrics = _run_stage(model, source, target, cfg,
+                             labeled_target=labeled_target and align,
+                             align=align, temporal=temporal, stage=t,
+                             loss_spec=loss_spec, eval_batch=eval_batch)
+        if temporal:
+            # commit the finished domain into the recurrent state under the
+            # final feature map
+            tape = Tape()
+            mean_f = md.mlp_eval(model.g, source.features).mean(axis=0)
+            model.summary_state, _ = md.summarize_step(
+                model.summarizer, model.summary_state, tape.input(mean_f), tape)
         trace.append(metrics)
         if stage_callback is not None:
-            stage_callback(idx, model, metrics)
-
-    if kind == "no_adaptation":
-        m = _run_stage(model, train_seq.domains[0], train_seq.domains[0], cfg,
-                       labeled_target=False, align=False, temporal=False,
-                       stage=0, loss_spec=loss_spec, eval_batch=eval_batch)
-        finish_stage(0, m)
-    elif kind == "direct":
-        pool_feats = np.concatenate([d.features for d in train_seq.domains[:-1]])
-        pool_labels = np.concatenate([d.labels for d in train_seq.domains[:-1]])
-        pooled = DomainBatch(0, pool_feats, pool_labels, seq.k)
-        m = _run_stage(model, pooled, train_seq.domains[-1], cfg,
-                       labeled_target=labeled_target, align=True,
-                       temporal=False, stage=0, loss_spec=loss_spec,
-                       eval_batch=eval_batch)
-        finish_stage(0, m)
-    else:
-        for t in range(start_stage, seq.T - 1):
-            source = train_seq.domains[t]
-            target = train_seq.domains[t + 1]
-            m = _run_stage(model, source, target, cfg,
-                           labeled_target=labeled_target, align=True,
-                           temporal=temporal, stage=t, loss_spec=loss_spec,
-                           eval_batch=eval_batch)
-            if temporal:
-                # commit the finished domain into the recurrent state under
-                # the final feature map
-                mean_f = md.mlp_eval(model.g, source.features).mean(axis=0)
-                model.summary_state, _ = md.summarize_step(
-                    model.summarizer, model.summary_state, mean_f)
-            finish_stage(t, m)
+            stage_callback(t, model, metrics)
     return model, trace

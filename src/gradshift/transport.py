@@ -1,5 +1,5 @@
 """Empirical Wasserstein machinery: exact W1 by minimum-cost matching,
-a sorted-coupling fast path in one dimension, log-domain entropic
+a sorted-pairing fast path in one dimension, log-domain entropic
 approximation, and the class-conditional drift estimator.
 """
 
@@ -122,6 +122,7 @@ def w1_sorted_1d(A, B) -> TransportResult:
 
 
 def wp_sorted_1d(A, B, p: float) -> TransportResult:
+    """Exact 1-D W_p by sorted pairing; the result carries no coupling."""
     a = np.asarray(A, dtype=np.float64).reshape(-1)
     b = np.asarray(B, dtype=np.float64).reshape(-1)
     if a.shape[0] != b.shape[0]:
@@ -133,10 +134,7 @@ def wp_sorted_1d(A, B, p: float) -> TransportResult:
         dist = float(np.mean(diffs))
     else:
         dist = float(np.mean(diffs ** p) ** (1.0 / p))
-    n = a.shape[0]
-    coupling = np.zeros((n, n))
-    coupling[np.argsort(a, kind="stable"), np.argsort(b, kind="stable")] = 1.0 / n
-    return TransportResult(dist, "sorted_1d", coupling)
+    return TransportResult(dist, "sorted_1d")
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
@@ -216,7 +214,7 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
     """Empirical per-step drift: W1 between class-conditional feature sets of
     consecutive domains, maxed over classes then over steps.
 
-    estimator="exact" uses the sorted coupling in one dimension (exact there)
+    estimator="exact" uses the sorted pairing in one dimension (exact there)
     and the assignment solver otherwise; "sinkhorn" uses the entropic solver
     with epsilon defaulting to 0.01 * mean cost per pair.
     """

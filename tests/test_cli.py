@@ -70,6 +70,16 @@ BAD_VALUES = [
                  r"\[model\] hidden: only flat tables", id="array_of_tables"),
     pytest.param('kind = "rotating_moons"', "kind = []",
                  r"generator.kind: unknown kind \[\]", id="kind"),
+    pytest.param("hidden = 8", "hidden = 0", r"\[model\] hidden: model sizes",
+                 id="hidden_zero"),
+    pytest.param("lambda = 1.0", 'labeled_target = "false"',
+                 r"\[train\] labeled_target: must be true or false",
+                 id="labeled_target_string"),
+    pytest.param('kind = "rotating_moons"\nT = 3\nn = 80\nseed = 0\n'
+                 "total_degrees = 60.0\nnoise_sigma = 0.1",
+                 'kind = "shifting_gaussians"\nT = 3\nn = 80\nclass_means = []',
+                 r"\[generator\] class_means: needs at least one",
+                 id="class_means_empty"),
 ]
 
 # bytes spliced into a valid config, or values swapped for other TOML literals
@@ -301,6 +311,32 @@ class TestRunExperiment:
         resumed = (tmp_path / "out2" / "metrics.csv").read_bytes()
         assert resumed == base
         assert not (tmp_path / "out2" / "state" / "gradual-s1.ckpt").exists()
+
+    def test_halt_resume_trains_each_stage_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_stage = ob._run_stage
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["stage"])
+            return run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(ob, "_run_stage", counted)
+        text = SMALL_CONFIG.replace(
+            '"gradual"]', '"direct", "gradual", "gradual_temporal"]')
+        p = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        assert cli.run_experiment(p) == 0
+        uninterrupted = sorted(calls)
+        calls.clear()
+        p2 = write_config(tmp_path, text.format(out=tmp_path / "out2"),
+                          name="exp2.toml")
+        assert cli.run_experiment(p2, halt_after=0) == 0
+        assert not (tmp_path / "out2" / "metrics.csv").exists()
+        assert len(list((tmp_path / "out2" / "state").glob("*.ckpt"))) == 8
+        assert cli.run_experiment(p2) == 0
+        assert sorted(calls) == uninterrupted
+        assert len(uninterrupted) == 12
+        assert (tmp_path / "out2" / "metrics.csv").read_bytes() == \
+               (tmp_path / "out" / "metrics.csv").read_bytes()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.toml"

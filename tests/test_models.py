@@ -142,7 +142,8 @@ class TestSummarizer:
         for lay in r.layers:
             lay.w_z[:] = 0; lay.w_r[:] = 0; lay.w_h[:] = 0
         state = md.SummaryState([np.array([1.0, -2.0, 4.0])], 0)
-        new_state, _ = md.summarize_step(r, state, np.zeros(4))
+        t = Tape()
+        new_state, _ = md.summarize_step(r, state, t.input(np.zeros(4)), t)
         assert np.allclose(new_state.hidden[0], [0.5, -1.0, 2.0])
         assert new_state.count == 1
 
@@ -150,9 +151,10 @@ class TestSummarizer:
         r = md.init_recurrent(5, 4, 3, 2, 4)
         state = md.fresh_state(r)
         x = dc.rng_normal(1, (4,))
-        s1, r1 = md.summarize_step(r, state, x)
-        s2, r2 = md.summarize_step(r, state, x)
-        assert np.array_equal(r1, r2)
+        t1, t2 = Tape(), Tape()
+        s1, r1 = md.summarize_step(r, state, t1.input(x), t1)
+        s2, r2 = md.summarize_step(r, state, t2.input(x), t2)
+        assert np.array_equal(t1.val(r1), t2.val(r2))
         for a, b in zip(s1.hidden, s2.hidden):
             assert np.array_equal(a, b)
 
@@ -161,7 +163,9 @@ class TestSummarizer:
         r = md.init_recurrent(77, 3, 5, 2, 3)
         state = md.SummaryState([dc.rng_normal(10, (5,)), dc.rng_normal(11, (5,))], 2)
         x = dc.rng_normal(12, (3,))
-        got_state, got_read = md.summarize_step(r, state, x)
+        t = Tape()
+        got_state, read = md.summarize_step(r, state, t.input(x), t)
+        got_read = t.val(read)
 
         def sigma(v):
             return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)),
@@ -185,8 +189,9 @@ class TestSummarizer:
 
     def test_dimension_mismatch(self):
         r = md.init_recurrent(0, 4, 3, 1, 4)
+        t = Tape()
         with pytest.raises(ValueError, match="input size"):
-            md.summarize_step(r, md.fresh_state(r), np.zeros(5))
+            md.summarize_step(r, md.fresh_state(r), t.input(np.zeros(5)), t)
 
     def test_on_tape_differentiable(self):
         r = md.init_recurrent(3, 3, 4, 1, 3)

@@ -163,6 +163,17 @@ def small_task(seed, T=3, n=120, degrees=40.0):
     return seq, cfg
 
 
+def adapt_pair(model, source, target, cfg, labeled_target=True, *, stage=0):
+    """One primal-dual adaptation stage on a copy of model; returns
+    (adapted model, metrics) and leaves the input model as it was."""
+    out = model.copy()
+    metrics = ob._run_stage(out, source, target, cfg,
+                            labeled_target=labeled_target, align=True,
+                            temporal=False, stage=stage,
+                            loss_spec=ob.LossSpec(), eval_batch=None)
+    return out, metrics
+
+
 class TestAdaptPair:
     def test_lambda_zero_matches_erm_bitwise(self):
         seq, cfg = small_task(1)
@@ -170,8 +181,8 @@ class TestAdaptPair:
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8)
         model = ob.build_model(spec, seq.d, seq.k, seed=7)
         src = seq.domains[0]
-        adapted, _ = ob.adapt_pair(model, src, seq.domains[1], cfg,
-                                   labeled_target=False, stage=0)
+        adapted, _ = adapt_pair(model, src, seq.domains[1], cfg,
+                                labeled_target=False, stage=0)
         erm, _ = ob.train_erm(model, src, cfg, stage=0)
         for a, b in zip(adapted.g.arrays() + adapted.h.arrays(),
                         erm.g.arrays() + erm.h.arrays()):
@@ -183,7 +194,7 @@ class TestAdaptPair:
         model = ob.build_model(spec, seq.d, seq.k, seed=8)
         src = seq.domains[0]
         same = dom.DomainBatch(1, src.features.copy(), src.labels.copy(), src.k)
-        _, metrics = ob.adapt_pair(model, src, same, cfg, stage=0)
+        _, metrics = adapt_pair(model, src, same, cfg, stage=0)
         assert abs(metrics.alignment) < 0.2
 
     def test_input_model_unchanged(self):
@@ -191,7 +202,7 @@ class TestAdaptPair:
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8)
         model = ob.build_model(spec, seq.d, seq.k, seed=9)
         before = [a.copy() for a in model.g.arrays()]
-        ob.adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
+        adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
         for a, b in zip(model.g.arrays(), before):
             assert np.array_equal(a, b)
 
@@ -210,8 +221,8 @@ class TestAdaptPair:
             ev_batch = ev.domains[3]
             acc_before = md.accuracy(base.g, base.h, ev_batch.features,
                                      ev_batch.labels)
-            adapted, _ = ob.adapt_pair(base, tr.domains[2], tr.domains[3], cfg,
-                                       stage=1)
+            adapted, _ = adapt_pair(base, tr.domains[2], tr.domains[3], cfg,
+                                    stage=1)
             acc_after = md.accuracy(adapted.g, adapted.h, ev_batch.features,
                                     ev_batch.labels)
             gains.append(acc_after - acc_before)
@@ -225,7 +236,7 @@ class TestAdaptPair:
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8)
         model = ob.build_model(spec, seq.d, seq.k, seed=10)
         with pytest.raises(ob.TrainingDiverged):
-            ob.adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
+            adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
 
 
 class TestTrainSchedule:
@@ -293,6 +304,19 @@ class TestTrainSchedule:
             assert np.array_equal(a, b)
         assert [m.target_acc for m in full_trace[2:]] == \
                [m.target_acc for m in resumed_trace]
+
+    def test_resume_past_single_stage_trains_nothing(self):
+        seq, cfg = small_task(10)
+        spec = ob.ModelSpec(feature_dim=4, hidden=8)
+        start = ob.build_model(spec, seq.d, seq.k, seed=11)
+        model, trace = ob.train_schedule("direct", seq, cfg, spec,
+                                         start_model=start, start_stage=1)
+        assert trace == []
+        for got, want in zip(model.g.arrays() + model.h.arrays() +
+                             model.critic.arrays(),
+                             start.g.arrays() + start.h.arrays() +
+                             start.critic.arrays()):
+            assert np.array_equal(got, want)
 
 
 class TestMonotoneTrace:

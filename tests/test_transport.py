@@ -87,14 +87,16 @@ class TestW1Exact:
 
 class TestSorted1d:
     def test_example(self):
-        assert tp.w1_sorted_1d([0.0, 1.0], [1.0, 2.0]).distance == 1.0
+        res = tp.w1_sorted_1d([0.0, 1.0], [1.0, 2.0])
+        assert res.distance == 1.0
+        assert res.coupling is None
 
     def test_identical(self):
         x = dc.rng_normal(5, (40,))
         assert tp.w1_sorted_1d(x, x).distance == 0.0
 
     def test_monotone_in_p(self):
-        # sorted-coupling W1 <= W2 on 1-D instances
+        # sorted-pairing W1 <= W2 on 1-D instances
         for trial in range(100):
             s = dc.substream(41, trial)
             a = dc.rng_normal(dc.substream(s, 0), (24,))
