@@ -63,29 +63,49 @@ def _boolean(value):
     return value
 
 
+def _integer(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"could not convert {value!r} to an integer")
+    return value
+
+
+def _real(value):
+    """A float from a TOML integer or float (a boolean is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"could not convert {value!r} to a float")
+    return float(value)
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
 def _class_means(means):
     if not means:
         raise ValueError("needs at least one class mean")
-    return [[float(v)] for v in means]
+    return [[_real(v)] for v in means]
 
 
-_COERCE = {"int": int, "float": float, "str": str, "bool": _boolean}
+_COERCE = {"int": _integer, "float": _real, "str": _string, "bool": _boolean}
 
 
 # kind -> (builder(seed=data seed, **keys), required keys, optional keys),
 # each key with its coercion; `seed` is the generator's base seed, and a
 # config's class means are 1-D with a default of its own
 _GENERATORS = {
-    "rotating_moons": (dom.make_rotating_moons, {"T": int, "n": int},
-                       {"seed": int, "total_degrees": float,
-                        "noise_sigma": float}),
+    "rotating_moons": (dom.make_rotating_moons, {"T": _integer, "n": _integer},
+                       {"seed": _integer, "total_degrees": _real,
+                        "noise_sigma": _real}),
     "shifting_gaussians": (
         functools.partial(dom.make_shifting_gaussians,
                           class_means=((-2.0,), (2.0,))),
-        {"T": int, "n": int},
-        {"seed": int, "shift_per_step": float, "sigma": float,
+        {"T": _integer, "n": _integer},
+        {"seed": _integer, "shift_per_step": _real, "sigma": _real,
          "class_means": _class_means}),
-    "file": (lambda seed, path: dom.load_sequence(path), {"path": str}, {}),
+    "file": (lambda seed, path: dom.load_sequence(path), {"path": _string},
+             {}),
 }
 
 
@@ -153,7 +173,8 @@ def _generator_keys(gen: dict) -> dict:
     if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ConfigError(f"generator.kind: unknown kind {kind!r}")
     _, required, optional = _GENERATORS[kind]
-    out = _coerced(gen, {"kind": str, **required, **optional}, "[generator]")
+    out = _coerced(gen, {"kind": _string, **required, **optional},
+                   "[generator]")
     for key in required:
         if key not in gen:
             raise ConfigError(f"generator.{key}: required for kind={kind}")
@@ -194,7 +215,7 @@ def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
                               f"(expected one of {list(ob.SCHEDULES)})")
     if len(set(schedules)) != len(schedules):
         raise ConfigError("schedules: duplicates not allowed")
-    holdout = _checked("holdout", float, top.get("holdout", 0.25))
+    holdout = _checked("holdout", _real, top.get("holdout", 0.25))
     if not 0 < holdout < 1:
         raise ConfigError("holdout: must be in (0, 1)")
     generator = _generator_keys(tables["generator"])

@@ -112,16 +112,24 @@ def critic_forward(c: MlpParams, features, tape: Tape, *, bound: BoundMlp | None
     return forward(tape, "sum", out, axis=1)
 
 
-def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Inference forward pass in plain numpy; matches BoundMlp's recorded one."""
+def mlp_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass in plain numpy, returning the input and every layer's
+    output; matches BoundMlp's recorded one."""
     h = np.asarray(x, dtype=np.float64)
+    out = [h]
     for w, b, act in zip(params.weights, params.biases, params.activations):
         h = h @ w + b
         if act == "relu":
             h = np.maximum(h, 0.0)
         elif act == "tanh":
             h = np.tanh(h)
-    return h
+        out.append(h)
+    return out
+
+
+def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Inference forward pass in plain numpy; matches BoundMlp's recorded one."""
+    return mlp_layers(params, x)[-1]
 
 
 def predict(g: MlpParams, h: MlpParams, x: np.ndarray) -> np.ndarray:

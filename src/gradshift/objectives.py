@@ -213,17 +213,10 @@ def alignment_gap(critic: md.MlpParams, features_a, features_b, tape: Tape,
                                  forward(tape, "mean", cb)))
 
 
-def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
-                     seed: int, *, bound: md.BoundMlp | None = None) -> int:
-    """Mean (||grad_x critic(x_hat)|| - 1)^2 over per-row random interpolates.
-
-    The features are fixed arrays and the interpolates leaves; gradients flow
-    to the critic parameters through the recorded input-gradient computation.
-    """
-    fa = np.asarray(features_a, dtype=np.float64)
-    fb = np.asarray(features_b, dtype=np.float64)
+def _interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
+    """Per-row random points between two feature batches; a smaller batch is
+    first resampled with replacement up to the larger one's size."""
     if fa.shape[0] != fb.shape[0]:
-        # resample the smaller batch with replacement up to the larger
         n = max(fa.shape[0], fb.shape[0])
         def up(x, tag):
             if x.shape[0] == n:
@@ -232,9 +225,23 @@ def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
                                   (n,)) * x.shape[0]).astype(int)
             return x[np.minimum(idx, x.shape[0] - 1)]
         fa, fb = up(fa, 0), up(fb, 1)
-    n = fa.shape[0]
-    u = dc.rng_uniform(dc.substream(seed, "gp_u"), (n, 1))
-    xh = u * fa + (1.0 - u) * fb
+    u = dc.rng_uniform(dc.substream(seed, "gp_u"), (fa.shape[0], 1))
+    return u * fa + (1.0 - u) * fb
+
+
+def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
+                     seed: int, *, bound: md.BoundMlp | None = None) -> int:
+    """Mean (||grad_x critic(x_hat)|| - 1)^2 over per-row random interpolates.
+
+    The features are fixed arrays and the interpolates leaves; gradients flow
+    to the critic parameters through the recorded input-gradient computation.
+    This taped penalty is the reference implementation: the tests check it
+    against finite differences, and check critic_ascent_step's closed form
+    against it.
+    """
+    xh = _interpolates(np.asarray(features_a, dtype=np.float64),
+                       np.asarray(features_b, dtype=np.float64), seed)
+    n = xh.shape[0]
     x_node = tape.input(xh)
     b = bound if bound is not None else md.BoundMlp(tape, critic)
     out = md.critic_forward(critic, x_node, tape, bound=b)
@@ -310,18 +317,76 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
 def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
                        gp_factor: float, gp_seed: int, where: str):
     """One dual update in place: ascend mean c(a) - mean c(b) minus gp_factor
-    times the gradient penalty. Returns (gap, penalty) before the update."""
-    tape = Tape()
-    b = md.BoundMlp(tape, critic)
-    gap = alignment_gap(critic, features_a, features_b, tape, bound=b)
-    pen = gradient_penalty(critic, features_a, features_b, tape, gp_seed, bound=b)
-    loss = forward(tape, "sub", (forward(
-        tape, "mul", (pen, tape.input(np.asarray(gp_factor)))), gap))
-    _check_finite(tape.val(loss), "critic loss", where)
-    ids = b.param_ids()
-    grads = backward(tape, loss, ids)
-    opt.step([grads[i] for i in ids])
-    return float(tape.val(gap)), float(tape.val(pen))
+    times the gradient penalty. Returns (gap, penalty) before the update.
+
+    The gradient is computed in closed form from one numpy forward pass over
+    the rows [a; b; interpolates]. The input gradient at the interpolates is
+    the backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
+    delta_l = gamma_l W_l^T, with s_l each layer's slope. The penalty's
+    adjoint then runs forward through that chain (double backprop), where a
+    tanh layer also sends a second-derivative term to its pre-activation.
+    One primal backprop over all rows, seeded with the gap's -1/n_a and
+    +1/n_b, carries those terms to the parameters. The taped alignment_gap
+    and gradient_penalty are the reference it is tested against.
+    """
+    for f in (features_a, features_b):
+        if np.shape(f)[0] == 0:
+            raise ValueError("alignment_gap: empty feature batch")
+    if critic.out_dim != 1:
+        raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
+    fa, fb = dc.array(features_a), dc.array(features_b)
+    for f in (fa, fb):
+        if f.ndim != 2 or f.shape[1] != critic.in_dim:
+            raise dc.ShapeError(f"critic input width {critic.in_dim} does not "
+                                f"match features of shape {f.shape}")
+    xh = _interpolates(fa, fb, gp_seed)
+    na, nb, k = len(fa), len(fb), len(fa) + len(fb)
+    ws, acts = critic.weights, critic.activations
+    n_layers = len(ws)
+    outs = md.mlp_layers(critic, np.concatenate([fa, fb, xh]))
+    # each layer's slope from its output h (None: identity)
+    slopes = [None if a == "identity" else (h > 0.0) if a == "relu"
+              else 1.0 - np.square(h) for a, h in zip(acts, outs[1:])]
+    deltas = [None] * n_layers + [np.ones((len(xh), 1))]
+    gammas = [None] * n_layers
+    for l in reversed(range(n_layers)):
+        s = slopes[l]
+        gammas[l] = deltas[l + 1] if s is None else deltas[l + 1] * s[k:]
+        deltas[l] = gammas[l] @ ws[l].T
+    norms = np.sqrt(np.square(deltas[0]).sum(axis=1) + 1e-24)
+    pen = float(np.mean(np.square(norms - 1.0)))
+    c = outs[-1][:, 0]
+    gap = float(c[:na].mean() - c[na:k].mean())
+    _check_finite(pen * gp_factor - gap, "critic loss", where)
+    # the penalty's adjoint, forward through the input-gradient chain
+    d_delta = (gp_factor * 2.0 / len(xh)) * ((norms - 1.0) / norms)[:, None] \
+        * deltas[0]
+    grad_w = [None] * n_layers
+    second = [None] * n_layers
+    for l in range(n_layers):
+        grad_w[l] = d_delta.T @ gammas[l]
+        d_gamma = d_delta @ ws[l]
+        s = slopes[l]
+        if acts[l] == "tanh":
+            h = outs[l + 1][k:]
+            second[l] = d_gamma * deltas[l + 1] * (-2.0 * h * s[k:])
+        d_delta = d_gamma if s is None else d_gamma * s[k:]
+    # primal backprop over all rows
+    g = np.zeros((len(outs[0]), 1))
+    g[:na] = -1.0 / na
+    g[na:k] = 1.0 / nb
+    grad_b = [None] * n_layers
+    for l in reversed(range(n_layers)):
+        if slopes[l] is not None:
+            g = g * slopes[l]
+        if second[l] is not None:
+            g[k:] += second[l]
+        grad_w[l] += outs[l].T @ g
+        grad_b[l] = g.sum(axis=0)
+        if l:
+            g = g @ ws[l].T
+    opt.step([a for pair in zip(grad_w, grad_b) for a in pair])
+    return gap, pen
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,7 @@ class DriftEstimate:
     per_step: list[float]              # max over classes, per consecutive pair
     delta_hat: float                   # max over steps
     estimator: str
+    converged: bool                    # every Sinkhorn solve converged
 
 
 def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
@@ -216,7 +217,8 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
 
     estimator="exact" uses the sorted pairing in one dimension (exact there)
     and the assignment solver otherwise; "sinkhorn" uses the entropic solver
-    with epsilon defaulting to 0.01 * mean cost per pair.
+    with epsilon defaulting to 0.01 * mean cost per pair. `converged` is
+    false if any Sinkhorn solve stopped at max_iters.
     """
     if p != 1:
         raise ValueError("only p=1 is exposed for multi-sample drift estimation")
@@ -228,6 +230,7 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
             if y not in present:
                 raise ValueError(f"class {y} missing in domain t={dom.t}")
     per_step = []
+    converged = True
     for t in range(seq.T - 1):
         a, b = seq.domains[t], seq.domains[t + 1]
         worst = 0.0
@@ -245,6 +248,7 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
                 if eps is None:
                     eps = 0.01 * float(cost_matrix(xa, xb).mean())
                 res = sinkhorn(xa, xb, eps, max_iters=max_iters)
+                converged = converged and res.converged
             worst = max(worst, res.distance)
         per_step.append(worst)
-    return DriftEstimate(per_step, max(per_step), estimator)
+    return DriftEstimate(per_step, max(per_step), estimator, converged)

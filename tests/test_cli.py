@@ -80,6 +80,21 @@ BAD_VALUES = [
                  'kind = "shifting_gaussians"\nT = 3\nn = 80\nclass_means = []',
                  r"\[generator\] class_means: needs at least one",
                  id="class_means_empty"),
+    pytest.param("hidden = 8", "hidden = 8.7",
+                 r"\[model\] hidden: could not convert 8.7 to an integer",
+                 id="hidden_float"),
+    pytest.param("hidden = 8", 'hidden = "8"',
+                 r"\[model\] hidden: could not convert '8' to an integer",
+                 id="hidden_string"),
+    pytest.param("hidden = 8", "hidden = true",
+                 r"\[model\] hidden: could not convert True to an integer",
+                 id="hidden_bool"),
+    pytest.param("T = 3", "T = 3.9",
+                 r"\[generator\] T: could not convert 3.9 to an integer",
+                 id="T_float"),
+    pytest.param("lambda = 1.0", "lr_model = true",
+                 r"\[train\] lr_model: could not convert True to a float",
+                 id="lr_model_bool"),
 ]
 
 # bytes spliced into a valid config, or values swapped for other TOML literals

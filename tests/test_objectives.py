@@ -156,6 +156,103 @@ class TestGradientPenalty:
             assert abs(float(t.val(pen)) - want) <= 2 * np.finfo(float).eps * want
 
 
+class _Recorded:
+    """Stands in for the optimizer and keeps the gradients it is given."""
+
+    def step(self, grads):
+        self.grads = [g.copy() for g in grads]
+
+
+def taped_ascent_step(critic, opt, fa, fb, gp_factor, gp_seed):
+    """The critic step on one tape: alignment_gap, gradient_penalty and
+    backward, the reference for critic_ascent_step's closed form."""
+    t = Tape()
+    b = md.BoundMlp(t, critic)
+    gap = ob.alignment_gap(critic, fa, fb, t, bound=b)
+    pen = ob.gradient_penalty(critic, fa, fb, t, gp_seed, bound=b)
+    loss = forward(t, "sub", (forward(
+        t, "mul", (pen, t.input(np.asarray(gp_factor)))), gap))
+    ids = b.param_ids()
+    grads = backward(t, loss, ids)
+    opt.step([grads[i] for i in ids])
+    return float(t.val(gap)), float(t.val(pen))
+
+
+# hidden activations of random critics, depths 1-3 (the head is identity)
+CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
+                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"]]
+
+
+class TestCriticAscentStep:
+    @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
+    @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
+                             ids=lambda h: "-".join(h) or "linear")
+    def test_matches_tape(self, hidden, nb, gp_factor):
+        seed = dc.substream(71, len(hidden), *hidden, nb)
+        sizes = [3] + [5] * len(hidden) + [1]
+        critic = md.init_mlp(dc.substream(seed, "c"), sizes, hidden + ["identity"])
+        for i, b in enumerate(critic.biases):
+            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
+        fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
+        fb = dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0)
+        closed, taped = _Recorded(), _Recorded()
+        gap, pen = ob.critic_ascent_step(critic, closed, fa, fb, gp_factor, 9,
+                                         "test")
+        gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, gp_factor, 9)
+        assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
+        assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
+        got = np.concatenate([g.ravel() for g in closed.grads])
+        want = np.concatenate([g.ravel() for g in taped.grads])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_train_critic_matches_taped_loop(self, optimizer):
+        fa = dc.rng_normal(dc.substream(72, "a"), (32, 4))
+        fb = dc.rng_normal(dc.substream(72, "b"), (32, 4), 0.7, 1.0)
+        critic = md.init_mlp(dc.substream(72, "c"), [4, 16, 16, 1],
+                             ["tanh", "tanh", "identity"])
+        critic.weights[-1][:] = 0.0
+        ref = critic.copy()
+        gap = ob.train_critic(critic, fa, fb, steps=20, lr=1e-2, seed=72,
+                              optimizer=optimizer)
+        opt = ob._Opt(ref.arrays(), optimizer, 1e-2)
+        for step in range(20):
+            gap_ref, _ = taped_ascent_step(ref, opt, fa, fb, 5.0,
+                                           dc.substream(72, "gp", step))
+        assert abs(gap - gap_ref) <= 1e-9
+        for a, b in zip(critic.arrays(), ref.arrays()):
+            assert np.max(np.abs(a - b)) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case,error,message", [
+        ("empty", ValueError, "alignment_gap: empty feature batch"),
+        ("out_dim", ValueError, "critic output layer must have size 1, got 2"),
+        ("non_finite", ValueError,
+         r"array values must be finite \(NaN/Inf rejected\)"),
+        ("overflow", ob.TrainingDiverged, "non-finite critic loss at step 3"),
+    ])
+    def test_errors(self, case, error, message):
+        critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
+        fa = dc.rng_normal(74, (6, 2))
+        fb = dc.rng_normal(75, (6, 2))
+        if case == "empty":
+            fb = np.zeros((0, 2))
+        elif case == "out_dim":
+            critic = md.init_mlp(73, [2, 4, 2], ["tanh", "identity"])
+        elif case == "non_finite":
+            fb[2, 1] = np.nan
+        else:
+            critic = md.MlpParams([np.full((2, 1), 1e300)], [np.zeros(1)],
+                                  ["identity"])
+            fa = fa * 1e10
+        before = [a.copy() for a in critic.arrays()]
+        with pytest.raises(error, match=f"^{message}$"):
+            ob.critic_ascent_step(critic, _Recorded(), fa, fb, 5.0, 1, "step 3")
+        for a, b in zip(critic.arrays(), before):
+            assert np.array_equal(a, b)
+
+
 def small_task(seed, T=3, n=120, degrees=40.0):
     seq = dom.make_rotating_moons(T, n, total_degrees=degrees,
                                   noise_sigma=0.1, seed=seed)

@@ -199,3 +199,9 @@ class TestClassConditionalDelta:
             class_means=[[-1.0, 0.0], [1.0, 0.0]])
         est = tp.class_conditional_delta(seq, estimator="exact")
         assert abs(est.delta_hat - 0.5) < 0.15
+
+    def test_converged_flag(self):
+        seq = dom.make_shifting_gaussians(3, 64, shift_per_step=0.3, seed=5)
+        assert tp.class_conditional_delta(seq, estimator="exact").converged
+        est = tp.class_conditional_delta(seq, estimator="sinkhorn", max_iters=1)
+        assert est.converged is False
