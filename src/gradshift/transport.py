@@ -1,6 +1,6 @@
 """Empirical Wasserstein machinery: exact W1 by minimum-cost matching,
-a sorted-pairing fast path in one dimension, log-domain entropic
-approximation, and the class-conditional drift estimator.
+the exact quantile integral in one dimension (any sizes), stabilized
+entropic approximation, and the class-conditional drift estimator.
 """
 
 from __future__ import annotations
@@ -49,49 +49,49 @@ def cost_matrix(A, B) -> np.ndarray:
 
 
 def _solve_assignment(C: np.ndarray):
-    """Shortest-augmenting-path assignment with potentials; returns
-    (row matched to each column, total cost)."""
+    """Shortest augmenting paths with lazy dual updates (Crouse 2016): one
+    Dijkstra per row, the potentials u, v updated once per augmentation.
+    Returns (row matched to each column, total cost). A visited column is
+    masked by -inf in `vs`, the scratch copy of v, so its cost in d stays inf.
+    """
     n = C.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)      # p[j]: row on column j (1-based)
-    way = np.zeros(n + 1, dtype=np.int64)
-    way1 = way[1:]
-    v1 = v[1:]
-    used_cols = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n, np.inf)            # reduced costs for columns 1..n
-        free = np.ones(n, dtype=bool)
-        n_used = 0
-        while True:
-            used_cols[n_used] = j0
-            n_used += 1
-            if j0 > 0:
-                free[j0 - 1] = False
-            i0 = p[j0]
-            cur = C[i0 - 1] - (u[i0] + v1)
-            upd = free & (cur < minv)
-            minv[upd] = cur[upd]
-            way1[upd] = j0
-            masked = np.where(free, minv, np.inf)
-            k = int(np.argmin(masked))
-            delta = masked[k]
-            sel = used_cols[:n_used]
-            u[p[sel]] += delta
-            v[sel] -= delta
-            minv[free] -= delta
-            j0 = k + 1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    rows = p[1:] - 1
-    total = float(C[rows, np.arange(n)].sum())
-    return rows, total
+    u, v = np.zeros(n), np.zeros(n)
+    row4col = [-1] * n
+    d, r, vs = np.empty(n), np.empty(n), np.empty(n)
+    for cur in range(n):
+        d.fill(np.inf)
+        vs[:] = v
+        rows, offs = [], []                  # scanned rows, minval - u[row]
+        cols, dcol = [], []                  # visited columns, path costs
+        i, minval = cur, 0.0
+        while i >= 0:
+            off = minval - u[i]
+            rows.append(i)
+            offs.append(off)
+            np.subtract(C[i], vs, out=r)
+            r += off
+            np.minimum(d, r, out=d)
+            j = int(d.argmin())
+            minval = float(d[j])
+            cols.append(j)
+            dcol.append(minval)
+            vs[j] = -np.inf
+            d[j] = np.inf
+            i = row4col[j]
+        rows, offs, dcol = np.array(rows), np.array(offs), np.array(dcol)
+        # cols[t] was reached from the first of rows[:t+1] giving its path
+        # cost (a strict-< update's tie rule); rows[s] came through cols[s-1]
+        t = len(cols) - 1
+        while t >= 0:
+            j = cols[t]
+            s = int(np.argmin((C[rows[:t + 1], j] - v[j]) + offs[:t + 1]))
+            row4col[j] = int(rows[s])
+            t = s - 1
+        u[cur] += minval
+        u[rows[1:]] += minval - dcol[:-1]
+        v[cols] -= minval - dcol
+    rows = np.array(row4col)
+    return rows, float(C[rows, np.arange(n)].sum())
 
 
 def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
@@ -117,24 +117,28 @@ def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
 
 
 def w1_sorted_1d(A, B) -> TransportResult:
-    """Exact 1-D W1 by sorted pairing; independent of the assignment solver."""
+    """Exact 1-D W1 for any two sizes; independent of the assignment solver."""
     return wp_sorted_1d(A, B, 1)
 
 
 def wp_sorted_1d(A, B, p: float) -> TransportResult:
-    """Exact 1-D W_p by sorted pairing; the result carries no coupling."""
-    a = np.asarray(A, dtype=np.float64).reshape(-1)
-    b = np.asarray(B, dtype=np.float64).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"equal sizes required, got {a.shape[0]} and {b.shape[0]}")
+    """Exact 1-D W_p between empirical measures of sizes n and m: the
+    integral over q of |F_a^-1(q) - F_b^-1(q)|^p. Scaled by n*m, the breaks
+    of both quantile step functions are the integers i*m and j*n, so the
+    integral is a sum over the merged breaks. The result has no coupling."""
+    a = np.sort(np.asarray(A, dtype=np.float64).reshape(-1))
+    b = np.sort(np.asarray(B, dtype=np.float64).reshape(-1))
+    n, m = a.shape[0], b.shape[0]
+    if n == 0 or m == 0:
+        raise ValueError(f"point sets must be non-empty, got sizes {n} and {m}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    diffs = np.abs(np.sort(a) - np.sort(b))
-    if p == 1:
-        dist = float(np.mean(diffs))
-    else:
-        dist = float(np.mean(diffs ** p) ** (1.0 / p))
-    return TransportResult(dist, "sorted_1d")
+    breaks = np.union1d(np.arange(n + 1, dtype=np.int64) * m,
+                        np.arange(m + 1, dtype=np.int64) * n)
+    lo = breaks[:-1]
+    total = float(np.dot(np.abs(a[lo // m] - b[lo // n]) ** p,
+                         np.diff(breaks)) / (n * m))
+    return TransportResult(total ** (1.0 / p), "sorted_1d")
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
@@ -143,9 +147,41 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+# Scalings stay in [1/_SAFE, _SAFE], so with a kernel bounded by n*_SAFE**2 no
+# matvec overflows. Kernel entries below _SAFE**-4 are flushed to zero: they
+# move no row or column sum by a relative 1e-100, and as subnormals they would
+# slow every matvec.
+_SAFE = 1e50
+
+
+def _kernel(x):
+    k = np.exp(x)
+    k[k < _SAFE ** -4] = 0.0
+    return k
+
+
+def _scaling_step(s, x, p, q, y, C, K, eps, w):
+    """Half-step x = 1 / (w s), s = K y, in place. Where x would leave
+    [1/_SAFE, _SAFE] (0 and inf included) the entry takes the log-domain
+    update instead: p gets the new potential, x is 1, and that line of
+    K = exp((p + q - C) / eps) is recomputed."""
+    s *= w
+    ok = (s > 1.0 / _SAFE) & (s < _SAFE)
+    np.divide(1.0, s, out=x, where=ok)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        qy = q + eps * np.log(y)
+        p[bad] = -eps * (_logsumexp((qy - C[bad]) / eps, axis=1) + np.log(w))
+        x[bad] = 1.0
+        K[bad] = _kernel((p[bad, None] + q - C[bad]) / eps)
+
+
 def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
              tol: float = 1e-6) -> TransportResult:
-    """Entropic-regularized OT with unconditional log-domain updates.
+    """Entropic-regularized OT in stabilized scaling form (Schmitzer 2019,
+    arXiv 1610.06519): coupling w^2 diag(a) K diag(b) with w = 1/n and
+    K = exp((f + g - C) / epsilon), one matvec per half-step. It is the
+    log-domain map on the potentials f + epsilon log a and g + epsilon log b.
 
     Distance is the transport cost <coupling, cost> without the entropy term.
     Non-convergence within max_iters flags the result instead of raising.
@@ -161,44 +197,37 @@ def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n = A.shape[0]
     C = cost_matrix(A, B)
-    logw = -np.log(n)                     # uniform weights
-    K = -C / epsilon + logw               # log kernel, weights folded in
-    f = np.zeros(n)
-    g = np.zeros(n)
+    w = 1.0 / n                           # uniform weights
+    f, g, a, b = np.zeros(n), np.zeros(n), np.ones(n), np.ones(n)
+    K = _kernel(-C / epsilon)
     converged = False
-    iterations = 0
     check = 1 if max_iters <= 1000 else 10
-    P = None
-    for it in range(1, max_iters + 1):
-        iterations = it
-        f = -epsilon * _logsumexp(K + g[None, :] / epsilon, axis=1)
-        g = -epsilon * _logsumexp(K + f[:, None] / epsilon, axis=0)
-        if it % check == 0 or it == max_iters:
-            P = np.exp((f[:, None] + g[None, :] - C) / epsilon + 2.0 * logw)
-            err_r = float(np.abs(P.sum(axis=1) - 1.0 / n).sum())
-            err_c = float(np.abs(P.sum(axis=0) - 1.0 / n).sum())
+    for iterations in range(1, max_iters + 1):
+        _scaling_step(K @ b, a, f, g, b, C, K, epsilon, w)
+        _scaling_step(a @ K, b, g, f, a, C.T, K.T, epsilon, w)
+        if iterations % check == 0 or iterations == max_iters:
+            err_r = float(np.abs(w * w * a * (K @ b) - w).sum())
+            err_c = float(np.abs(w * w * b * (a @ K) - w).sum())
             if err_r < tol and err_c < tol:
                 converged = True
                 break
-    dist = float((P * C).sum())
-    return TransportResult(dist, "sinkhorn", P, iterations, converged)
+    P = (w * w * a)[:, None] * K * b
+    return TransportResult(float((P * C).sum()), "sinkhorn", P, iterations,
+                           converged)
 
 
 def resample_to_equal(A, B, seed: int):
     """Deterministically resample the larger set with replacement down to the
     smaller count; the smaller set is returned unchanged."""
     A, B = _points(A), _points(B)
-    na, nb = A.shape[0], B.shape[0]
-    if na == nb:
-        return A, B
-    m = min(na, nb)
-    if na > m:
-        idx = (dc.rng_uniform(dc.substream(seed, "resample", 0), (m,)) * na).astype(int)
-        A = A[np.minimum(idx, na - 1)]
-    if nb > m:
-        idx = (dc.rng_uniform(dc.substream(seed, "resample", 1), (m,)) * nb).astype(int)
-        B = B[np.minimum(idx, nb - 1)]
-    return A, B
+    m = min(A.shape[0], B.shape[0])
+    out = []
+    for side, X in enumerate((A, B)):
+        if X.shape[0] > m:
+            u = dc.rng_uniform(dc.substream(seed, "resample", side), (m,))
+            X = X[np.minimum((u * X.shape[0]).astype(int), X.shape[0] - 1)]
+        out.append(X)
+    return tuple(out)
 
 
 @dataclass
@@ -207,6 +236,7 @@ class DriftEstimate:
     delta_hat: float                   # max over steps
     estimator: str
     converged: bool                    # every Sinkhorn solve converged
+    iterations: int                    # Sinkhorn iterations over all pairs
 
 
 def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
@@ -215,10 +245,11 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
     """Empirical per-step drift: W1 between class-conditional feature sets of
     consecutive domains, maxed over classes then over steps.
 
-    estimator="exact" uses the sorted pairing in one dimension (exact there)
-    and the assignment solver otherwise; "sinkhorn" uses the entropic solver
-    with epsilon defaulting to 0.01 * mean cost per pair. `converged` is
-    false if any Sinkhorn solve stopped at max_iters.
+    estimator="exact" uses the quantile integral in one dimension (any class
+    sizes) and otherwise the assignment solver; "sinkhorn" uses the entropic
+    solver with epsilon defaulting to 0.01 * mean cost per pair. Both resample
+    the class sets to equal size first, except in the 1-D exact case.
+    `converged` is false if any Sinkhorn solve stopped at max_iters.
     """
     if p != 1:
         raise ValueError("only p=1 is exposed for multi-sample drift estimation")
@@ -231,24 +262,27 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
                 raise ValueError(f"class {y} missing in domain t={dom.t}")
     per_step = []
     converged = True
+    iterations = 0
     for t in range(seq.T - 1):
         a, b = seq.domains[t], seq.domains[t + 1]
         worst = 0.0
         for y in range(seq.k):
             xa = a.features[a.labels == y]
             xb = b.features[b.labels == y]
-            xa, xb = resample_to_equal(xa, xb, dc.substream(seed, t, y))
-            if estimator == "exact":
-                if seq.d == 1:
-                    res = w1_sorted_1d(xa, xb)
-                else:
-                    res = w1_exact(xa, xb, include_coupling=False)
+            if estimator == "exact" and seq.d == 1:
+                res = w1_sorted_1d(xa, xb)
             else:
-                eps = epsilon
-                if eps is None:
-                    eps = 0.01 * float(cost_matrix(xa, xb).mean())
-                res = sinkhorn(xa, xb, eps, max_iters=max_iters)
-                converged = converged and res.converged
+                xa, xb = resample_to_equal(xa, xb, dc.substream(seed, t, y))
+                if estimator == "exact":
+                    res = w1_exact(xa, xb, include_coupling=False)
+                else:
+                    eps = epsilon
+                    if eps is None:
+                        eps = 0.01 * float(cost_matrix(xa, xb).mean())
+                    res = sinkhorn(xa, xb, eps, max_iters=max_iters)
+                    converged = converged and res.converged
+                    iterations += res.iterations
             worst = max(worst, res.distance)
         per_step.append(worst)
-    return DriftEstimate(per_step, max(per_step), estimator, converged)
+    return DriftEstimate(per_step, max(per_step), estimator, converged,
+                         iterations)

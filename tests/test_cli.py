@@ -426,6 +426,18 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["distance"] <= 1e-2
 
+    def test_w1_sorted_1d_unequal_sizes_not_resampled(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0.0\n1.0\n")
+        b.write_text("0.0\n0.5\n1.0\n")
+        assert cli.main(["w1", str(a), str(b), "--method", "sorted_1d"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # quantile pieces of width 1/3, 1/6, 1/6, 1/3 at |0-0|, |0-0.5|,
+        # |1-0.5|, |1-1|
+        assert abs(out["distance"] - 1.0 / 6.0) < 1e-15
+        assert out["resampled"] is False
+
     def test_w1_dimension_mismatch_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -8,16 +8,94 @@ from gradshift import diffcore as dc
 from gradshift import domains as dom
 from gradshift import transport as tp
 
+# An overflow, a division by zero or a NaN inside a solver fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def reference_assignment(C: np.ndarray):
+    """Shortest-augmenting-path assignment with potentials updated at every
+    step (the e-maxx Hungarian form); returns (row matched to each column,
+    total cost). The reference for `tp._solve_assignment`."""
+    n = C.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)      # p[j]: row on column j (1-based)
+    way = np.zeros(n + 1, dtype=np.int64)
+    way1 = way[1:]
+    v1 = v[1:]
+    used_cols = np.empty(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n, np.inf)            # reduced costs for columns 1..n
+        free = np.ones(n, dtype=bool)
+        n_used = 0
+        while True:
+            used_cols[n_used] = j0
+            n_used += 1
+            if j0 > 0:
+                free[j0 - 1] = False
+            i0 = p[j0]
+            cur = C[i0 - 1] - (u[i0] + v1)
+            upd = free & (cur < minv)
+            minv[upd] = cur[upd]
+            way1[upd] = j0
+            masked = np.where(free, minv, np.inf)
+            k = int(np.argmin(masked))
+            delta = masked[k]
+            sel = used_cols[:n_used]
+            u[p[sel]] += delta
+            v[sel] -= delta
+            minv[free] -= delta
+            j0 = k + 1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    rows = p[1:] - 1
+    total = float(C[rows, np.arange(n)].sum())
+    return rows, total
+
+
+def reference_sinkhorn(A, B, epsilon, max_iters=5000, tol=1e-6):
+    """Sinkhorn with unconditional log-domain updates of the potentials; the
+    reference for the scaling-form `tp.sinkhorn`. Returns (distance,
+    coupling, iterations, converged)."""
+    C = tp.cost_matrix(A, B)
+    n = C.shape[0]
+    logw = -np.log(n)                     # uniform weights
+    K = -C / epsilon + logw               # log kernel, weights folded in
+    f = np.zeros(n)
+    g = np.zeros(n)
+    converged = False
+    iterations = 0
+    check = 1 if max_iters <= 1000 else 10
+    P = None
+    for it in range(1, max_iters + 1):
+        iterations = it
+        f = -epsilon * tp._logsumexp(K + g[None, :] / epsilon, axis=1)
+        g = -epsilon * tp._logsumexp(K + f[:, None] / epsilon, axis=0)
+        if it % check == 0 or it == max_iters:
+            P = np.exp((f[:, None] + g[None, :] - C) / epsilon + 2.0 * logw)
+            err_r = float(np.abs(P.sum(axis=1) - 1.0 / n).sum())
+            err_c = float(np.abs(P.sum(axis=0) - 1.0 / n).sum())
+            if err_r < tol and err_c < tol:
+                converged = True
+                break
+    return float((P * C).sum()), P, iterations, converged
+
+
+def brute_force_cost(C):
+    """Least total cost over all permutations; exhaustive, for n <= 7."""
+    n = C.shape[0]
+    return min(sum(C[i, perm[i]] for i in range(n))
+               for perm in itertools.permutations(range(n)))
+
 
 def brute_force_w1(A, B):
-    """Exhaustive matching enumeration; exact for n <= 6."""
-    A = np.atleast_2d(A.T).T if A.ndim == 1 else A
-    n = A.shape[0]
-    C = tp.cost_matrix(A, B)
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        best = min(best, sum(C[i, perm[i]] for i in range(n)))
-    return best / n
+    return brute_force_cost(tp.cost_matrix(A, B)) / len(A)
 
 
 class TestW1Exact:
@@ -85,6 +163,50 @@ class TestW1Exact:
             tp.w1_exact(np.zeros((5000, 1)), np.zeros((5000, 1)))
 
 
+def assert_optimal(C, want):
+    rows, total = tp._solve_assignment(C)
+    n = C.shape[0]
+    assert sorted(rows.tolist()) == list(range(n))
+    assert total == float(C[rows, np.arange(n)].sum())
+    assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestAssignmentEquivalence:
+    """The lazy-dual solver against brute force and the per-step reference."""
+
+    def test_integer_costs_vs_brute_force(self):
+        for trial in range(60):
+            s = dc.substream(51, trial)
+            n = 1 + trial % 7
+            C = np.floor(dc.rng_uniform(s, (n, n)) * 4)   # ties everywhere
+            assert_optimal(C, brute_force_cost(C))
+
+    def test_duplicate_points_vs_brute_force(self):
+        for trial in range(60):
+            s = dc.substream(52, trial)
+            n = 1 + trial % 7
+            a = np.floor(dc.rng_uniform(dc.substream(s, 0), (n, 2)) * 3)
+            b = np.floor(dc.rng_uniform(dc.substream(s, 1), (n, 2)) * 3)
+            C = tp.cost_matrix(a, b)
+            assert_optimal(C, brute_force_cost(C))
+
+    def test_random_costs_vs_brute_force(self):
+        for trial in range(60):
+            n = 1 + trial % 7
+            C = dc.rng_uniform(dc.substream(53, trial), (n, n))
+            assert_optimal(C, brute_force_cost(C))
+
+    def test_vs_reference_solver(self):
+        for trial, n in enumerate((8, 17, 32, 64, 120, 200)):
+            s = dc.substream(54, trial)
+            a = dc.rng_normal(dc.substream(s, 0), (n, 2))
+            b = dc.rng_normal(dc.substream(s, 1), (n, 2), 0.5, 1.0)
+            C = tp.cost_matrix(a, b)
+            assert_optimal(C, reference_assignment(C)[1])
+            ties = np.floor(C * 2)
+            assert_optimal(ties, reference_assignment(ties)[1])
+
+
 class TestSorted1d:
     def test_example(self):
         res = tp.w1_sorted_1d([0.0, 1.0], [1.0, 2.0])
@@ -104,6 +226,37 @@ class TestSorted1d:
             w1 = tp.wp_sorted_1d(a, b, 1).distance
             w2 = tp.wp_sorted_1d(a, b, 2).distance
             assert w1 <= w2 + 1e-12
+
+    def test_unequal_sizes_vs_replicated_brute_force(self):
+        # each point of a set of n is replicated lcm(n, m) / n times, which
+        # leaves the empirical measure unchanged and makes the sizes equal
+        for trial, (n, m) in enumerate([(1, 3), (2, 3), (3, 2), (2, 6), (3, 6),
+                                        (1, 7), (6, 2), (4, 2), (5, 1)]):
+            s = dc.substream(43, trial)
+            a = dc.rng_normal(dc.substream(s, 0), (n,))
+            b = dc.rng_normal(dc.substream(s, 1), (m,), 0.3, 1.4)
+            size = math.lcm(n, m)
+            ra = np.repeat(a, size // n)
+            rb = np.repeat(b, size // m)
+            C = np.abs(ra[:, None] - rb[None, :])
+            for p in (1, 2, 3):
+                want = (brute_force_cost(C ** p) / size) ** (1.0 / p)
+                got = tp.wp_sorted_1d(a, b, p).distance
+                assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    def test_unequal_sizes_vs_assignment(self):
+        for trial, (n, m) in enumerate([(5, 7), (9, 6), (12, 8)]):
+            s = dc.substream(44, trial)
+            a = dc.rng_normal(dc.substream(s, 0), (n, 1))
+            b = dc.rng_normal(dc.substream(s, 1), (m, 1), -0.2, 0.7)
+            size = math.lcm(n, m)
+            want = tp.w1_exact(np.repeat(a, size // n, axis=0),
+                               np.repeat(b, size // m, axis=0)).distance
+            assert abs(tp.w1_sorted_1d(a, b).distance - want) <= 1e-12
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            tp.w1_sorted_1d(np.zeros(0), [1.0])
 
 
 class TestSinkhorn:
@@ -142,6 +295,37 @@ class TestSinkhorn:
             tp.sinkhorn(np.zeros((2, 1)), np.zeros((2, 1)), 0.0)
 
 
+FAR_APART = 20.0
+
+
+class TestSinkhornEquivalence:
+    """The scaling form against the log-domain reference: the same
+    iterations, convergence, distance and coupling."""
+
+    @pytest.mark.parametrize("shift", [0.5, FAR_APART])
+    @pytest.mark.parametrize("factor", [1e-3, 1e-2, 0.1, 1.0])
+    def test_vs_log_domain(self, factor, shift):
+        a = dc.rng_normal(dc.substream(14, "a"), (40, 2))
+        b = dc.rng_normal(dc.substream(14, "b"), (40, 2), shift, 1.0)
+        eps = factor * float(tp.cost_matrix(a, b).mean())
+        for max_iters in (3, 1500):
+            res = tp.sinkhorn(a, b, eps, max_iters=max_iters)
+            dist, P, iters, conv = reference_sinkhorn(a, b, eps, max_iters)
+            assert (res.iterations, res.converged) == (iters, conv)
+            assert abs(res.distance - dist) <= 1e-12 * max(1.0, dist)
+            assert np.abs(res.coupling - P).max() <= 1e-12
+
+    def test_default_epsilon_250_points(self):
+        a = dc.rng_normal(dc.substream(15, "a"), (250, 2))
+        b = dc.rng_normal(dc.substream(15, "b"), (250, 2), 0.3, 1.0)
+        eps = 0.01 * float(tp.cost_matrix(a, b).mean())
+        res = tp.sinkhorn(a, b, eps, max_iters=400)
+        dist, P, iters, conv = reference_sinkhorn(a, b, eps, 400)
+        assert (res.iterations, res.converged) == (iters, conv)
+        assert abs(res.distance - dist) <= 1e-12
+        assert np.abs(res.coupling - P).max() <= 1e-12
+
+
 class TestResample:
     def test_equal_passthrough(self):
         a = dc.rng_normal(0, (5, 2))
@@ -173,9 +357,22 @@ class TestClassConditionalDelta:
                                           class_means=[[-2.0], [2.0]],
                                           sigma=0.5, seed=22)
         est = tp.class_conditional_delta(seq, estimator="exact")
-        assert abs(est.delta_hat - 0.3) < 0.05
-        for v in est.per_step:
-            assert abs(v - 0.3) < 0.05
+        # B's law is A's translated by 0.3, so the triangle inequality gives
+        # |W1(A, B) - 0.3| <= W1(A, B - 0.3), the distance between two
+        # samples of one law (0.03-0.06 here)
+        for t, v in enumerate(est.per_step):
+            a, b = seq.domains[t], seq.domains[t + 1]
+            per_class = []
+            for y in range(seq.k):
+                xa = a.features[a.labels == y]
+                xb = b.features[b.labels == y]
+                w1 = tp.w1_sorted_1d(xa, xb).distance
+                noise = tp.w1_sorted_1d(xa, xb - 0.3).distance
+                assert abs(w1 - 0.3) <= noise + 1e-12
+                assert noise < 0.1
+                per_class.append(w1)
+            assert v == max(per_class)
+        assert est.delta_hat == max(est.per_step)
 
     def test_identical_batches_zero(self):
         base = dom.make_shifting_gaussians(2, 64, shift_per_step=0.0, seed=3)
@@ -205,3 +402,47 @@ class TestClassConditionalDelta:
         assert tp.class_conditional_delta(seq, estimator="exact").converged
         est = tp.class_conditional_delta(seq, estimator="sinkhorn", max_iters=1)
         assert est.converged is False
+
+    def test_iterations_total(self):
+        seq = dom.make_shifting_gaussians(3, 64, shift_per_step=0.3, seed=5)
+        assert tp.class_conditional_delta(seq, estimator="exact").iterations == 0
+        est = tp.class_conditional_delta(seq, estimator="sinkhorn", max_iters=7)
+        assert est.iterations == 7 * 2 * seq.k
+        est = tp.class_conditional_delta(seq, estimator="sinkhorn")
+        want = 0
+        for t in range(seq.T - 1):
+            a, b = seq.domains[t], seq.domains[t + 1]
+            for y in range(seq.k):
+                xa, xb = tp.resample_to_equal(a.features[a.labels == y],
+                                              b.features[b.labels == y],
+                                              dc.substream(0, t, y))
+                eps = 0.01 * float(tp.cost_matrix(xa, xb).mean())
+                want += tp.sinkhorn(xa, xb, eps, max_iters=2000).iterations
+        assert est.iterations == want
+
+    def test_1d_unequal_classes_unbiased(self):
+        # same-law classes of 1000 and 960 points: the estimate is the exact
+        # unequal-size W1 (here in the CDF form, the integral of |F_a - F_b|),
+        # where resampling the larger class with replacement inflated it
+        exact, resampled = [], []
+        for s in range(20):
+            a = dc.rng_normal(dc.substream(45, s, "a"), (1000, 1))
+            b = dc.rng_normal(dc.substream(45, s, "b"), (960, 1))
+            seq = dom.DomainSequence([dom.DomainBatch(0, a, np.zeros(1000, int), 1),
+                                      dom.DomainBatch(1, b, np.zeros(960, int), 1)])
+            got = tp.class_conditional_delta(seq, seed=s).delta_hat
+            want = cdf_w1(a.ravel(), b.ravel())
+            assert abs(got - want) <= 1e-12
+            exact.append(got)
+            ra, rb = tp.resample_to_equal(a, b, dc.substream(s, 0, 0))
+            resampled.append(tp.w1_sorted_1d(ra, rb).distance)
+        assert 0.045 <= np.mean(exact) <= 0.06
+        assert np.mean(resampled) >= 1.2 * np.mean(exact)
+
+
+def cdf_w1(a, b):
+    """1-D W1 as the integral over x of |F_a(x) - F_b(x)|."""
+    x = np.sort(np.concatenate([a, b]))
+    Fa = np.searchsorted(np.sort(a), x[:-1], side="right") / a.size
+    Fb = np.searchsorted(np.sort(b), x[:-1], side="right") / b.size
+    return float(np.sum(np.abs(Fa - Fb) * np.diff(x)))
