@@ -545,21 +545,20 @@ def cmd_w1(args) -> int:
     a = _load_points(args.file_a)
     b = _load_points(args.file_b)
     resampled = False
-    if args.method == "sorted_1d":
+    if args.method != "sorted_1d" and a.shape[0] != b.shape[0]:
+        a, b = tp.resample_to_equal(a, b, args.seed)
+        resampled = True
+    if args.method == "exact":
+        res = tp.w1_exact(a, b, include_coupling=False)
+    elif args.method == "sorted_1d":
         if a.shape[1] != 1 or b.shape[1] != 1:
             raise ConfigError("sorted_1d requires 1-D points")
         res = tp.w1_sorted_1d(a, b)
     else:
-        if a.shape[0] != b.shape[0]:
-            a, b = tp.resample_to_equal(a, b, args.seed)
-            resampled = True
-        if args.method == "exact":
-            res = tp.w1_exact(a, b, include_coupling=False)
-        else:
-            eps = args.epsilon
-            if eps is None:
-                eps = 0.01 * float(tp.cost_matrix(a, b).mean())
-            res = tp.sinkhorn(a, b, eps, max_iters=args.max_iters, tol=args.tol)
+        eps = args.epsilon
+        if eps is None:
+            eps = 0.01 * float(tp.cost_matrix(a, b).mean())
+        res = tp.sinkhorn(a, b, eps, max_iters=args.max_iters, tol=args.tol)
     out = {"distance": res.distance, "method": res.method,
            "iterations": res.iterations, "converged": res.converged,
            "n": int(a.shape[0]), "resampled": resampled}

@@ -49,11 +49,9 @@ def cost_matrix(A, B) -> np.ndarray:
 
 
 def _solve_assignment(C: np.ndarray):
-    """Shortest augmenting paths with lazy dual updates (Crouse 2016): one
-    Dijkstra per row, the potentials u, v updated once per augmentation.
-    Returns (row matched to each column, total cost). A visited column is
-    masked by -inf in `vs`, the scratch copy of v, so its cost in d stays inf.
-    """
+    """Shortest augmenting paths with lazy dual updates (Crouse 2016); returns
+    (row matched to each column, total cost). A visited column is masked by
+    -inf in `vs`, the scratch copy of v, so its path cost d stays inf."""
     n = C.shape[0]
     u, v = np.zeros(n), np.zeros(n)
     row4col = [-1] * n
@@ -65,11 +63,10 @@ def _solve_assignment(C: np.ndarray):
         cols, dcol = [], []                  # visited columns, path costs
         i, minval = cur, 0.0
         while i >= 0:
-            off = minval - u[i]
             rows.append(i)
-            offs.append(off)
+            offs.append(minval - u[i])
             np.subtract(C[i], vs, out=r)
-            r += off
+            r += offs[-1]
             np.minimum(d, r, out=d)
             j = int(d.argmin())
             minval = float(d[j])
@@ -122,10 +119,8 @@ def w1_sorted_1d(A, B) -> TransportResult:
 
 
 def wp_sorted_1d(A, B, p: float) -> TransportResult:
-    """Exact 1-D W_p between empirical measures of sizes n and m: the
-    integral over q of |F_a^-1(q) - F_b^-1(q)|^p. Scaled by n*m, the breaks
-    of both quantile step functions are the integers i*m and j*n, so the
-    integral is a sum over the merged breaks. The result has no coupling."""
+    """Exact 1-D W_p for sizes n, m as the integral of |F_a^-1 - F_b^-1|^p, a
+    sum over the merged quantile breaks i*m, j*n (scaled by n*m); no coupling."""
     a = np.sort(np.asarray(A, dtype=np.float64).reshape(-1))
     b = np.sort(np.asarray(B, dtype=np.float64).reshape(-1))
     n, m = a.shape[0], b.shape[0]
@@ -147,24 +142,13 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-# Scalings stay in [1/_SAFE, _SAFE], so with a kernel bounded by n*_SAFE**2 no
-# matvec overflows. Kernel entries below _SAFE**-4 are flushed to zero: they
-# move no row or column sum by a relative 1e-100, and as subnormals they would
-# slow every matvec.
-_SAFE = 1e50
-
-
-def _kernel(x):
-    k = np.exp(x)
-    k[k < _SAFE ** -4] = 0.0
-    return k
+_SAFE = 1e50                              # scalings stay in [1/_SAFE, _SAFE]
 
 
 def _scaling_step(s, x, p, q, y, C, K, eps, w):
-    """Half-step x = 1 / (w s), s = K y, in place. Where x would leave
-    [1/_SAFE, _SAFE] (0 and inf included) the entry takes the log-domain
-    update instead: p gets the new potential, x is 1, and that line of
-    K = exp((p + q - C) / eps) is recomputed."""
+    """Half-step x = 1 / (w s), s = K y, in place. An entry of x that would
+    leave [1/_SAFE, _SAFE] is 1 instead, its log-domain update goes into the
+    potential p, and its line of K = exp((p + q - C) / eps) is recomputed."""
     s *= w
     ok = (s > 1.0 / _SAFE) & (s < _SAFE)
     np.divide(1.0, s, out=x, where=ok)
@@ -173,15 +157,13 @@ def _scaling_step(s, x, p, q, y, C, K, eps, w):
         qy = q + eps * np.log(y)
         p[bad] = -eps * (_logsumexp((qy - C[bad]) / eps, axis=1) + np.log(w))
         x[bad] = 1.0
-        K[bad] = _kernel((p[bad, None] + q - C[bad]) / eps)
+        K[bad] = np.exp((p[bad, None] + q - C[bad]) / eps)
 
 
 def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
              tol: float = 1e-6) -> TransportResult:
-    """Entropic-regularized OT in stabilized scaling form (Schmitzer 2019,
-    arXiv 1610.06519): coupling w^2 diag(a) K diag(b) with w = 1/n and
-    K = exp((f + g - C) / epsilon), one matvec per half-step. It is the
-    log-domain map on the potentials f + epsilon log a and g + epsilon log b.
+    """Entropic-regularized OT in stabilized scaling form (Schmitzer 2019):
+    coupling w^2 diag(a) K diag(b), K = exp((f + g - C) / epsilon), w = 1/n.
 
     Distance is the transport cost <coupling, cost> without the entropy term.
     Non-convergence within max_iters flags the result instead of raising.
@@ -199,7 +181,7 @@ def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
     C = cost_matrix(A, B)
     w = 1.0 / n                           # uniform weights
     f, g, a, b = np.zeros(n), np.zeros(n), np.ones(n), np.ones(n)
-    K = _kernel(-C / epsilon)
+    K = np.exp(-C / epsilon)
     converged = False
     check = 1 if max_iters <= 1000 else 10
     for iterations in range(1, max_iters + 1):
@@ -220,14 +202,17 @@ def resample_to_equal(A, B, seed: int):
     """Deterministically resample the larger set with replacement down to the
     smaller count; the smaller set is returned unchanged."""
     A, B = _points(A), _points(B)
-    m = min(A.shape[0], B.shape[0])
-    out = []
-    for side, X in enumerate((A, B)):
-        if X.shape[0] > m:
-            u = dc.rng_uniform(dc.substream(seed, "resample", side), (m,))
-            X = X[np.minimum((u * X.shape[0]).astype(int), X.shape[0] - 1)]
-        out.append(X)
-    return tuple(out)
+    na, nb = A.shape[0], B.shape[0]
+    if na == nb:
+        return A, B
+    m = min(na, nb)
+    if na > m:
+        idx = (dc.rng_uniform(dc.substream(seed, "resample", 0), (m,)) * na).astype(int)
+        A = A[np.minimum(idx, na - 1)]
+    if nb > m:
+        idx = (dc.rng_uniform(dc.substream(seed, "resample", 1), (m,)) * nb).astype(int)
+        B = B[np.minimum(idx, nb - 1)]
+    return A, B
 
 
 @dataclass
@@ -247,9 +232,9 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
 
     estimator="exact" uses the quantile integral in one dimension (any class
     sizes) and otherwise the assignment solver; "sinkhorn" uses the entropic
-    solver with epsilon defaulting to 0.01 * mean cost per pair. Both resample
-    the class sets to equal size first, except in the 1-D exact case.
-    `converged` is false if any Sinkhorn solve stopped at max_iters.
+    solver with epsilon defaulting to 0.01 * mean cost per pair. The two
+    solvers get class sets resampled to equal size. `converged` is false if
+    any Sinkhorn solve stopped at max_iters.
     """
     if p != 1:
         raise ValueError("only p=1 is exposed for multi-sample drift estimation")
@@ -262,27 +247,27 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
                 raise ValueError(f"class {y} missing in domain t={dom.t}")
     per_step = []
     converged = True
-    iterations = 0
+    iters = 0
     for t in range(seq.T - 1):
         a, b = seq.domains[t], seq.domains[t + 1]
         worst = 0.0
         for y in range(seq.k):
             xa = a.features[a.labels == y]
             xb = b.features[b.labels == y]
-            if estimator == "exact" and seq.d == 1:
-                res = w1_sorted_1d(xa, xb)
-            else:
+            if estimator == "sinkhorn" or seq.d > 1:
                 xa, xb = resample_to_equal(xa, xb, dc.substream(seed, t, y))
-                if estimator == "exact":
-                    res = w1_exact(xa, xb, include_coupling=False)
+            if estimator == "exact":
+                if seq.d == 1:
+                    res = w1_sorted_1d(xa, xb)
                 else:
-                    eps = epsilon
-                    if eps is None:
-                        eps = 0.01 * float(cost_matrix(xa, xb).mean())
-                    res = sinkhorn(xa, xb, eps, max_iters=max_iters)
-                    converged = converged and res.converged
-                    iterations += res.iterations
+                    res = w1_exact(xa, xb, include_coupling=False)
+            else:
+                eps = epsilon
+                if eps is None:
+                    eps = 0.01 * float(cost_matrix(xa, xb).mean())
+                res = sinkhorn(xa, xb, eps, max_iters=max_iters)
+                converged = converged and res.converged
+                iters += res.iterations
             worst = max(worst, res.distance)
         per_step.append(worst)
-    return DriftEstimate(per_step, max(per_step), estimator, converged,
-                         iterations)
+    return DriftEstimate(per_step, max(per_step), estimator, converged, iters)

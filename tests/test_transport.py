@@ -357,22 +357,16 @@ class TestClassConditionalDelta:
                                           class_means=[[-2.0], [2.0]],
                                           sigma=0.5, seed=22)
         est = tp.class_conditional_delta(seq, estimator="exact")
-        # B's law is A's translated by 0.3, so the triangle inequality gives
-        # |W1(A, B) - 0.3| <= W1(A, B - 0.3), the distance between two
-        # samples of one law (0.03-0.06 here)
+        # about 1000 points a class with sigma 0.5: a class-mean difference
+        # has a standard error of 0.022, and 0.07 is three of them
+        assert abs(est.delta_hat - 0.3) < 0.07
         for t, v in enumerate(est.per_step):
+            assert abs(v - 0.3) < 0.07
             a, b = seq.domains[t], seq.domains[t + 1]
-            per_class = []
-            for y in range(seq.k):
-                xa = a.features[a.labels == y]
-                xb = b.features[b.labels == y]
-                w1 = tp.w1_sorted_1d(xa, xb).distance
-                noise = tp.w1_sorted_1d(xa, xb - 0.3).distance
-                assert abs(w1 - 0.3) <= noise + 1e-12
-                assert noise < 0.1
-                per_class.append(w1)
-            assert v == max(per_class)
-        assert est.delta_hat == max(est.per_step)
+            want = max(cdf_w1(a.features[a.labels == y].ravel(),
+                              b.features[b.labels == y].ravel())
+                       for y in range(seq.k))
+            assert abs(v - want) <= 1e-12
 
     def test_identical_batches_zero(self):
         base = dom.make_shifting_gaussians(2, 64, shift_per_step=0.0, seed=3)
