@@ -201,9 +201,9 @@ def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
     if not isinstance(top["output_dir"], str):
         raise ConfigError("output_dir: must be a string")
     seeds = top.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or \
-            not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: must be a non-empty array of integers")
+    seeds = [_checked("seeds", _integer, s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicates not allowed")
     schedules = top.get("schedules", ["gradual"])
@@ -262,6 +262,11 @@ class ShapeMismatch(CheckpointError):
 
 class UnsupportedVersion(CheckpointError):
     pass
+
+
+class InvalidValue(CheckpointError):
+    """A non-finite payload value, or a training position that is not a pair
+    of non-negative integers: values no saved checkpoint holds."""
 
 
 @dataclass
@@ -331,7 +336,12 @@ def load_checkpoint(path, expect_digest: bytes | None = None) -> Checkpoint:
                              "config")
     if not arrays or arrays[0].shape != (2,):
         raise ShapeMismatch(f"{path}: missing training-position record")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidValue(f"{path}: non-finite value in the payload")
     pos = arrays[0]
+    if np.any(pos < 0) or np.any(pos != np.floor(pos)):
+        raise InvalidValue(f"{path}: training position {pos.tolist()} is not "
+                           "a pair of non-negative integers")
     return Checkpoint(arrays[1:], int(pos[0]), int(pos[1]), digest, version)
 
 

@@ -2,10 +2,8 @@
 
 The tape is a Wengert list: every primitive application appends one node whose
 inputs reference strictly earlier nodes. `backward` runs a numeric reverse
-sweep and never touches the tape; `input_gradient` runs the same sweep
-*symbolically*, appending the adjoint computation as new differentiable nodes
-so a gradient-penalty scalar built from it can be differentiated once more.
-Exactly one nesting level is supported.
+sweep and never touches the tape. Training computes its gradients in closed
+form; the tape is the oracle the tests hold those closed forms to.
 
 Randomness is counter-based (splitmix64 finalizer over a seeded counter
 stream), so every draw is a pure function of (seed, shape, distribution) and
@@ -24,16 +22,13 @@ PRIMITIVES = frozenset({
     "sum", "mean", "square", "sqrt", "concat", "slice", "broadcast",
 })
 
-# Emitted by the symbolic gradient pass; not part of the public forward() set.
-_INTERNAL_OPS = frozenset({"transpose", "reciprocal", "pad_slice"})
-
 
 class ShapeError(ValueError):
     """Input shapes incompatible with the requested primitive."""
 
 
 class TapeError(RuntimeError):
-    """Structural misuse of a tape (non-scalar output, unknown node, nesting)."""
+    """Structural misuse of a tape (non-scalar output, unknown node)."""
 
 
 def array(data) -> np.ndarray:
@@ -45,14 +40,13 @@ def array(data) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("op", "inputs", "value", "aux", "grad_pass")
+    __slots__ = ("op", "inputs", "value", "aux")
 
-    def __init__(self, op, inputs, value, aux=None, grad_pass=False):
+    def __init__(self, op, inputs, value, aux=None):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.aux = aux
-        self.grad_pass = grad_pass
 
 
 class Tape:
@@ -63,15 +57,10 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._in_grad_pass = False
 
     def input(self, value, name: str | None = None) -> int:
         """Register a leaf array and return its node id."""
-        return self._leaf(array(value), name)
-
-    def _leaf(self, v: np.ndarray, name: str | None = None) -> int:
-        """Register a float64 array known to be finite, unchecked."""
-        self.nodes.append(Node("input", (), v, name, self._in_grad_pass))
+        self.nodes.append(Node("input", (), array(value), name))
         return len(self.nodes) - 1
 
     def val(self, nid: int) -> np.ndarray:
@@ -94,9 +83,22 @@ def _shape_err(op: str, shapes) -> ShapeError:
 
 
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: 1/(1+e^-x) for x >= 0 and
+    e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 _UNARY = {"relu": lambda x: np.maximum(x, 0.0), "tanh": np.tanh, "exp": np.exp,
           "log": np.log, "square": np.square, "sqrt": np.sqrt,
-          "reciprocal": lambda x: 1.0 / x}
+          "sigmoid": sigmoid}
 
 
 def _compute(op: str, vals: Sequence[np.ndarray], aux):
@@ -135,19 +137,6 @@ def _compute(op: str, vals: Sequence[np.ndarray], aux):
         if axis not in (None, 0, 1) or (axis == 1 and x.ndim < 2):
             raise _shape_err(op, (x.shape,))
         return x.sum(axis=axis) if op == "sum" else x.mean(axis=axis)
-    if op == "transpose":
-        x = vals[0]
-        if x.ndim != 2:
-            raise _shape_err(op, (x.shape,))
-        return x.T.copy()
-    if op == "sigmoid":
-        x = vals[0]
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
     if op == "concat":
         axis = aux
         try:
@@ -161,17 +150,7 @@ def _compute(op: str, vals: Sequence[np.ndarray], aux):
             raise _shape_err(op, (x.shape,))
         idx = tuple(slice(a, b) for a, b in zip(starts, stops))
         return x[idx].copy()
-    if op == "pad_slice":
-        x = vals[0]
-        orig_shape, starts = aux
-        out = np.zeros(orig_shape)
-        idx = tuple(slice(s, s + d) for s, d in zip(starts, x.shape))
-        out[idx] = x
-        return out
     raise ValueError(f"unknown primitive {op!r}")
-
-
-_OPS = PRIMITIVES | _INTERNAL_OPS
 
 
 def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
@@ -182,7 +161,7 @@ def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
     `axis`; `slice` takes `starts`/`stops`; `broadcast` takes `shape` and,
     for vector-to-matrix, `axis` naming the replicated axis.
     """
-    if op not in _OPS:
+    if op not in PRIMITIVES:
         raise ValueError(f"unknown primitive {op!r}")
     ids = tuple(inputs) if isinstance(inputs, (list, tuple)) else (inputs,)
     nodes, n = tape.nodes, len(tape.nodes)
@@ -198,29 +177,15 @@ def forward(tape: Tape, op: str, inputs, *, axis=None, starts=None,
         aux = (tuple(starts), tuple(stops))
     elif op == "concat":
         aux = 0 if axis is None else axis
-    elif op == "pad_slice":
-        aux = (tuple(shape), tuple(starts))
     else:
         aux = None
     value = _compute(op, vals, aux)
-    nodes.append(Node(op, ids, np.asarray(value, dtype=np.float64), aux,
-                      tape._in_grad_pass))
+    nodes.append(Node(op, ids, np.asarray(value, dtype=np.float64), aux))
     return n
 
 
 # ---------------------------------------------------------------------------
 # reverse sweeps
-
-def _ancestors(tape: Tape, root: int) -> set:
-    seen = {root}
-    stack = [root]
-    while stack:
-        for nid in tape.nodes[stack.pop()].inputs:
-            if nid not in seen:
-                seen.add(nid)
-                stack.append(nid)
-    return seen
-
 
 def backward(tape: Tape, scalar_output: int, wrt: Iterable[int]) -> dict[int, np.ndarray]:
     """Exact reverse-mode gradients of a scalar node w.r.t. the given node ids.
@@ -287,8 +252,6 @@ def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray, wanted):
         back = np.empty(x.shape)
         back[...] = g * scale if axis == 0 else (g * scale)[:, None]
         return [(ids[0], back)]
-    if op == "transpose":
-        return [(ids[0], g.T.copy())]
     if op == "relu":
         return [(ids[0], g * (vals[0] > 0))]
     if op == "sigmoid":
@@ -299,8 +262,6 @@ def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray, wanted):
         return [(ids[0], g / vals[0])]
     if op == "sqrt":
         return [(ids[0], g * 0.5 / node.value)]
-    if op == "reciprocal":
-        return [(ids[0], -g * np.square(node.value))]
     if op == "concat":
         axis = aux
         outs = []
@@ -318,142 +279,6 @@ def _vjp_numeric(tape: Tape, node: Node, g: np.ndarray, wanted):
         idx = tuple(slice(s, s + d) for s, d in zip(starts, g.shape))
         back[idx] = g
         return [(ids[0], back)]
-    if op == "pad_slice":
-        _, starts = aux
-        idx = tuple(slice(s, s + d) for s, d in zip(starts, vals[0].shape))
-        return [(ids[0], g[idx].copy())]
-    raise ValueError(f"no gradient rule for {op!r}")
-
-
-def input_gradient(tape: Tape, scalar_output: int, wrt_input: int) -> int:
-    """Record the gradient of a scalar node w.r.t. a leaf as new tape nodes.
-
-    The returned node holds the input-gradient array and, because the adjoint
-    computation was itself recorded, `backward` can differentiate through it
-    once (e.g. a gradient-penalty scalar w.r.t. network parameters).
-    """
-    tape._check_id(scalar_output)
-    tape._check_id(wrt_input)
-    if tape.nodes[scalar_output].value.shape != ():
-        raise TapeError("input_gradient requires a scalar output node")
-    if tape.nodes[wrt_input].op != "input":
-        raise TapeError("wrt_input must be a leaf input node")
-    anc = _ancestors(tape, scalar_output)
-    if any(tape.nodes[n].grad_pass for n in anc):
-        raise TapeError("second-order nesting limit is one")
-    # nodes both reachable from the leaf and feeding the output
-    desc = {wrt_input}
-    for nid in range(wrt_input + 1, scalar_output + 1):
-        if any(i in desc for i in tape.nodes[nid].inputs):
-            desc.add(nid)
-    live = desc & anc
-    x_shape = tape.nodes[wrt_input].value.shape
-    tape._in_grad_pass = True
-    try:
-        if scalar_output not in live:
-            return tape._leaf(np.zeros(x_shape))
-        adj: dict[int, int] = {scalar_output: tape._leaf(np.ones(()))}
-        for nid in sorted(live, reverse=True):
-            if nid not in adj or tape.nodes[nid].op == "input":
-                continue
-            for in_id, contrib in _vjp_symbolic(tape, nid, tape.nodes[nid],
-                                                adj[nid], live.__contains__):
-                adj[in_id] = forward(tape, "add", (adj[in_id], contrib)) \
-                    if in_id in adj else contrib
-        return adj[wrt_input]
-    finally:
-        tape._in_grad_pass = False
-
-
-def _vjp_symbolic(tape: Tape, nid: int, node: Node, g: int, wanted):
-    """Adjoint contributions as tape nodes (mirrors _vjp_numeric). A live
-    node's single input is live, so only binary ops and concat consult
-    wanted."""
-    op, ids, aux = node.op, node.inputs, node.aux
-    f = forward
-    const = tape._leaf
-
-    def neg(x):
-        return f(tape, "sub", (const(np.zeros(tape.shape(x))), x))
-
-    if op in _BINARY or op == "matmul":
-        a, b = ids
-        if op == "matmul":
-            bt = f(tape, "transpose", (b,)) if wanted(a) else None
-            at = f(tape, "transpose", (a,)) if wanted(b) else None
-        out = []
-        if wanted(a):
-            out.append((a, f(tape, "matmul", (g, bt)) if op == "matmul" else
-                        f(tape, "mul", (g, b)) if op == "mul" else g))
-        if wanted(b):
-            out.append((b, f(tape, "matmul", (at, g)) if op == "matmul" else
-                        f(tape, "mul", (g, a)) if op == "mul" else
-                        neg(g) if op == "sub" else g))
-        return out
-    if op == "relu":
-        # mask is piecewise constant in the input, so a detached leaf is the
-        # exact a.e. derivative for the second-order pass as well
-        mask = const((tape.nodes[ids[0]].value > 0).astype(np.float64))
-        return [(ids[0], f(tape, "mul", (g, mask)))]
-    if op == "tanh":
-        one = const(np.ones(tape.shape(nid)))
-        d = f(tape, "sub", (one, f(tape, "square", (nid,))))
-        return [(ids[0], f(tape, "mul", (g, d)))]
-    if op == "sigmoid":
-        one = const(np.ones(tape.shape(nid)))
-        d = f(tape, "mul", (nid, f(tape, "sub", (one, nid))))
-        return [(ids[0], f(tape, "mul", (g, d)))]
-    if op == "exp":
-        return [(ids[0], f(tape, "mul", (g, nid)))]
-    if op == "log":
-        return [(ids[0], f(tape, "mul", (g, f(tape, "reciprocal", (ids[0],)))))]
-    if op == "square":
-        two_x = f(tape, "mul", (const(np.full(tape.shape(ids[0]), 2.0)), ids[0]))
-        return [(ids[0], f(tape, "mul", (g, two_x)))]
-    if op == "sqrt":
-        half = const(np.full(tape.shape(nid), 0.5))
-        d = f(tape, "mul", (half, f(tape, "reciprocal", (nid,))))
-        return [(ids[0], f(tape, "mul", (g, d)))]
-    if op == "reciprocal":
-        return [(ids[0], neg(f(tape, "mul", (g, f(tape, "square", (nid,))))))]
-    if op in ("sum", "mean"):
-        x_shape = tape.shape(ids[0])
-        axis = aux
-        if op == "mean":
-            n = (int(np.prod(x_shape)) if axis is None else x_shape[axis])
-            g = f(tape, "mul", (g, const(np.full(tape.shape(g), 1.0 / n))))
-        back = f(tape, "broadcast", (g,), shape=x_shape, axis=axis)
-        return [(ids[0], back)]
-    if op == "transpose":
-        return [(ids[0], f(tape, "transpose", (g,)))]
-    if op == "concat":
-        axis = aux
-        outs = []
-        ofs = 0
-        gshape = tape.shape(g)
-        for i in ids:
-            ishape = tape.shape(i)
-            starts = [0] * len(gshape)
-            stops = list(gshape)
-            starts[axis] = ofs
-            stops[axis] = ofs + ishape[axis]
-            if wanted(i):
-                outs.append((i, f(tape, "slice", (g,), starts=starts,
-                                  stops=stops)))
-            ofs += ishape[axis]
-        return outs
-    if op == "slice":
-        starts, _ = aux
-        return [(ids[0], f(tape, "pad_slice", (g,), shape=tape.shape(ids[0]),
-                           starts=starts))]
-    if op == "pad_slice":
-        _, starts = aux
-        ishape = tape.shape(ids[0])
-        stops = [s + d for s, d in zip(starts, ishape)]
-        return [(ids[0], f(tape, "slice", (g,), starts=starts, stops=stops))]
-    if op == "broadcast":
-        axis = None if tape.shape(ids[0]) == () else aux[1]
-        return [(ids[0], f(tape, "sum", (g,), axis=axis))]
     raise ValueError(f"no gradient rule for {op!r}")
 
 

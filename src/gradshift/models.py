@@ -4,7 +4,7 @@ recurrent summarizer whose readout stands in for past-domain features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,11 +14,26 @@ from .diffcore import Tape, forward
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
+def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy arrays into one float64 buffer, in order; returns the buffer and
+    a view of it shaped like each array."""
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel()
+                           for a in arrays])
+    views, ofs = [], 0
+    for a in arrays:
+        views.append(flat[ofs:ofs + np.size(a)].reshape(np.shape(a)))
+        ofs += np.size(a)
+    return flat, views
+
+
 @dataclass
 class MlpParams:
+    """An MLP's layers. Construction copies the arrays into `flat`, one
+    float64 vector in arrays() order; weights and biases are views into it."""
     weights: list[np.ndarray]          # (fan_in, fan_out) per layer
     biases: list[np.ndarray]           # (fan_out,) per layer
     activations: list[str]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -33,6 +48,8 @@ class MlpParams:
                                  f"{self.weights[i-1].shape} -> {w.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        self.flat, views = _pack(self.arrays())
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -43,9 +60,7 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases],
-                         list(self.activations))
+        return MlpParams(self.weights, self.biases, list(self.activations))
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -75,7 +90,12 @@ def init_mlp(seed: int, layer_sizes, activations=None) -> MlpParams:
 
 
 class BoundMlp:
-    """An MlpParams registered as leaves on one tape (shared across forwards)."""
+    """An MlpParams registered as leaves on one tape (shared across forwards).
+
+    Training does not record a tape; this is the taped twin of mlp_layers
+    that the tests differentiate as the gradient oracle, and the benchmark's
+    tracer wraps its __call__ by name.
+    """
 
     def __init__(self, tape: Tape, params: MlpParams):
         self.tape = tape
@@ -101,17 +121,6 @@ class BoundMlp:
         return h
 
 
-def critic_forward(c: MlpParams, features, tape: Tape, *, bound: BoundMlp | None = None) -> int:
-    """One scalar per row; the final layer must have width 1."""
-    if c.out_dim != 1:
-        raise ValueError(f"critic output layer must have size 1, got {c.out_dim}")
-    b = bound if bound is not None else BoundMlp(tape, c)
-    out = b(features if isinstance(features, (int, np.integer))
-            else tape.input(features))
-    # (n,1) -> (n,) without a reshape primitive
-    return forward(tape, "sum", out, axis=1)
-
-
 def mlp_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Forward pass in plain numpy, returning the input and every layer's
     output; matches BoundMlp's recorded one."""
@@ -125,6 +134,24 @@ def mlp_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
             h = np.tanh(h)
         out.append(h)
     return out
+
+
+def mlp_backward(params: MlpParams, outs: list[np.ndarray],
+                 d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop d_out, a gradient w.r.t. the last of mlp_layers' outputs
+    `outs`, through the layers. Returns the gradient w.r.t. the input and
+    the flat parameter gradient (the layout of params.flat)."""
+    grads = []
+    g = d_out
+    for l in reversed(range(len(params.weights))):
+        act, h = params.activations[l], outs[l + 1]
+        if act == "relu":
+            g = g * (h > 0.0)
+        elif act == "tanh":
+            g = g * (1.0 - np.square(h))
+        grads += [g.sum(axis=0), outs[l].T @ g]
+        g = g @ params.weights[l].T
+    return g, np.concatenate([a.ravel() for a in reversed(grads)])
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -155,11 +182,15 @@ class GruLayer:
 
 @dataclass
 class RecurrentParams:
+    """A stacked GRU with a linear readout. Construction copies the arrays
+    into `flat`, one float64 vector in arrays() order, and holds views of it
+    in fresh GruLayer objects, w_out and b_out."""
     layers: list[GruLayer]
     w_out: np.ndarray                  # (hidden, out_dim) linear readout
     b_out: np.ndarray
     hidden: int
     input_size: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -171,16 +202,17 @@ class RecurrentParams:
                 if getattr(lay, name).shape != want:
                     raise ValueError(f"layer {i} {name}: expected {want}, "
                                      f"got {getattr(lay, name).shape}")
+        self.flat, views = _pack(self.arrays())
+        self.layers = [GruLayer(*views[i:i + 6])
+                       for i in range(0, 6 * len(self.layers), 6)]
+        self.w_out, self.b_out = views[-2:]
 
     @property
     def out_dim(self) -> int:
         return self.w_out.shape[1]
 
     def copy(self) -> "RecurrentParams":
-        layers = [GruLayer(*(a.copy() for a in (l.w_z, l.w_r, l.w_h,
-                                                l.b_z, l.b_r, l.b_h)))
-                  for l in self.layers]
-        return RecurrentParams(layers, self.w_out.copy(), self.b_out.copy(),
+        return RecurrentParams(self.layers, self.w_out, self.b_out,
                                self.hidden, self.input_size)
 
     def arrays(self) -> list[np.ndarray]:
@@ -223,70 +255,46 @@ def fresh_state(r: RecurrentParams) -> SummaryState:
     return SummaryState([np.zeros(r.hidden) for _ in r.layers], 0)
 
 
-class BoundRecurrent:
-    """RecurrentParams registered as leaves on one tape."""
-
-    def __init__(self, tape: Tape, params: RecurrentParams):
-        self.tape = tape
-        self.params = params
-        self.layer_ids = [[tape.input(a) for a in (l.w_z, l.w_r, l.w_h,
-                                                   l.b_z, l.b_r, l.b_h)]
-                          for l in params.layers]
-        self.w_out_id = tape.input(params.w_out)
-        self.b_out_id = tape.input(params.b_out)
-
-    def param_ids(self) -> list[int]:
-        out = [i for lay in self.layer_ids for i in lay]
-        return out + [self.w_out_id, self.b_out_id]
-
-    def step(self, state_rows: list[int], x_row: int) -> tuple[list[int], int]:
-        """One gated update per layer on (1, dim) rows; returns new state rows
-        and the (1, out_dim) readout row."""
-        t = self.tape
-        inp = x_row
-        new_rows = []
-        for (wz, wr, wh, bz, br, bh), s in zip(self.layer_ids, state_rows):
-            sx = forward(t, "concat", (s, inp), axis=1)
-            def gate(w, b, kind):
-                z = forward(t, "matmul", (sx, w))
-                z = forward(t, "add", (z, forward(t, "broadcast", b,
-                                                  shape=t.shape(z), axis=0)))
-                return forward(t, kind, z)
-            z = gate(wz, bz, "sigmoid")
-            r = gate(wr, br, "sigmoid")
-            rs = forward(t, "mul", (r, s))
-            rsx = forward(t, "concat", (rs, inp), axis=1)
-            cand = forward(t, "matmul", (rsx, wh))
-            cand = forward(t, "add", (cand, forward(t, "broadcast", bh,
-                                                    shape=t.shape(cand), axis=0)))
-            cand = forward(t, "tanh", cand)
-            one = t.input(np.ones(t.shape(z)))
-            keep = forward(t, "mul", (forward(t, "sub", (one, z)), s))
-            new_s = forward(t, "add", (keep, forward(t, "mul", (z, cand))))
-            new_rows.append(new_s)
-            inp = new_s
-        top = new_rows[-1]
-        ro = forward(t, "matmul", (top, self.w_out_id))
-        ro = forward(t, "add", (ro, forward(t, "broadcast", self.b_out_id,
-                                            shape=t.shape(ro), axis=0)))
-        return new_rows, ro
-
-
-def summarize_step(r: RecurrentParams, state: SummaryState, x: int, tape: Tape,
-                   *, bound: BoundRecurrent | None = None):
-    """Absorb one domain's mean feature vector, the (input_size,) node x, into
-    the recurrent state on the tape. Returns (new SummaryState, readout node),
-    differentiable w.r.t. the summarizer parameters and x."""
-    if tape.shape(x) != (r.input_size,):
-        raise ValueError(f"summary vector shape {tape.shape(x)} does not "
+def gru_step(r: RecurrentParams, state: SummaryState, x: np.ndarray):
+    """Absorb one domain's (input_size,) mean feature vector x into the
+    recurrent state: one gated update per layer (Cho et al. 2014), then the
+    linear readout. Returns (new SummaryState, (out_dim,) readout, cache for
+    gru_backward)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (r.input_size,):
+        raise ValueError(f"summary vector shape {x.shape} does not "
                          f"match summarizer input size {r.input_size}")
-    x_row = forward(tape, "broadcast", x, shape=(1, r.input_size), axis=0)
-    b = bound if bound is not None else BoundRecurrent(tape, r)
-    state_rows = [forward(tape, "broadcast", tape.input(h), shape=(1, r.hidden), axis=0)
-                  for h in state.hidden]
-    new_rows, readout_row = b.step(state_rows, x_row)
-    # (1, d) -> (d,) squeeze
-    readout = forward(tape, "sum", readout_row, axis=0)
-    new_state = SummaryState([tape.val(forward(tape, "sum", row, axis=0)).copy()
-                              for row in new_rows], state.count + 1)
-    return new_state, readout
+    inp = x
+    cache = []
+    for lay, s in zip(r.layers, state.hidden):
+        sx = np.concatenate([s, inp])
+        z = dc.sigmoid(sx @ lay.w_z + lay.b_z)
+        rr = dc.sigmoid(sx @ lay.w_r + lay.b_r)
+        rsx = np.concatenate([rr * s, inp])
+        cand = np.tanh(rsx @ lay.w_h + lay.b_h)
+        new = (1.0 - z) * s + z * cand
+        cache.append((s, sx, z, rr, rsx, cand, new))
+        inp = new
+    readout = inp @ r.w_out + r.b_out
+    return SummaryState([c[-1] for c in cache], state.count + 1), readout, cache
+
+
+def gru_backward(r: RecurrentParams, cache, d_readout: np.ndarray):
+    """Backprop d_readout, a gradient w.r.t. gru_step's readout, through that
+    step. The committed state it started from is a constant, so nothing flows
+    back through time. Returns the flat parameter gradient (the layout of
+    r.flat) and the gradient w.r.t. x."""
+    hid = r.hidden
+    d_new = r.w_out @ d_readout
+    grads = [np.outer(cache[-1][-1], d_readout), d_readout]
+    for lay, (s, sx, z, rr, rsx, cand, _) in zip(reversed(r.layers),
+                                                 reversed(cache)):
+        d_az = d_new * (cand - s) * z * (1.0 - z)
+        d_ah = d_new * z * (1.0 - np.square(cand))
+        d_rsx = lay.w_h @ d_ah
+        d_ar = d_rsx[:hid] * s * rr * (1.0 - rr)
+        d_sx = lay.w_z @ d_az + lay.w_r @ d_ar
+        grads = [np.outer(sx, d_az), np.outer(sx, d_ar), np.outer(rsx, d_ah),
+                 d_az, d_ar, d_ah] + grads
+        d_new = d_sx[hid:] + d_rsx[hid:]
+    return np.concatenate([a.ravel() for a in grads]), d_new

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import diffcore as dc
 from . import models as md
-from .diffcore import Tape, backward, forward
 from .domains import DomainBatch, DomainSequence, split_holdout
 
 SCHEDULES = ("no_adaptation", "direct", "gradual", "gradual_temporal")
@@ -139,79 +138,39 @@ def build_model(spec: ModelSpec, d: int, k: int, seed: int) -> AdaptationModel:
 # ---------------------------------------------------------------------------
 # losses
 
-def loss_eval(spec: LossSpec, logits, labels, tape: Tape):
-    """Differentiable bounded loss; returns (scalar node, per-sample values)."""
-    node = logits if isinstance(logits, (int, np.integer)) else tape.input(logits)
-    z = tape.val(node)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    n, k = z.shape
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,) or y.min() < 0 or y.max() >= k:
-        raise ValueError(f"labels must be (n,) ints in [0, {k})")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    oh_node = tape.input(onehot)
-    m_node = tape.input(np.full(n, spec.bound))
-    if spec.kind == "cross_entropy_bounded":
-        # log-sum-exp with a detached row-max shift (exact: LSE(z) = c + LSE(z-c))
-        c = z.max(axis=1)
-        c_node = tape.input(c)
-        shifted = forward(tape, "sub", (node, forward(tape, "broadcast", c_node,
-                                                      shape=(n, k), axis=1)))
-        lse = forward(tape, "add", (c_node, forward(
-            tape, "log", forward(tape, "sum", forward(tape, "exp", shifted), axis=1))))
-        zy = forward(tape, "sum", forward(tape, "mul", (node, oh_node)), axis=1)
-        raw = forward(tape, "sub", (lse, zy))
-    else:
-        # sum over wrong classes of relu(1 + z_j - z_y)
-        zy = forward(tape, "sum", forward(tape, "mul", (node, oh_node)), axis=1)
-        margins = forward(tape, "sub", (node, forward(tape, "broadcast", zy,
-                                                      shape=(n, k), axis=1)))
-        ones = tape.input(np.ones((n, k)))
-        viol = forward(tape, "relu", forward(tape, "add", (margins, ones)))
-        not_y = tape.input(1.0 - onehot)
-        raw = forward(tape, "sum", forward(tape, "mul", (viol, not_y)), axis=1)
-    # clamp to M: min(raw, M) = M - relu(M - raw)
-    clamped = forward(tape, "sub", (m_node, forward(
-        tape, "relu", forward(tape, "sub", (m_node, raw)))))
-    mean = forward(tape, "mean", clamped)
-    return mean, tape.val(clamped).copy()
-
-
 def loss_values_np(spec: LossSpec, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Plain numpy per-sample losses (no tape); matches loss_eval."""
+    """Per-sample bounded losses in plain numpy."""
+    return _loss_and_grad(spec, logits, labels)[0]
+
+
+def _loss_and_grad(spec: LossSpec, logits, labels):
+    """Per-sample losses min(raw, M) and the gradient of their mean w.r.t.
+    the logits. A clamped sample has zero gradient."""
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n = z.shape[0]
+    rows = np.arange(n)
     if spec.kind == "cross_entropy_bounded":
+        # log-sum-exp shifted by the row max (exact: LSE(z) = c + LSE(z-c))
         c = z.max(axis=1)
-        lse = c + np.log(np.exp(z - c[:, None]).sum(axis=1))
-        raw = lse - z[np.arange(n), y]
+        e = np.exp(z - c[:, None])
+        s = e.sum(axis=1)
+        raw = c + np.log(s) - z[rows, y]
+        grad = e / s[:, None]
+        grad[rows, y] -= 1.0
     else:
-        zy = z[np.arange(n), y]
-        viol = np.maximum(1.0 + z - zy[:, None], 0.0)
-        viol[np.arange(n), y] = 0.0
+        # sum over wrong classes of relu(1 + z_j - z_y)
+        viol = np.maximum(1.0 + z - z[rows, y][:, None], 0.0)
+        viol[rows, y] = 0.0
         raw = viol.sum(axis=1)
-    return np.minimum(raw, spec.bound)
+        grad = (viol > 0.0).astype(np.float64)
+        grad[rows, y] = -grad.sum(axis=1)
+    grad *= ((raw < spec.bound) / n)[:, None]
+    return np.minimum(raw, spec.bound), grad
 
 
 # ---------------------------------------------------------------------------
-# alignment and penalty
-
-def alignment_gap(critic: md.MlpParams, features_a, features_b, tape: Tape,
-                  *, bound: md.BoundMlp | None = None) -> int:
-    """Mean critic value on features_a minus mean on features_b (tape node)."""
-    b = bound if bound is not None else md.BoundMlp(tape, critic)
-    for f in (features_a, features_b):
-        shp = tape.shape(f) if isinstance(f, (int, np.integer)) else np.shape(f)
-        if shp[0] == 0:
-            raise ValueError("alignment_gap: empty feature batch")
-    ca = md.critic_forward(critic, features_a, tape, bound=b)
-    cb = md.critic_forward(critic, features_b, tape, bound=b)
-    return forward(tape, "sub", (forward(tape, "mean", ca),
-                                 forward(tape, "mean", cb)))
-
+# gradient-penalty interpolates
 
 def _interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
     """Per-row random points between two feature batches; a smaller batch is
@@ -229,39 +188,13 @@ def _interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
     return u * fa + (1.0 - u) * fb
 
 
-def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
-                     seed: int, *, bound: md.BoundMlp | None = None) -> int:
-    """Mean (||grad_x critic(x_hat)|| - 1)^2 over per-row random interpolates.
-
-    The features are fixed arrays and the interpolates leaves; gradients flow
-    to the critic parameters through the recorded input-gradient computation.
-    This taped penalty is the reference implementation: the tests check it
-    against finite differences, and check critic_ascent_step's closed form
-    against it.
-    """
-    xh = _interpolates(np.asarray(features_a, dtype=np.float64),
-                       np.asarray(features_b, dtype=np.float64), seed)
-    n = xh.shape[0]
-    x_node = tape.input(xh)
-    b = bound if bound is not None else md.BoundMlp(tape, critic)
-    out = md.critic_forward(critic, x_node, tape, bound=b)
-    total = forward(tape, "sum", out)
-    grad_node = dc.input_gradient(tape, total, x_node)
-    sq = forward(tape, "sum", forward(tape, "square", grad_node), axis=1)
-    # 1e-24 floor keeps sqrt differentiable at an exactly-zero gradient row
-    # without perturbing any realistic norm (x + 1e-24 == x for x >= 1e-8)
-    sq = forward(tape, "add", (sq, tape.input(np.full(n, 1e-24))))
-    norms = forward(tape, "sqrt", sq)
-    ones = tape.input(np.ones(n))
-    return forward(tape, "mean", forward(tape, "square",
-                                         forward(tape, "sub", (norms, ones))))
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 
 class _Opt:
-    """Adam-style adaptive or plain sgd over a fixed list of arrays."""
+    """Adam-style adaptive or plain sgd over a fixed list of arrays. Training
+    passes each network's flat parameter vector, so a step is a few
+    whole-vector operations per network."""
 
     def __init__(self, params: list[np.ndarray], kind: str, lr: float):
         self.params = params
@@ -305,7 +238,7 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     slow-lr snapshot tracks W1 from below. Training stages use the faster
     TrainConfig.lr_critic instead.
     """
-    opt = _Opt(critic.arrays(), optimizer, lr)
+    opt = _Opt([critic.flat], optimizer, lr)
     gap_val = 0.0
     for step in range(steps):
         gap_val, _ = critic_ascent_step(critic, opt, features_a, features_b,
@@ -326,8 +259,8 @@ def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     adjoint then runs forward through that chain (double backprop), where a
     tanh layer also sends a second-derivative term to its pre-activation.
     One primal backprop over all rows, seeded with the gap's -1/n_a and
-    +1/n_b, carries those terms to the parameters. The taped alignment_gap
-    and gradient_penalty are the reference it is tested against.
+    +1/n_b, carries those terms to the parameters. The tests hold it to the
+    taped gap and penalty.
     """
     for f in (features_a, features_b):
         if np.shape(f)[0] == 0:
@@ -385,7 +318,8 @@ def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
         grad_b[l] = g.sum(axis=0)
         if l:
             g = g @ ws[l].T
-    opt.step([a for pair in zip(grad_w, grad_b) for a in pair])
+    opt.step([np.concatenate([a.ravel() for pair in zip(grad_w, grad_b)
+                              for a in pair])])
     return gap, pen
 
 
@@ -397,28 +331,93 @@ def _check_finite(value, what: str, where: str):
         raise TrainingDiverged(f"non-finite {what} at {where}")
 
 
+def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
+                      opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
+                      loss_spec: LossSpec, *, labeled_target: bool, align: bool,
+                      temporal: bool, gp_seed: int, where: str):
+    """One batch's primal-dual step in place. Returns (class loss, gap,
+    penalty); the last two come from the final critic step, 0 without
+    alignment.
+
+    The labeled rows run forward through g and h. When aligning, the critic
+    ascends k_critic times on the target features and the source history,
+    then the model descends on class loss plus lam times the gap under the
+    updated critic. The model gradient is backprop in closed form: the loss
+    gradient back through h, the gap's input gradient under the critic, and
+    both back through g and, for the temporal history, through the
+    summarizer's one gated step from the committed state.
+    """
+    x_lab, y_lab = xs, ys
+    if labeled_target:
+        x_lab, y_lab = np.concatenate([xs, xt]), np.concatenate([ys, yt])
+    g_outs = md.mlp_layers(model.g, x_lab)
+    h_outs = md.mlp_layers(model.h, g_outs[-1])
+    _check_finite(h_outs[-1], "logits", where)
+    losses, d_logits = _loss_and_grad(loss_spec, h_outs[-1], y_lab)
+    loss = ce = float(losses.mean())
+    d_feats, grad_h = md.mlp_backward(model.h, h_outs, d_logits)
+    grads = [None, grad_h]
+    gap = pen = 0.0
+    if align:
+        ns = len(xs)
+        f_s = g_outs[-1][:ns]
+        if labeled_target:
+            f_t = g_outs[-1][ns:]
+        else:
+            t_outs = md.mlp_layers(model.g, xt)
+            f_t = t_outs[-1]
+        _check_finite(f_s, "source features", where)
+        _check_finite(f_t, "target features", where)
+        hist = f_s
+        if temporal:
+            _, readout, cache = md.gru_step(model.summarizer, model.summary_state,
+                                            f_s.mean(axis=0))
+            hist = f_s * 0.5 + readout * 0.5
+        for kk in range(cfg.k_critic):
+            gap, pen = critic_ascent_step(model.critic, opt_critic, f_t, hist,
+                                          cfg.gp_factor, dc.substream(gp_seed, kk),
+                                          where)
+        # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)
+        nt = len(f_t)
+        c_outs = md.mlp_layers(model.critic, np.concatenate([f_t, hist]))
+        c = c_outs[-1][:, 0]
+        loss = ce + cfg.lam * (c[:nt].mean() - c[nt:].mean())
+        d_c = np.full((len(c), 1), -cfg.lam / len(hist))
+        d_c[:nt] = cfg.lam / nt
+        d_rows = md.mlp_backward(model.critic, c_outs, d_c)[0]
+        d_t, d_hist = d_rows[:nt], d_rows[nt:]
+        if temporal:
+            grad_r, d_mean = md.gru_backward(model.summarizer, cache,
+                                             0.5 * d_hist.sum(axis=0))
+            d_hist = d_hist * 0.5 + d_mean / ns
+            grads.append(grad_r)
+        d_feats[:ns] += d_hist
+        if labeled_target:
+            d_feats[ns:] += d_t
+    _check_finite(loss, "model loss", where)
+    grads[0] = md.mlp_backward(model.g, g_outs, d_feats)[1]
+    if align and not labeled_target:
+        grads[0] += md.mlp_backward(model.g, t_outs, d_t)[1]
+    opt_model.step(grads)
+    return ce, gap, pen
+
+
 def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                cfg: TrainConfig, *, labeled_target: bool, align: bool,
                temporal: bool, stage: int, loss_spec: LossSpec,
                eval_batch: DomainBatch | None):
-    """Train one adaptation stage in place; returns EpochMetrics.
-
-    Each batch is one primal-dual step on one tape. It records the features
-    and the class loss; when aligning, the critic ascends k_critic times on
-    the recorded features, then the gap under the updated critic is recorded
-    and the model descends on class loss plus lam times that gap.
-    """
+    """Train one adaptation stage in place, one _primal_dual_step per batch;
+    returns EpochMetrics."""
     if source.d != target.d or source.k != target.k:
         raise ValueError("source/target dimension mismatch")
     if temporal and model.summarizer is None:
         raise ValueError("temporal stage requires a model with a summarizer")
     started = time.perf_counter()
-    model_arrays = model.g.arrays() + model.h.arrays()
+    nets = [model.g, model.h]
     if align and temporal:
-        model_arrays += model.summarizer.arrays()
-    opt_model = _Opt(model_arrays, cfg.optimizer, cfg.lr_model)
-    opt_critic = _Opt(model.critic.arrays(), cfg.optimizer, cfg.lr_critic)
-    m_dim = model.g.out_dim
+        nets.append(model.summarizer)
+    opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
+    opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
         n_steps = 0
@@ -430,64 +429,18 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         for b, start in enumerate(range(0, source.n, cfg.batch_size)):
             src_idx = order[start:start + cfg.batch_size]
             ns = len(src_idx)
-            xs, ys = source.features[src_idx], source.labels[src_idx]
             tgt_idx = torder[(tpos + np.arange(ns)) % target.n]
             tpos += ns
-            xt, yt = target.features[tgt_idx], target.labels[tgt_idx]
-            where = f"stage {stage} epoch {epoch} batch {b}"
-            tape = Tape()
-            g_b = md.BoundMlp(tape, model.g)
-            h_b = md.BoundMlp(tape, model.h)
-            if labeled_target:
-                x_lab = np.concatenate([xs, xt])
-                y_lab = np.concatenate([ys, yt])
-            else:
-                x_lab, y_lab = xs, ys
-            feats = g_b(tape.input(x_lab))
-            logits = h_b(feats)
-            _check_finite(tape.val(logits), "logits", where)
-            ce, _ = loss_eval(loss_spec, logits, y_lab, tape)
-            wrt = g_b.param_ids() + h_b.param_ids()
-            loss = ce
-            gap_val = pen_val = 0.0
-            if align:
-                f_s_node = forward(tape, "slice", feats, starts=[0, 0],
-                                   stops=[ns, m_dim])
-                if labeled_target:
-                    f_t_node = forward(tape, "slice", feats, starts=[ns, 0],
-                                       stops=[len(x_lab), m_dim])
-                else:
-                    f_t_node = g_b(tape.input(xt))
-                _check_finite(tape.val(f_s_node), "source features", where)
-                _check_finite(tape.val(f_t_node), "target features", where)
-                hist_node = f_s_node
-                if temporal:
-                    r_b = md.BoundRecurrent(tape, model.summarizer)
-                    mean_f = forward(tape, "mean", f_s_node, axis=0)
-                    _, readout = md.summarize_step(
-                        model.summarizer, model.summary_state, mean_f, tape,
-                        bound=r_b)
-                    half = tape.input(np.full((ns, m_dim), 0.5))
-                    hist_node = forward(tape, "add", (
-                        forward(tape, "mul", (f_s_node, half)),
-                        forward(tape, "mul", (forward(
-                            tape, "broadcast", readout, shape=(ns, m_dim),
-                            axis=0), half))))
-                    wrt = wrt + r_b.param_ids()
-                for kk in range(cfg.k_critic):
-                    gap_val, pen_val = critic_ascent_step(
-                        model.critic, opt_critic, tape.val(f_t_node),
-                        tape.val(hist_node), cfg.gp_factor,
-                        dc.substream(cfg.seed, "gp", stage, epoch, b, kk), where)
-                gap = alignment_gap(model.critic, f_t_node, hist_node, tape)
-                loss = forward(tape, "add", (ce, forward(
-                    tape, "mul", (gap, tape.input(np.asarray(cfg.lam))))))
-            _check_finite(tape.val(loss), "model loss", where)
-            grads = backward(tape, loss, wrt)
-            opt_model.step([grads[i] for i in wrt])
-            loss_sum += float(tape.val(ce))
-            gap_sum += gap_val
-            pen_sum += pen_val
+            ce, gap, pen = _primal_dual_step(
+                model, opt_model, opt_critic, source.features[src_idx],
+                source.labels[src_idx], target.features[tgt_idx],
+                target.labels[tgt_idx], cfg, loss_spec,
+                labeled_target=labeled_target, align=align, temporal=temporal,
+                gp_seed=dc.substream(cfg.seed, "gp", stage, epoch, b),
+                where=f"stage {stage} epoch {epoch} batch {b}")
+            loss_sum += ce
+            gap_sum += gap
+            pen_sum += pen
             n_steps += 1
     acc = 0.0
     if eval_batch is not None:
@@ -560,10 +513,10 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         if temporal:
             # commit the finished domain into the recurrent state under the
             # final feature map
-            tape = Tape()
             mean_f = md.mlp_eval(model.g, source.features).mean(axis=0)
-            model.summary_state, _ = md.summarize_step(
-                model.summarizer, model.summary_state, tape.input(mean_f), tape)
+            _check_finite(mean_f, "summary features", f"stage {t} commit")
+            model.summary_state = md.gru_step(model.summarizer,
+                                              model.summary_state, mean_f)[0]
         trace.append(metrics)
         if stage_callback is not None:
             stage_callback(t, model, metrics)

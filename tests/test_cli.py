@@ -95,6 +95,8 @@ BAD_VALUES = [
     pytest.param("lambda = 1.0", "lr_model = true",
                  r"\[train\] lr_model: could not convert True to a float",
                  id="lr_model_bool"),
+    pytest.param("seeds = [1, 2]", "seeds = [true]",
+                 "seeds: could not convert True to an integer", id="seeds_bool"),
 ]
 
 # bytes spliced into a valid config, or values swapped for other TOML literals
@@ -217,12 +219,62 @@ class TestGeneratorTable:
             self.sequence(tmp_path, 'kind = "file"\npath = "x.csv"\nT = 2\n')
 
 
+def _valid_checkpoint_bytes(tmp_path) -> bytes:
+    p = tmp_path / "valid.ckpt"
+    cli.save_checkpoint(p, TestCheckpointFormat().make())
+    return p.read_bytes()
+
+
+# the valid file above: 16-byte header, four shape records, then the float64
+# payload (the 2 position values, then 12 + 4 + 4 parameter values)
+CKPT_PAYLOAD = 16 + 4 * 8
+CKPT_FLOATS = 2 + 12 + 4 + 4
+ODD_VALUES = [np.nan, np.inf, -np.inf, -3.5, 2.5, -1.0, 1e300, 0.0]
+
+
+def _set_float(raw: bytes, slot: int, value: float) -> bytes:
+    ofs = CKPT_PAYLOAD + 8 * slot
+    return raw[:ofs] + np.float64(value).astype("<f8").tobytes() + raw[ofs + 8:]
+
+
+CHECKPOINT_EDITS = st.one_of(
+    st.builds(lambda junk: lambda raw: junk, st.binary(max_size=300)),
+    st.builds(lambda i, j, junk: lambda raw: raw[:i] + junk + raw[j:],
+              st.integers(0, 240), st.integers(0, 240), st.binary(max_size=16)),
+    st.builds(lambda slot, v: lambda raw: _set_float(raw, slot, v),
+              st.integers(0, CKPT_FLOATS - 1), st.sampled_from(ODD_VALUES)))
+
+
 class TestCheckpointFormat:
     def make(self):
         arrays = [dc.rng_normal(1, (3, 4)), dc.rng_normal(2, (4,)),
                   dc.rng_normal(3, (2, 2))]
         return cli.Checkpoint(arrays, domain_index=2, epoch=7,
                               config_digest=bytes(range(32)))
+
+    @pytest.mark.parametrize("slot,value", [
+        (0, np.nan), (0, np.inf), (1, -np.inf), (0, -3.5), (1, 2.5), (0, -1.0),
+        (2, np.nan), (CKPT_FLOATS - 1, np.inf)])
+    def test_invalid_value_rejected(self, tmp_path, slot, value):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(_set_float(_valid_checkpoint_bytes(tmp_path), slot, value))
+        with pytest.raises(cli.InvalidValue, match=f"^{p}: "):
+            cli.load_checkpoint(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=CHECKPOINT_EDITS)
+    def test_corrupted_file_raises_checkpoint_error(self, tmp_path_factory,
+                                                    edit):
+        tmp = tmp_path_factory.mktemp("ckpt")
+        p = tmp / "fuzz.ckpt"
+        p.write_bytes(edit(_valid_checkpoint_bytes(tmp)))
+        try:
+            ck = cli.load_checkpoint(p)
+        except cli.CheckpointError as e:
+            assert str(e).startswith(f"{p}: ")
+            return
+        assert ck.domain_index >= 0 and ck.epoch >= 0
+        assert all(np.isfinite(a).all() for a in ck.arrays)
 
     def test_round_trip(self, tmp_path):
         ck = self.make()

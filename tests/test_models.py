@@ -4,6 +4,7 @@ import pytest
 from gradshift import diffcore as dc
 from gradshift import models as md
 from gradshift.diffcore import Tape, backward, forward
+from tape_oracle import BoundRecurrent, critic_forward, summarize_step
 
 
 class TestInitMlp:
@@ -84,7 +85,7 @@ class TestForwards:
     def test_critic_shapes(self):
         c = md.init_mlp(2, [4, 8, 1], ["tanh", "identity"])
         t = Tape()
-        out = md.critic_forward(c, dc.rng_normal(3, (6, 4)), t)
+        out = critic_forward(c, dc.rng_normal(3, (6, 4)), t)
         assert t.shape(out) == (6,)
 
     def test_linear_critic_dot_products(self):
@@ -92,27 +93,27 @@ class TestForwards:
         c = md.MlpParams([w], [np.zeros(1)], ["identity"])
         x = dc.rng_normal(2, (5, 4))
         t = Tape()
-        assert np.allclose(t.val(md.critic_forward(c, x, t)), x @ w.ravel(),
+        assert np.allclose(t.val(critic_forward(c, x, t)), x @ w.ravel(),
                            atol=1e-15)
 
     def test_constant_critic(self):
         c = md.MlpParams([np.zeros((3, 1))], [np.full(1, 2.5)], ["identity"])
         t = Tape()
-        assert np.array_equal(t.val(md.critic_forward(c, np.ones((4, 3)), t)),
+        assert np.array_equal(t.val(critic_forward(c, np.ones((4, 3)), t)),
                               np.full(4, 2.5))
 
     def test_critic_gap_identical_batches(self):
         c = md.init_mlp(4, [3, 5, 1], ["relu", "identity"])
         x = dc.rng_normal(5, (8, 3))
         t = Tape()
-        a = t.val(md.critic_forward(c, x, t))
-        b = t.val(md.critic_forward(c, x, t))
+        a = t.val(critic_forward(c, x, t))
+        b = t.val(critic_forward(c, x, t))
         assert a.mean() - b.mean() == 0.0
 
     def test_wrong_critic_width_rejected(self):
         c = md.init_mlp(0, [3, 4, 2])
         with pytest.raises(ValueError, match="size 1"):
-            md.critic_forward(c, np.zeros((2, 3)), Tape())
+            critic_forward(c, np.zeros((2, 3)), Tape())
 
     def test_forward_gradients_vs_fd(self):
         g = md.init_mlp(12, [3, 6, 4], ["tanh", "identity"])
@@ -135,15 +136,59 @@ class TestForwards:
         fd = fd_scalar(scalar, g.arrays())
         assert rel_err([grads[i] for i in bound.param_ids()], fd) < 1e-5
 
+    @pytest.mark.parametrize("acts", [["identity"], ["relu", "identity"],
+                                      ["tanh", "relu", "tanh"]])
+    def test_backward_matches_tape(self, acts):
+        sizes = [3] + [5] * (len(acts) - 1) + [2]
+        p = md.init_mlp(dc.substream(14, len(acts)), sizes, acts)
+        for i, b in enumerate(p.biases):
+            b[:] = dc.rng_normal(dc.substream(15, i), b.shape, 0.0, 0.5)
+        x = dc.rng_normal(16, (7, 3))
+        d_out = dc.rng_normal(17, (7, 2))
+        d_x, grad = md.mlp_backward(p, md.mlp_layers(p, x), d_out)
+        t = Tape()
+        xid = t.input(x)
+        bound = md.BoundMlp(t, p)
+        loss = forward(t, "sum", forward(t, "mul", (bound(xid), t.input(d_out))))
+        g = backward(t, loss, bound.param_ids() + [xid])
+        want = np.concatenate([g[i].ravel() for i in bound.param_ids()])
+        assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(d_x - g[xid]) <= 1e-12 * np.linalg.norm(g[xid])
+
 
 class TestSummarizer:
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_closed_form_matches_tape(self, layers):
+        r = md.init_recurrent(31, 3, 4, layers, 3)
+        for i, a in enumerate(r.arrays()):
+            a += dc.rng_normal(dc.substream(32, i), a.shape, 0.0, 0.3)
+        state = md.SummaryState([dc.rng_normal(dc.substream(33, i), (4,))
+                                 for i in range(layers)], 2)
+        x = dc.rng_normal(34, (3,))
+        w = dc.rng_normal(35, (3,))
+        new, readout, cache = md.gru_step(r, state, x)
+        grad, d_x = md.gru_backward(r, cache, w)
+        t = Tape()
+        xid = t.input(x)
+        bound = BoundRecurrent(t, r)
+        ref_state, ref_read = summarize_step(r, state, xid, t, bound=bound)
+        assert np.max(np.abs(readout - t.val(ref_read))) < 1e-12
+        for a, b in zip(new.hidden, ref_state.hidden):
+            assert np.max(np.abs(a - b)) < 1e-12
+        assert new.count == 3
+        loss = forward(t, "sum", forward(t, "mul", (ref_read, t.input(w))))
+        g = backward(t, loss, bound.param_ids() + [xid])
+        want = np.concatenate([g[i].ravel() for i in bound.param_ids()])
+        assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(d_x - g[xid]) <= 1e-10 * np.linalg.norm(g[xid])
+
     def test_zero_params_halves_state(self):
         r = md.init_recurrent(0, 4, 3, 1, 4)
         for lay in r.layers:
             lay.w_z[:] = 0; lay.w_r[:] = 0; lay.w_h[:] = 0
         state = md.SummaryState([np.array([1.0, -2.0, 4.0])], 0)
         t = Tape()
-        new_state, _ = md.summarize_step(r, state, t.input(np.zeros(4)), t)
+        new_state, _ = summarize_step(r, state, t.input(np.zeros(4)), t)
         assert np.allclose(new_state.hidden[0], [0.5, -1.0, 2.0])
         assert new_state.count == 1
 
@@ -152,8 +197,8 @@ class TestSummarizer:
         state = md.fresh_state(r)
         x = dc.rng_normal(1, (4,))
         t1, t2 = Tape(), Tape()
-        s1, r1 = md.summarize_step(r, state, t1.input(x), t1)
-        s2, r2 = md.summarize_step(r, state, t2.input(x), t2)
+        s1, r1 = summarize_step(r, state, t1.input(x), t1)
+        s2, r2 = summarize_step(r, state, t2.input(x), t2)
         assert np.array_equal(t1.val(r1), t2.val(r2))
         for a, b in zip(s1.hidden, s2.hidden):
             assert np.array_equal(a, b)
@@ -164,7 +209,7 @@ class TestSummarizer:
         state = md.SummaryState([dc.rng_normal(10, (5,)), dc.rng_normal(11, (5,))], 2)
         x = dc.rng_normal(12, (3,))
         t = Tape()
-        got_state, read = md.summarize_step(r, state, t.input(x), t)
+        got_state, read = summarize_step(r, state, t.input(x), t)
         got_read = t.val(read)
 
         def sigma(v):
@@ -191,7 +236,7 @@ class TestSummarizer:
         r = md.init_recurrent(0, 4, 3, 1, 4)
         t = Tape()
         with pytest.raises(ValueError, match="input size"):
-            md.summarize_step(r, md.fresh_state(r), t.input(np.zeros(5)), t)
+            summarize_step(r, md.fresh_state(r), t.input(np.zeros(5)), t)
 
     def test_on_tape_differentiable(self):
         r = md.init_recurrent(3, 3, 4, 1, 3)
@@ -199,8 +244,8 @@ class TestSummarizer:
         x = dc.rng_normal(8, (3,))
         t = Tape()
         xid = t.input(x)
-        bound = md.BoundRecurrent(t, r)
-        _, readout = md.summarize_step(r, state, xid, t, bound=bound)
+        bound = BoundRecurrent(t, r)
+        _, readout = summarize_step(r, state, xid, t, bound=bound)
         loss = forward(t, "sum", forward(t, "square", readout))
         grads = backward(t, loss, bound.param_ids() + [xid])
         assert any(np.linalg.norm(grads[i]) > 0 for i in bound.param_ids())
@@ -216,8 +261,8 @@ class TestSummarizer:
             lay = md.GruLayer(*arrays[:6])
             r = md.RecurrentParams([lay], arrays[6], arrays[7], 3, 2)
             t = Tape()
-            b = md.BoundRecurrent(t, r)
-            _, readout = md.summarize_step(r, state, t.input(x), t, bound=b)
+            b = BoundRecurrent(t, r)
+            _, readout = summarize_step(r, state, t.input(x), t, bound=b)
             loss = forward(t, "sum", forward(t, "square", readout))
             return t, loss, b
 

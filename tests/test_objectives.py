@@ -10,13 +10,15 @@ from gradshift import models as md
 from gradshift import objectives as ob
 from gradshift import transport as tp
 from gradshift.diffcore import Tape, backward, forward
+import tape_oracle
+from tape_oracle import alignment_gap, gradient_penalty, loss_eval
 
 
 class TestLossEval:
     def test_uniform_logits_ln2(self):
         spec = ob.LossSpec("cross_entropy_bounded", bound=5.0)
         t = Tape()
-        mean, per = ob.loss_eval(spec, np.zeros((4, 2)), np.array([0, 1, 0, 1]), t)
+        mean, per = loss_eval(spec, np.zeros((4, 2)), np.array([0, 1, 0, 1]), t)
         assert abs(t.val(mean) - math.log(2)) < 1e-12
         assert np.allclose(per, math.log(2))
 
@@ -24,7 +26,7 @@ class TestLossEval:
         spec = ob.LossSpec()
         logits = np.array([[30.0, 0.0], [0.0, 30.0]])
         t = Tape()
-        mean, _ = ob.loss_eval(spec, logits, np.array([0, 1]), t)
+        mean, _ = loss_eval(spec, logits, np.array([0, 1]), t)
         assert t.val(mean) < 1e-12
 
     def test_clamp_at_bound(self):
@@ -32,7 +34,7 @@ class TestLossEval:
         # true-class probability ~ e^-10: raw CE ~ 10, clamped to 3
         logits = np.array([[0.0, 10.0]])
         t = Tape()
-        mean, per = ob.loss_eval(spec, logits, np.array([0]), t)
+        mean, per = loss_eval(spec, logits, np.array([0]), t)
         assert per[0] == 3.0
         assert abs(t.val(mean) - 3.0) < 1e-15
 
@@ -42,7 +44,7 @@ class TestLossEval:
             logits = dc.rng_normal(3, (10, 3), 0.0, 2.0)
             labels = (dc.rng_uniform(4, (10,)) * 3).astype(np.int64)
             t = Tape()
-            mean, per = ob.loss_eval(spec, logits, labels, t)
+            mean, per = loss_eval(spec, logits, labels, t)
             ref = ob.loss_values_np(spec, logits, labels)
             assert np.max(np.abs(per - ref)) < 1e-12
             assert abs(t.val(mean) - ref.mean()) < 1e-12
@@ -57,7 +59,7 @@ class TestLossEval:
     def test_nonfinite_logits_rejected(self):
         t = Tape()
         with pytest.raises(ValueError, match="finite"):
-            ob.loss_eval(ob.LossSpec(), np.array([[np.inf, 0.0]]), np.array([0]), t)
+            loss_eval(ob.LossSpec(), np.array([[np.inf, 0.0]]), np.array([0]), t)
 
     def test_differentiable(self):
         spec = ob.LossSpec()
@@ -67,9 +69,25 @@ class TestLossEval:
         t = Tape()
         b = md.BoundMlp(t, h)
         logits = b(t.input(x))
-        mean, _ = ob.loss_eval(spec, logits, y, t)
+        mean, _ = loss_eval(spec, logits, y, t)
         g = backward(t, mean, b.param_ids())
         assert any(np.linalg.norm(g[i]) > 0 for i in b.param_ids())
+
+    @pytest.mark.parametrize("kind", ["cross_entropy_bounded", "hinge"])
+    def test_gradient_matches_tape(self, kind):
+        # wide logits, so that some samples sit at the clamp and pass no
+        # gradient, and some hinge terms are inactive
+        spec = ob.LossSpec(kind, bound=3.0)
+        logits = dc.rng_normal(dc.substream(8, kind), (40, 3), 0.0, 3.0)
+        labels = (dc.rng_uniform(9, (40,)) * 3).astype(np.int64)
+        values, grad = ob._loss_and_grad(spec, logits, labels)
+        t = Tape()
+        z = t.input(logits)
+        mean, per = loss_eval(spec, z, labels, t)
+        assert 0 < np.sum(per == 3.0) < 40
+        assert np.max(np.abs(values - per)) < 1e-12
+        want = backward(t, mean, [z])[z]
+        assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestAlignmentGap:
@@ -77,7 +95,7 @@ class TestAlignmentGap:
         c = md.init_mlp(1, [4, 8, 1], ["tanh", "identity"])
         f = dc.rng_normal(2, (16, 4))
         t = Tape()
-        gap = ob.alignment_gap(c, f, f.copy(), t)
+        gap = alignment_gap(c, f, f.copy(), t)
         assert t.val(gap) == 0.0
 
     def test_linear_critic_mean_difference(self):
@@ -86,7 +104,7 @@ class TestAlignmentGap:
         fa = dc.rng_normal(4, (32, 4), 0.5, 1.0)
         fb = dc.rng_normal(5, (32, 4), -0.5, 1.0)
         t = Tape()
-        gap = t.val(ob.alignment_gap(c, fa, fb, t))
+        gap = t.val(alignment_gap(c, fa, fb, t))
         expect = float(w.ravel() @ (fa.mean(axis=0) - fb.mean(axis=0)))
         assert abs(gap - expect) < 1e-12
 
@@ -94,7 +112,7 @@ class TestAlignmentGap:
         c = md.init_mlp(1, [4, 1])
         t = Tape()
         with pytest.raises(ValueError, match="empty"):
-            ob.alignment_gap(c, np.zeros((0, 4)), np.zeros((3, 4)), t)
+            alignment_gap(c, np.zeros((0, 4)), np.zeros((3, 4)), t)
 
 
 class TestGradientPenalty:
@@ -103,7 +121,7 @@ class TestGradientPenalty:
         w[0, 0] = 1.0
         c = md.MlpParams([w], [np.zeros(1)], ["identity"])
         t = Tape()
-        pen = ob.gradient_penalty(c, dc.rng_normal(1, (8, 3)),
+        pen = gradient_penalty(c, dc.rng_normal(1, (8, 3)),
                                   dc.rng_normal(2, (8, 3)), t, seed=3)
         assert t.val(pen) < 1e-24
 
@@ -112,7 +130,7 @@ class TestGradientPenalty:
         w[1, 0] = 3.0
         c = md.MlpParams([w], [np.zeros(1)], ["identity"])
         t = Tape()
-        pen = ob.gradient_penalty(c, dc.rng_normal(4, (8, 3)),
+        pen = gradient_penalty(c, dc.rng_normal(4, (8, 3)),
                                   dc.rng_normal(5, (8, 3)), t, seed=6)
         assert abs(t.val(pen) - 4.0) < 1e-12
 
@@ -126,7 +144,7 @@ class TestGradientPenalty:
                              ["tanh", "identity"])
             t = Tape()
             b = md.BoundMlp(t, c)
-            pen = ob.gradient_penalty(c, fa, fb, t, seed=9, bound=b)
+            pen = gradient_penalty(c, fa, fb, t, seed=9, bound=b)
             return t, pen, b
 
         base = md.init_mlp(10, [3, 5, 1], ["tanh", "identity"])
@@ -139,7 +157,7 @@ class TestGradientPenalty:
     def test_unequal_batches_resampled(self):
         c = md.init_mlp(11, [2, 4, 1], ["tanh", "identity"])
         t = Tape()
-        pen = ob.gradient_penalty(c, dc.rng_normal(1, (5, 2)),
+        pen = gradient_penalty(c, dc.rng_normal(1, (5, 2)),
                                   dc.rng_normal(2, (9, 2)), t, seed=12)
         assert np.isfinite(t.val(pen))
 
@@ -150,7 +168,7 @@ class TestGradientPenalty:
             w = dc.rng_normal(dc.substream(31, trial), (4, 1), 0.0, 2.0)
             c = md.MlpParams([w], [np.zeros(1)], ["identity"])
             t = Tape()
-            pen = ob.gradient_penalty(c, dc.rng_normal(1, (6, 4)),
+            pen = gradient_penalty(c, dc.rng_normal(1, (6, 4)),
                                       dc.rng_normal(2, (6, 4)), t, seed=trial)
             want = (np.sqrt(np.sum(np.square(w.ravel()))) - 1.0) ** 2
             assert abs(float(t.val(pen)) - want) <= 2 * np.finfo(float).eps * want
@@ -168,8 +186,8 @@ def taped_ascent_step(critic, opt, fa, fb, gp_factor, gp_seed):
     backward, the reference for critic_ascent_step's closed form."""
     t = Tape()
     b = md.BoundMlp(t, critic)
-    gap = ob.alignment_gap(critic, fa, fb, t, bound=b)
-    pen = ob.gradient_penalty(critic, fa, fb, t, gp_seed, bound=b)
+    gap = alignment_gap(critic, fa, fb, t, bound=b)
+    pen = gradient_penalty(critic, fa, fb, t, gp_seed, bound=b)
     loss = forward(t, "sub", (forward(
         t, "mul", (pen, t.input(np.asarray(gp_factor)))), gap))
     ids = b.param_ids()
@@ -251,6 +269,107 @@ class TestCriticAscentStep:
             ob.critic_ascent_step(critic, _Recorded(), fa, fb, 5.0, 1, "step 3")
         for a, b in zip(critic.arrays(), before):
             assert np.array_equal(a, b)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_flat_update_matches_per_array(self, optimizer):
+        # _Opt updates a network's flat vector in whole-vector ops; the same
+        # update written out array by array gives the same bits
+        net = md.init_mlp(80, [3, 5, 4, 1], ["tanh", "relu", "identity"])
+        ref = [a.copy() for a in net.arrays()]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = ob._Opt([net.flat], optimizer, lr)
+        for step in range(1, 8):
+            grad = dc.rng_normal(dc.substream(80, step), net.flat.shape)
+            opt.step([grad])
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            ofs = 0
+            for p, mi, vi in zip(ref, m, v):
+                g = grad[ofs:ofs + p.size].reshape(p.shape)
+                ofs += p.size
+                if optimizer == "sgd":
+                    p -= lr * g
+                    continue
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * g * g
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+        assert [float(x).hex() for x in net.flat] == \
+            [float(x).hex() for a in ref for x in a.ravel()]
+
+
+def _model_step_cases():
+    for schedule in ob.SCHEDULES:
+        for layers in ([1, 2] if schedule == "gradual_temporal" else [1]):
+            for loss in ("cross_entropy_bounded", "hinge"):
+                for labeled in (True, False):
+                    for optimizer in ("adam", "sgd"):
+                        yield pytest.param(
+                            schedule, layers, loss, labeled, optimizer,
+                            id=f"{schedule}-{layers}-{loss}-"
+                               f"{'labeled' if labeled else 'unlabeled'}-"
+                               f"{optimizer}")
+
+
+class TestModelStep:
+    @pytest.mark.parametrize("schedule,layers,loss,labeled,optimizer",
+                             list(_model_step_cases()))
+    def test_matches_tape(self, monkeypatch, schedule, layers, loss, labeled,
+                          optimizer):
+        # every batch of a short schedule: the closed-form model gradient
+        # against the taped one under the same, just updated, critic
+        seq = dom.make_rotating_moons(3, 48, total_degrees=60.0,
+                                      noise_sigma=0.1, seed=12)
+        cfg = ob.TrainConfig(seed=12, epochs_per_domain=2, batch_size=16,
+                             k_critic=2, lam=2.0, lr_critic=0.05,
+                             optimizer=optimizer)
+        spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
+                            summarizer_hidden=6, summarizer_layers=layers)
+        step = ob._primal_dual_step
+        errors = []
+
+        def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
+                    loss_spec, **kw):
+            got = _Recorded()
+            ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
+                                loss_spec, **kw)
+            del kw["gp_seed"], kw["where"]
+            ce_ref, want = tape_oracle.taped_model_step(
+                model, xs, ys, xt, yt, cfg, loss_spec, **kw)
+            assert [g.shape for g in got.grads] == [g.shape for g in want]
+            assert abs(ce - ce_ref) <= 1e-12 * ce_ref
+            got_v, want_v = np.concatenate(got.grads), np.concatenate(want)
+            errors.append(np.linalg.norm(got_v - want_v)
+                          / np.linalg.norm(want_v))
+            opt_model.step(got.grads)
+            return ce, gap, pen
+
+        monkeypatch.setattr(ob, "_primal_dual_step", checked)
+        ob.train_schedule(schedule, seq, cfg, spec, labeled_target=labeled,
+                          loss_spec=ob.LossSpec(loss))
+        assert len(errors) >= 6 and max(errors) <= 1e-10
+
+    def test_training_records_no_tape(self, monkeypatch):
+        made = []
+        init = dc.Tape.__init__
+
+        def counting(self):
+            made.append(self)
+            init(self)
+
+        monkeypatch.setattr(dc.Tape, "__init__", counting)
+        seq, cfg = small_task(13)
+        spec = ob.ModelSpec(feature_dim=4, hidden=8, summarizer_hidden=8,
+                            summarizer_layers=2)
+        for kind in ob.SCHEDULES:
+            ob.train_schedule(kind, seq, cfg, spec)
+        assert made == []
+        dc.Tape()
+        assert len(made) == 1
 
 
 def small_task(seed, T=3, n=120, degrees=40.0):

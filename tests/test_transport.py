@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradshift import diffcore as dc
 from gradshift import domains as dom
@@ -296,6 +298,54 @@ class TestSinkhorn:
 
 
 FAR_APART = 20.0
+
+
+def _clouds(seed, n, count, d=2):
+    # clouds with different centres and spreads
+    return [dc.rng_normal(dc.substream(seed, i), (n, d), 0.7 * i, 1.0 + 0.3 * i)
+            for i in range(count)]
+
+
+class TestMetricProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12))
+    def test_w1_exact_symmetric_and_triangle(self, seed, n):
+        a, b, c = _clouds(seed, n, 3)
+        ab, ba = tp.w1_exact(a, b).distance, tp.w1_exact(b, a).distance
+        assert abs(ab - ba) <= 1e-12 * max(ab, 1.0)
+        ac, bc = tp.w1_exact(a, c).distance, tp.w1_exact(b, c).distance
+        assert ac <= ab + bc + 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10))
+    def test_sinkhorn_symmetric_and_triangle(self, seed, n):
+        # the entropic cost S lies in [W1, W1 + eps log n] (the entropy of a
+        # coupling of two uniform n-point measures is in [log n, 2 log n]),
+        # so the triangle inequality holds up to eps log n
+        a, b, c = _clouds(seed, n, 3)
+        eps = 0.5
+
+        def s(x, y):
+            res = tp.sinkhorn(x, y, eps, max_iters=20000, tol=1e-10)
+            assert res.converged
+            return res.distance
+
+        ab, ba = s(a, b), s(b, a)
+        assert abs(ab - ba) <= 1e-7 * max(ab, 1.0)
+        assert s(a, c) <= ab + s(b, c) + eps * math.log(n) + 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 30),
+           m=st.integers(1, 30), shift=st.floats(-5.0, 5.0),
+           p=st.sampled_from([1, 2, 3]))
+    def test_sorted_1d_translation(self, seed, n, m, shift, p):
+        a, = _clouds(seed, n, 1, d=1)
+        b = dc.rng_normal(dc.substream(seed, "b"), (m,), 0.4, 1.3)
+        base = tp.wp_sorted_1d(a, b, p).distance
+        moved = tp.wp_sorted_1d(a + shift, b + shift, p).distance
+        assert abs(moved - base) <= 1e-12 * max(base, 1.0)
+        assert abs(tp.wp_sorted_1d(a + shift, a, p).distance - abs(shift)) \
+            <= 1e-12
 
 
 class TestSinkhornEquivalence:
