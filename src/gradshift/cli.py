@@ -543,6 +543,8 @@ def _load_points(path) -> np.ndarray:
                 rows.append([float(v) for v in line.split(",")])
             except ValueError:
                 raise ConfigError(f"{path}:{ln}: cannot parse point row") from None
+            if not np.isfinite(rows[-1]).all():
+                raise ConfigError(f"{path}:{ln}: non-finite coordinate")
     if not rows:
         raise ConfigError(f"{path}: no points")
     widths = {len(r) for r in rows}

@@ -12,6 +12,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable, Sequence
 
@@ -297,6 +298,11 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_word(tag: str) -> int:
+    return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
+
+
 def substream(seed: int, *tags) -> int:
     """Derive an independent 64-bit stream id from a seed and hashable tags.
 
@@ -306,23 +312,35 @@ def substream(seed: int, *tags) -> int:
     s = seed & _MASK
     for t in tags:
         if isinstance(t, str):
-            t = int.from_bytes(hashlib.sha256(t.encode()).digest()[:8], "little")
+            t = _tag_word(t)
         elif not isinstance(t, (int, np.integer)):
             raise TypeError(f"substream tags must be int or str, got {type(t)}")
         s = mix64((s + _GAMMA) ^ (int(t) & _MASK))
     return s
 
 
-def _words(seed: int, n: int) -> np.ndarray:
+def _words(seed, n: int) -> np.ndarray:
+    """The first n words of stream `seed`; for a list of seeds, one row of n
+    words per seed."""
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
+    if isinstance(seed, (int, np.integer)):
+        s = np.uint64(int(seed) & _MASK)
+    else:
+        s = np.array([int(x) & _MASK for x in seed], dtype=np.uint64)[:, None]
+    z = s + idx * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
-def _uniform01(seed: int, n: int) -> np.ndarray:
+def _uniform01(seed, n: int) -> np.ndarray:
     return (_words(seed, n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) uniforms in [0, 1): row i equals
+    rng_uniform(seeds[i], (n,)) bit for bit, from one vectorized pass."""
+    return _uniform01(list(seeds), n)
 
 
 def rng_fill(seed: int, shape, distribution) -> np.ndarray:

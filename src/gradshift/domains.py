@@ -220,6 +220,8 @@ def load_sequence(path) -> DomainSequence:
             feats = [float(v) for v in parts[2:]]
         except ValueError as e:
             raise SequenceFormatError(f"{path}:{ln}: {e}") from None
+        if not all(map(math.isfinite, feats)):
+            raise SequenceFormatError(f"{path}:{ln}: non-finite feature value")
         if t < 0 or y < 0:
             raise SequenceFormatError(f"{path}:{ln}: t and y must be non-negative")
         if t < last_t:

@@ -29,7 +29,8 @@ def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
 @dataclass
 class MlpParams:
     """An MLP's layers. Construction copies the arrays into `flat`, one
-    float64 vector in arrays() order; weights and biases are views into it."""
+    float64 vector in arrays() order; weights and biases are views into it,
+    and each layer's W followed by its b is the row-major block [W; b]."""
     weights: list[np.ndarray]          # (fan_in, fan_out) per layer
     biases: list[np.ndarray]           # (fan_out,) per layer
     activations: list[str]
@@ -50,6 +51,7 @@ class MlpParams:
                 raise ValueError(f"layer {i}: non-finite parameters")
         self.flat, views = _pack(self.arrays())
         self.weights, self.biases = views[0::2], views[1::2]
+        self._blocks = self.blocks(self.flat)
 
     @property
     def in_dim(self) -> int:
@@ -66,6 +68,18 @@ class MlpParams:
         out = []
         for w, b in zip(self.weights, self.biases):
             out += [w, b]
+        return out
+
+    def blocks(self, vec: np.ndarray | None = None) -> list[np.ndarray]:
+        """Each layer's bias-folded block [W; b], (fan_in + 1, fan_out), as a
+        view of `vec`, a vector in the layout of flat (default: flat)."""
+        if vec is None:
+            return self._blocks
+        out, ofs = [], 0
+        for w in self.weights:
+            size = (w.shape[0] + 1) * w.shape[1]
+            out.append(vec[ofs:ofs + size].reshape(w.shape[0] + 1, w.shape[1]))
+            ofs += size
         return out
 
 
@@ -121,42 +135,61 @@ class BoundMlp:
         return h
 
 
-def mlp_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Forward pass in plain numpy, returning the input and every layer's
-    output; matches BoundMlp's recorded one."""
-    h = np.asarray(x, dtype=np.float64)
-    out = [h]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = h @ w + b
-        if act == "relu":
-            h = np.maximum(h, 0.0)
-        elif act == "tanh":
-            h = np.tanh(h)
-        out.append(h)
+def feature_block(x: np.ndarray) -> np.ndarray:
+    """Rows x, (rows, width), as a feature-major block (width + 1, rows): one
+    column per row and a row of ones last, the input of mlp_layers."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.shape[1] + 1, x.shape[0]))
+    out[:-1] = x.T
+    out[-1] = 1.0
     return out
+
+
+def mlp_layers(params: MlpParams, a: np.ndarray,
+               outs: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Forward pass in plain numpy over a feature-major block `a` (see
+    feature_block): one gemm per layer with its [W; b] block. Returns `a`
+    and every layer's output in the same form, ones row last; matches
+    BoundMlp's recorded pass. Given `outs`, an earlier result for the same
+    block `a` since refilled in place, it recomputes into those arrays."""
+    if outs is None:
+        outs = [a] + [np.ones((blk.shape[1] + 1, a.shape[1]))
+                      for blk in params.blocks()]
+    for blk, act, inp, h in zip(params.blocks(), params.activations, outs,
+                                outs[1:]):
+        z = h[:-1]
+        np.dot(blk.T, inp, out=z)
+        if act == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif act == "tanh":
+            np.tanh(z, out=z)
+    return outs
 
 
 def mlp_backward(params: MlpParams, outs: list[np.ndarray],
                  d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop d_out, a gradient w.r.t. the last of mlp_layers' outputs
-    `outs`, through the layers. Returns the gradient w.r.t. the input and
-    the flat parameter gradient (the layout of params.flat)."""
-    grads = []
+    """Backprop d_out, (out_dim, rows), a gradient w.r.t. the values of the
+    last of mlp_layers' outputs `outs`, through the layers. Returns the
+    gradient w.r.t. the input values, (in_dim, rows), and the flat parameter
+    gradient (the layout of params.flat), one gemm per layer block."""
+    grad = np.empty_like(params.flat)
+    blocks, d_blocks = params.blocks(), params.blocks(grad)
     g = d_out
-    for l in reversed(range(len(params.weights))):
-        act, h = params.activations[l], outs[l + 1]
+    for l in reversed(range(len(blocks))):
+        act, h = params.activations[l], outs[l + 1][:-1]
         if act == "relu":
             g = g * (h > 0.0)
         elif act == "tanh":
             g = g * (1.0 - np.square(h))
-        grads += [g.sum(axis=0), outs[l].T @ g]
-        g = g @ params.weights[l].T
-    return g, np.concatenate([a.ravel() for a in reversed(grads)])
+        np.dot(outs[l], g.T, out=d_blocks[l])
+        g = blocks[l][:-1] @ g
+    return g, grad
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Inference forward pass in plain numpy; matches BoundMlp's recorded one."""
-    return mlp_layers(params, x)[-1]
+    """Inference forward pass of rows x in plain numpy, (rows, out_dim);
+    matches BoundMlp's recorded one."""
+    return mlp_layers(params, feature_block(x))[-1][:-1].T
 
 
 def predict(g: MlpParams, h: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -172,20 +173,17 @@ def _loss_and_grad(spec: LossSpec, logits, labels):
 # ---------------------------------------------------------------------------
 # gradient-penalty interpolates
 
-def _interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
-    """Per-row random points between two feature batches; a smaller batch is
-    first resampled with replacement up to the larger one's size."""
-    if fa.shape[0] != fb.shape[0]:
-        n = max(fa.shape[0], fb.shape[0])
-        def up(x, tag):
-            if x.shape[0] == n:
-                return x
-            idx = (dc.rng_uniform(dc.substream(seed, "gp_resample", tag),
-                                  (n,)) * x.shape[0]).astype(int)
-            return x[np.minimum(idx, x.shape[0] - 1)]
-        fa, fb = up(fa, 0), up(fb, 1)
-    u = dc.rng_uniform(dc.substream(seed, "gp_u"), (fa.shape[0], 1))
-    return u * fa + (1.0 - u) * fb
+def _resampled(fa: np.ndarray, fb: np.ndarray, seed: int):
+    """Two feature batches of unequal size, the smaller one resampled with
+    replacement up to the larger one's size."""
+    n = max(fa.shape[0], fb.shape[0])
+    def up(x, tag):
+        if x.shape[0] == n:
+            return x
+        idx = (dc.rng_uniform(dc.substream(seed, "gp_resample", tag),
+                              (n,)) * x.shape[0]).astype(int)
+        return x[np.minimum(idx, x.shape[0] - 1)]
+    return up(fa, 0), up(fb, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +192,13 @@ def _interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
 class _Opt:
     """Adam-style adaptive or plain sgd over a fixed list of arrays. Training
     passes each network's flat parameter vector, so a step is a few
-    whole-vector operations per network."""
+    whole-vector operations per network, in place on two work buffers."""
 
     def __init__(self, params: list[np.ndarray], kind: str, lr: float):
         self.params = params
         self.kind = kind
         self.lr = lr
+        self.work = [(np.empty_like(p), np.empty_like(p)) for p in params]
         if kind == "adam":
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
@@ -207,19 +206,28 @@ class _Opt:
 
     def step(self, grads: list[np.ndarray]):
         if self.kind == "sgd":
-            for p, g in zip(self.params, grads):
-                p -= self.lr * g
+            for p, g, (s, _) in zip(self.params, grads, self.work):
+                p -= np.multiply(g, self.lr, out=s)
             return
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v, (s, t) in zip(self.params, grads, self.m, self.v,
+                                      self.work):
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            np.multiply(g, 1 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            p -= np.divide(s, t, out=s)
 
 
 def train_critic(critic: md.MlpParams, features_a: np.ndarray,
@@ -228,7 +236,7 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
                  optimizer: str = "adam") -> float:
     """Critic-only dual training on two fixed feature batches (in place).
 
-    Each step is a critic_ascent_step, the inner update of every training
+    The steps run as one critic_ascent, the inner update of every training
     stage. Returns the final gap.
 
     The default lr is deliberately slow (the large-scale configs in this
@@ -239,87 +247,98 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     TrainConfig.lr_critic instead.
     """
     opt = _Opt([critic.flat], optimizer, lr)
-    gap_val = 0.0
-    for step in range(steps):
-        gap_val, _ = critic_ascent_step(critic, opt, features_a, features_b,
-                                        gp_factor, dc.substream(seed, "gp", step),
-                                        f"critic step {step}")
-    return gap_val
+    seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
+    return critic_ascent(critic, opt, features_a, features_b, gp_factor,
+                         seeds, "critic training")[0]
 
 
-def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
-                       gp_factor: float, gp_seed: int, where: str):
-    """One dual update in place: ascend mean c(a) - mean c(b) minus gp_factor
-    times the gradient penalty. Returns (gap, penalty) before the update.
+def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
+                  gp_factor: float, gp_seeds, where: str):
+    """One dual update in place per seed in the list gp_seeds: each ascends
+    mean c(a) - mean c(b) minus gp_factor times the gradient penalty at
+    interpolates drawn from that seed. Returns the last step's (gap,
+    penalty), before its update.
 
-    The gradient is computed in closed form from one numpy forward pass over
-    the rows [a; b; interpolates]. The input gradient at the interpolates is
-    the backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
-    delta_l = gamma_l W_l^T, with s_l each layer's slope. The penalty's
+    Each step's gradient is computed in closed form from one numpy forward
+    pass over the columns [a, b, interpolates] of a feature-major block
+    (mlp_layers' form). The input gradient at the interpolates is the
+    backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
+    delta_l = W_l gamma_l, with s_l each layer's slope. The penalty's
     adjoint then runs forward through that chain (double backprop), where a
     tanh layer also sends a second-derivative term to its pre-activation.
-    One primal backprop over all rows, seeded with the gap's -1/n_a and
+    One primal backprop over all columns, seeded with the gap's -1/n_a and
     +1/n_b, carries those terms to the parameters. The tests hold it to the
     taped gap and penalty.
     """
-    for f in (features_a, features_b):
-        if np.shape(f)[0] == 0:
-            raise ValueError("alignment_gap: empty feature batch")
     if critic.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
     fa, fb = dc.array(features_a), dc.array(features_b)
+    m = critic.in_dim
     for f in (fa, fb):
-        if f.ndim != 2 or f.shape[1] != critic.in_dim:
-            raise dc.ShapeError(f"critic input width {critic.in_dim} does not "
+        if f.ndim != 2 or f.shape[1] != m:
+            raise dc.ShapeError(f"critic input width {m} does not "
                                 f"match features of shape {f.shape}")
-    xh = _interpolates(fa, fb, gp_seed)
-    na, nb, k = len(fa), len(fb), len(fa) + len(fb)
-    ws, acts = critic.weights, critic.activations
-    n_layers = len(ws)
-    outs = md.mlp_layers(critic, np.concatenate([fa, fb, xh]))
-    # each layer's slope from its output h (None: identity)
-    slopes = [None if a == "identity" else (h > 0.0) if a == "relu"
-              else 1.0 - np.square(h) for a, h in zip(acts, outs[1:])]
-    deltas = [None] * n_layers + [np.ones((len(xh), 1))]
-    gammas = [None] * n_layers
-    for l in reversed(range(n_layers)):
-        s = slopes[l]
-        gammas[l] = deltas[l + 1] if s is None else deltas[l + 1] * s[k:]
-        deltas[l] = gammas[l] @ ws[l].T
-    norms = np.sqrt(np.square(deltas[0]).sum(axis=1) + 1e-24)
-    pen = float(np.mean(np.square(norms - 1.0)))
-    c = outs[-1][:, 0]
-    gap = float(c[:na].mean() - c[na:k].mean())
-    _check_finite(pen * gp_factor - gap, "critic loss", where)
-    # the penalty's adjoint, forward through the input-gradient chain
-    d_delta = (gp_factor * 2.0 / len(xh)) * ((norms - 1.0) / norms)[:, None] \
-        * deltas[0]
-    grad_w = [None] * n_layers
-    second = [None] * n_layers
-    for l in range(n_layers):
-        grad_w[l] = d_delta.T @ gammas[l]
-        d_gamma = d_delta @ ws[l]
-        s = slopes[l]
-        if acts[l] == "tanh":
-            h = outs[l + 1][k:]
-            second[l] = d_gamma * deltas[l + 1] * (-2.0 * h * s[k:])
-        d_delta = d_gamma if s is None else d_gamma * s[k:]
-    # primal backprop over all rows
-    g = np.zeros((len(outs[0]), 1))
-    g[:na] = -1.0 / na
-    g[na:k] = 1.0 / nb
-    grad_b = [None] * n_layers
-    for l in reversed(range(n_layers)):
-        if slopes[l] is not None:
-            g = g * slopes[l]
-        if second[l] is not None:
-            g[k:] += second[l]
-        grad_w[l] += outs[l].T @ g
-        grad_b[l] = g.sum(axis=0)
-        if l:
-            g = g @ ws[l].T
-    opt.step([np.concatenate([a.ravel() for pair in zip(grad_w, grad_b)
-                              for a in pair])])
+        if len(f) == 0:
+            raise ValueError("critic_ascent: empty feature batch")
+    na, nb = len(fa), len(fb)
+    k, n = na + nb, max(na, nb)
+    # columns [a, b] are written once; each step's interpolates fill the last n
+    x = md.feature_block(np.concatenate([fa, fb, np.empty((n, m))]))
+    xa, xb, xh = x[:m, :na], x[:m, na:k], x[:m, k:]
+    acts, n_layers = critic.activations, len(critic.activations)
+    ws = [blk[:-1] for blk in critic.blocks()]
+    grad = np.empty_like(critic.flat)
+    d_blocks = critic.blocks(grad)
+    seed_g = np.zeros((1, k + n))
+    seed_g[0, :na], seed_g[0, na:k] = -1.0 / na, 1.0 / nb
+    deltas = [None] * n_layers + [np.ones((1, n))]
+    gammas, second, pen_w = ([None] * n_layers for _ in range(3))
+    outs, gap, pen = None, 0.0, 0.0
+    for step, seed in enumerate(gp_seeds):
+        if step % 64 == 0:          # the next 64 steps' draws in one pass
+            u = dc.uniform_rows([dc.substream(s, "gp_u")
+                                 for s in gp_seeds[step:step + 64]], n)
+        pa, pb = (xa, xb) if na == nb else (r.T for r in _resampled(fa, fb, seed))
+        np.multiply(pa, u[step % 64], out=xh)
+        xh += (1.0 - u[step % 64]) * pb
+        outs = md.mlp_layers(critic, x, outs)
+        hs = [h[:-1] for h in outs[1:]]
+        # each layer's slope from its output h (None: identity)
+        slopes = [None if a == "identity" else (h > 0.0) if a == "relu"
+                  else 1.0 - np.square(h) for a, h in zip(acts, hs)]
+        for l in reversed(range(n_layers)):
+            s = slopes[l]
+            gammas[l] = deltas[l + 1] if s is None else deltas[l + 1] * s[:, k:]
+            deltas[l] = ws[l] @ gammas[l]
+        norms = np.sqrt(np.square(deltas[0]).sum(axis=0) + 1e-24)
+        pen = float(np.square(norms - 1.0).sum()) / n
+        gap = float(hs[-1][0, :na].sum() / na - hs[-1][0, na:k].sum() / nb)
+        if not math.isfinite(pen * gp_factor - gap):
+            raise TrainingDiverged(
+                f"non-finite critic loss at {where}, critic step {step}")
+        # the penalty's adjoint, forward through the input-gradient chain
+        d_delta = (gp_factor * 2.0 / n) * ((norms - 1.0) / norms) * deltas[0]
+        for l in range(n_layers):
+            pen_w[l] = d_delta @ gammas[l].T
+            if l + 1 == n_layers and acts[l] != "tanh":
+                break                     # nothing below uses d_gamma
+            d_gamma = ws[l].T @ d_delta
+            s = slopes[l]
+            if acts[l] == "tanh":
+                second[l] = d_gamma * deltas[l + 1] * (-2.0 * hs[l][:, k:] * s[:, k:])
+            d_delta = d_gamma if s is None else d_gamma * s[:, k:]
+        # primal backprop over all columns
+        g = seed_g
+        for l in reversed(range(n_layers)):
+            if slopes[l] is not None:
+                g = g * slopes[l]
+            if second[l] is not None:
+                g[:, k:] += second[l]
+            np.dot(outs[l], g.T, out=d_blocks[l])
+            d_blocks[l][:-1] += pen_w[l]
+            if l:
+                g = ws[l] @ g
+        opt.step([grad])
     return gap, pen
 
 
@@ -327,7 +346,7 @@ def critic_ascent_step(critic: md.MlpParams, opt: _Opt, features_a, features_b,
 # adaptation stages
 
 def _check_finite(value, what: str, where: str):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise TrainingDiverged(f"non-finite {what} at {where}")
 
 
@@ -350,50 +369,54 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
     x_lab, y_lab = xs, ys
     if labeled_target:
         x_lab, y_lab = np.concatenate([xs, xt]), np.concatenate([ys, yt])
-    g_outs = md.mlp_layers(model.g, x_lab)
+    # feature-major blocks throughout (see models.mlp_layers): a row of a
+    # batch is a column here
+    g_outs = md.mlp_layers(model.g, md.feature_block(x_lab))
     h_outs = md.mlp_layers(model.h, g_outs[-1])
-    _check_finite(h_outs[-1], "logits", where)
-    losses, d_logits = _loss_and_grad(loss_spec, h_outs[-1], y_lab)
+    logits = h_outs[-1][:-1].T
+    _check_finite(logits, "logits", where)
+    losses, d_logits = _loss_and_grad(loss_spec, logits, y_lab)
     loss = ce = float(losses.mean())
-    d_feats, grad_h = md.mlp_backward(model.h, h_outs, d_logits)
+    d_feats, grad_h = md.mlp_backward(model.h, h_outs, d_logits.T)
     grads = [None, grad_h]
     gap = pen = 0.0
     if align:
         ns = len(xs)
-        f_s = g_outs[-1][:ns]
+        f_s = g_outs[-1][:-1, :ns]
         if labeled_target:
-            f_t = g_outs[-1][ns:]
+            f_t = g_outs[-1][:-1, ns:]
         else:
-            t_outs = md.mlp_layers(model.g, xt)
-            f_t = t_outs[-1]
+            t_outs = md.mlp_layers(model.g, md.feature_block(xt))
+            f_t = t_outs[-1][:-1]
         _check_finite(f_s, "source features", where)
         _check_finite(f_t, "target features", where)
         hist = f_s
         if temporal:
             _, readout, cache = md.gru_step(model.summarizer, model.summary_state,
-                                            f_s.mean(axis=0))
-            hist = f_s * 0.5 + readout * 0.5
-        for kk in range(cfg.k_critic):
-            gap, pen = critic_ascent_step(model.critic, opt_critic, f_t, hist,
-                                          cfg.gp_factor, dc.substream(gp_seed, kk),
-                                          where)
+                                            f_s.mean(axis=1))
+            hist = f_s * 0.5 + readout[:, None] * 0.5
+        gap, pen = critic_ascent(model.critic, opt_critic, f_t.T, hist.T,
+                                 cfg.gp_factor, [dc.substream(gp_seed, kk)
+                                                 for kk in range(cfg.k_critic)],
+                                 where)
         # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)
-        nt = len(f_t)
-        c_outs = md.mlp_layers(model.critic, np.concatenate([f_t, hist]))
-        c = c_outs[-1][:, 0]
+        nt = f_t.shape[1]
+        c_outs = md.mlp_layers(model.critic, md.feature_block(
+            np.concatenate([f_t, hist], axis=1).T))
+        c = c_outs[-1][0]
         loss = ce + cfg.lam * (c[:nt].mean() - c[nt:].mean())
-        d_c = np.full((len(c), 1), -cfg.lam / len(hist))
-        d_c[:nt] = cfg.lam / nt
-        d_rows = md.mlp_backward(model.critic, c_outs, d_c)[0]
-        d_t, d_hist = d_rows[:nt], d_rows[nt:]
+        d_c = np.full((1, len(c)), -cfg.lam / hist.shape[1])
+        d_c[0, :nt] = cfg.lam / nt
+        d_cols = md.mlp_backward(model.critic, c_outs, d_c)[0]
+        d_t, d_hist = d_cols[:, :nt], d_cols[:, nt:]
         if temporal:
             grad_r, d_mean = md.gru_backward(model.summarizer, cache,
-                                             0.5 * d_hist.sum(axis=0))
-            d_hist = d_hist * 0.5 + d_mean / ns
+                                             0.5 * d_hist.sum(axis=1))
+            d_hist = d_hist * 0.5 + d_mean[:, None] / ns
             grads.append(grad_r)
-        d_feats[:ns] += d_hist
+        d_feats[:, :ns] += d_hist
         if labeled_target:
-            d_feats[ns:] += d_t
+            d_feats[:, ns:] += d_t
     _check_finite(loss, "model loss", where)
     grads[0] = md.mlp_backward(model.g, g_outs, d_feats)[1]
     if align and not labeled_target:

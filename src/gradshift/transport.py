@@ -29,6 +29,8 @@ def _points(x) -> np.ndarray:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError(f"point set must be (n, d), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("point set must be finite (NaN/Inf rejected)")
     return a
 
 
@@ -126,6 +128,8 @@ def wp_sorted_1d(A, B, p: float) -> TransportResult:
     n, m = a.shape[0], b.shape[0]
     if n == 0 or m == 0:
         raise ValueError(f"point sets must be non-empty, got sizes {n} and {m}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("point set must be finite (NaN/Inf rejected)")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     breaks = np.union1d(np.arange(n + 1, dtype=np.int64) * m,

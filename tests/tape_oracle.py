@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gradshift import diffcore as dc
 from gradshift import models as md
 from gradshift import objectives as ob
 from gradshift.diffcore import Tape, TapeError, backward, forward
@@ -220,6 +221,16 @@ def alignment_gap(critic: md.MlpParams, features_a, features_b, tape: Tape,
                                  forward(tape, "mean", cb)))
 
 
+def interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
+    """Per-row random points between two feature batches, one scalar draw
+    per seed (a smaller batch is first resampled up to the larger one's
+    size): the penalty's points as critic_ascent draws them in one pass."""
+    if fa.shape[0] != fb.shape[0]:
+        fa, fb = ob._resampled(fa, fb, seed)
+    u = dc.rng_uniform(dc.substream(seed, "gp_u"), (fa.shape[0], 1))
+    return u * fa + (1.0 - u) * fb
+
+
 def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
                      seed: int, *, bound: md.BoundMlp | None = None) -> int:
     """Mean (||grad_x critic(x_hat)|| - 1)^2 over per-row random interpolates.
@@ -227,8 +238,8 @@ def gradient_penalty(critic: md.MlpParams, features_a, features_b, tape: Tape,
     The features are fixed arrays and the interpolates leaves; gradients flow
     to the critic parameters through the recorded input-gradient computation.
     """
-    xh = ob._interpolates(np.asarray(features_a, dtype=np.float64),
-                          np.asarray(features_b, dtype=np.float64), seed)
+    xh = interpolates(np.asarray(features_a, dtype=np.float64),
+                      np.asarray(features_b, dtype=np.float64), seed)
     n = xh.shape[0]
     x_node = tape.input(xh)
     b = bound if bound is not None else md.BoundMlp(tape, critic)

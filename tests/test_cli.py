@@ -500,6 +500,19 @@ class TestSubcommands:
             out = json.loads(capsys.readouterr().out)
             assert out["error"] == "dimension mismatch: 2 vs 3"
 
+    @pytest.mark.parametrize("method", ["exact", "sinkhorn", "sorted_1d"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_w1_non_finite_point_exit_2(self, tmp_path, capsys, method, value):
+        # a NaN cost once made the exact solver loop forever, and Sinkhorn
+        # printed "distance": NaN, which is not JSON
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0.0\n1.0\n2.0\n")
+        b.write_text(f"0.5\n\n{value}\n1.5\n")
+        assert cli.main(["w1", str(a), str(b), "--method", method]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == f"{b}:3: non-finite coordinate"
+
     def test_w1_parse_failure_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,number\n")

@@ -367,6 +367,33 @@ class TestRng:
     def test_substream_order_sensitive(self):
         assert dc.substream(7, "a", 1) != dc.substream(7, 1, "a")
 
+    @pytest.mark.parametrize("seed,want", [
+        (0, [18394905722114103887, 17824971123127853533, 3981890831246442756,
+             11459064407607986843, 0]),
+        (2 ** 64 - 1, [15762913138612538069, 17519071339639777313,
+                       10701626305488384819, 13209434657261796193,
+                       2 ** 64 - 1]),
+    ], ids=["0", "2^64-1"])
+    def test_substream_golden(self, seed, want):
+        # fixed stream ids: string tags are hashed once and remembered, and
+        # that must not change any id
+        for _ in range(2):
+            got = [dc.substream(seed, "gp_u"), dc.substream(seed, 7),
+                   dc.substream(seed, "gp", 3, "x"),
+                   dc.substream(seed, 2 ** 64 - 1, "w", -1), dc.substream(seed)]
+            assert got == want
+
+    def test_uniform_rows_match_per_seed_draws(self):
+        seeds = [0, 2 ** 64 - 1] + [dc.substream(s, "gp_u")
+                                    for s in (0, 1, 2 ** 64 - 1,
+                                              dc.substream(5, "gp", 3))]
+        rows = dc.uniform_rows(seeds, 9)
+        assert rows.shape == (len(seeds), 9)
+        for s, row in zip(seeds, rows):
+            want = dc.rng_uniform(s, (9, 1))
+            assert [float(x).hex() for x in row] == \
+                [float(x).hex() for x in want.ravel()]
+
     def test_permutation(self):
         p = dc.rng_permutation(11, 50)
         assert sorted(p.tolist()) == list(range(50))

@@ -153,6 +153,14 @@ class TestSaveLoad:
         with pytest.raises(dom.SequenceFormatError, match=":3"):
             dom.load_sequence(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"t,y,x0,x1\n0,0,0.0,1.0\n0,1,1.0,{value}\n1,0,0.5,0.5\n")
+        with pytest.raises(dom.SequenceFormatError,
+                           match=r"bad\.csv:3: non-finite feature value$"):
+            dom.load_sequence(p)
+
     def test_unsorted_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,y,x0\n1,0,0.0\n0,0,1.0\n0,1,1.0\n1,1,1.0\n")

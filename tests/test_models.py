@@ -34,6 +34,39 @@ class TestInitMlp:
                          [np.zeros(3), np.zeros(1)], ["relu", "identity"])
 
 
+class TestLayerBlocks:
+    def test_blocks_are_views_of_stacked_layers(self):
+        # each layer's [W; b] block is a zero-copy view of flat; a reorder of
+        # arrays() would break the bias-folded kernels
+        p = md.init_mlp(18, [3, 5, 4, 2], ["tanh", "relu", "identity"])
+        for i, b in enumerate(p.biases):
+            b[:] = dc.rng_normal(dc.substream(18, i), b.shape)
+        blocks = p.blocks()
+        assert len(blocks) == 3
+        for blk, w, b in zip(blocks, p.weights, p.biases):
+            assert blk.shape == (w.shape[0] + 1, w.shape[1])
+            assert np.array_equal(blk, np.vstack([w, b]))
+            assert np.shares_memory(blk, p.flat)
+        vec = np.arange(p.flat.size, dtype=np.float64)
+        ofs, want = 0, []
+        for a in p.arrays():
+            want.append(vec[ofs:ofs + a.size].reshape(a.shape))
+            ofs += a.size
+        for blk, w, b in zip(p.blocks(vec), want[0::2], want[1::2]):
+            assert np.array_equal(blk, np.vstack([w, b]))
+
+    def test_feature_block(self):
+        x = dc.rng_normal(19, (4, 3))
+        a = md.feature_block(x)
+        assert a.shape == (4, 4)
+        assert np.array_equal(a[:3], x.T) and np.array_equal(a[3], np.ones(4))
+        p = md.init_mlp(20, [3, 6, 2], ["relu", "identity"])
+        outs = md.mlp_layers(p, a)
+        assert [o.shape for o in outs] == [(4, 4), (7, 4), (3, 4)]
+        assert all(np.array_equal(o[-1], np.ones(4)) for o in outs)
+        assert np.array_equal(md.mlp_eval(p, x), outs[-1][:-1].T)
+
+
 class TestForwards:
     def test_identity_map(self):
         p = md.MlpParams([np.eye(3)], [np.zeros(3)], ["identity"])
@@ -145,7 +178,8 @@ class TestForwards:
             b[:] = dc.rng_normal(dc.substream(15, i), b.shape, 0.0, 0.5)
         x = dc.rng_normal(16, (7, 3))
         d_out = dc.rng_normal(17, (7, 2))
-        d_x, grad = md.mlp_backward(p, md.mlp_layers(p, x), d_out)
+        d_x, grad = md.mlp_backward(p, md.mlp_layers(p, md.feature_block(x)),
+                                    d_out.T)
         t = Tape()
         xid = t.input(x)
         bound = md.BoundMlp(t, p)
@@ -153,7 +187,7 @@ class TestForwards:
         g = backward(t, loss, bound.param_ids() + [xid])
         want = np.concatenate([g[i].ravel() for i in bound.param_ids()])
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.linalg.norm(d_x - g[xid]) <= 1e-12 * np.linalg.norm(g[xid])
+        assert np.linalg.norm(d_x.T - g[xid]) <= 1e-12 * np.linalg.norm(g[xid])
 
 
 class TestSummarizer:

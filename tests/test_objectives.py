@@ -181,9 +181,24 @@ class _Recorded:
         self.grads = [g.copy() for g in grads]
 
 
+class _Tee:
+    """Keeps each step's gradient and the parameters it was taken at, then
+    hands the gradient on to the optimizer it wraps."""
+
+    def __init__(self, opt):
+        self.opt = opt
+        self.before = []
+        self.grads = []
+
+    def step(self, grads):
+        self.before.append(np.concatenate([p.ravel() for p in self.opt.params]))
+        self.grads.append(np.concatenate([g.ravel() for g in grads]))
+        self.opt.step(grads)
+
+
 def taped_ascent_step(critic, opt, fa, fb, gp_factor, gp_seed):
     """The critic step on one tape: alignment_gap, gradient_penalty and
-    backward, the reference for critic_ascent_step's closed form."""
+    backward, the reference for each step of critic_ascent's closed form."""
     t = Tape()
     b = md.BoundMlp(t, critic)
     gap = alignment_gap(critic, fa, fb, t, bound=b)
@@ -215,14 +230,79 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0)
         closed, taped = _Recorded(), _Recorded()
-        gap, pen = ob.critic_ascent_step(critic, closed, fa, fb, gp_factor, 9,
-                                         "test")
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, [9],
+                                    "test")
         gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, gp_factor, 9)
         assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
         got = np.concatenate([g.ravel() for g in closed.grads])
         want = np.concatenate([g.ravel() for g in taped.grads])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("head", ["tanh", "relu"])
+    def test_nonlinear_head_matches_tape(self, head):
+        # a tanh head sends a second-derivative term of its own
+        critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
+        for i, b in enumerate(critic.biases):
+            b[:] = dc.rng_normal(dc.substream(78, "b", i), b.shape, 0.0, 0.5)
+        fa = dc.rng_normal(dc.substream(78, "a"), (12, 3))
+        fb = dc.rng_normal(dc.substream(78, "fb"), (7, 3), 0.5, 1.0)
+        closed, taped = _Recorded(), _Recorded()
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, 5.0, [9], "test")
+        gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, 5.0, 9)
+        assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
+        assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
+        want = np.concatenate([g.ravel() for g in taped.grads])
+        assert np.linalg.norm(closed.grads[0] - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
+    @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
+                             ids=lambda h: "-".join(h) or "linear")
+    def test_loop_matches_taped_steps(self, hidden, nb, gp_factor, optimizer):
+        # k steps in one critic_ascent against k taped steps, each taken at
+        # the loop's own iterate (Adam turns rounding noise in a gradient
+        # that is zero in exact arithmetic, such as the head bias's, into
+        # steps of up to lr, so two separately updated critics drift apart)
+        seed = dc.substream(76, len(hidden), *hidden, nb)
+        sizes = [3] + [5] * len(hidden) + [1]
+        critic = md.init_mlp(dc.substream(seed, "c"), sizes, hidden + ["identity"])
+        for i, b in enumerate(critic.biases):
+            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
+        fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
+        fb = dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0)
+        seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
+        closed = _Tee(ob._Opt([critic.flat], optimizer, 1e-2))
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, seeds,
+                                    "test")
+        assert len(closed.grads) == len(seeds)
+        assert not np.array_equal(closed.before[-1], closed.before[0])
+        for s, before, got in zip(seeds, closed.before, closed.grads):
+            ref = critic.copy()
+            ref.flat[:] = before
+            taped = _Recorded()
+            gap_ref, pen_ref = taped_ascent_step(ref, taped, fa, fb, gp_factor, s)
+            want = np.concatenate([g.ravel() for g in taped.grads])
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
+        assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
+
+    def test_draws_span_blocks(self):
+        # the loop draws its interpolation points 64 steps at a time; 70
+        # steps in one call equal 70 one-step calls bit for bit
+        fa = dc.rng_normal(dc.substream(77, "a"), (9, 3))
+        fb = dc.rng_normal(dc.substream(77, "b"), (9, 3), 0.5, 1.0)
+        critic = md.init_mlp(77, [3, 6, 1], ["tanh", "identity"])
+        ref = critic.copy()
+        seeds = [dc.substream(77, "gp", step) for step in range(70)]
+        got = ob.critic_ascent(critic, ob._Opt([critic.flat], "adam", 1e-2),
+                               fa, fb, 5.0, seeds, "test")
+        opt = ob._Opt([ref.flat], "adam", 1e-2)
+        for s in seeds:
+            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, [s], "test")
+        assert got == want
+        assert np.array_equal(critic.flat, ref.flat)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_train_critic_matches_taped_loop(self, optimizer):
@@ -244,11 +324,12 @@ class TestCriticAscentStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case,error,message", [
-        ("empty", ValueError, "alignment_gap: empty feature batch"),
+        ("empty", ValueError, "critic_ascent: empty feature batch"),
         ("out_dim", ValueError, "critic output layer must have size 1, got 2"),
         ("non_finite", ValueError,
          r"array values must be finite \(NaN/Inf rejected\)"),
-        ("overflow", ob.TrainingDiverged, "non-finite critic loss at step 3"),
+        ("overflow", ob.TrainingDiverged,
+         "non-finite critic loss at step 3, critic step 0"),
     ])
     def test_errors(self, case, error, message):
         critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
@@ -266,7 +347,7 @@ class TestCriticAscentStep:
             fa = fa * 1e10
         before = [a.copy() for a in critic.arrays()]
         with pytest.raises(error, match=f"^{message}$"):
-            ob.critic_ascent_step(critic, _Recorded(), fa, fb, 5.0, 1, "step 3")
+            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, [1], "step 3")
         for a, b in zip(critic.arrays(), before):
             assert np.array_equal(a, b)
 

@@ -100,6 +100,21 @@ def brute_force_w1(A, B):
     return brute_force_cost(tp.cost_matrix(A, B)) / len(A)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(value):
+    a = dc.rng_normal(1, (5, 2))
+    b = dc.rng_normal(2, (5, 2))
+    b[3, 1] = value
+    # w1_exact last: its assignment solver never returns on a NaN cost
+    for solve in (tp.cost_matrix, tp.w1_sorted_1d,
+                  lambda x, y: tp.resample_to_equal(x, y[:4], 0),
+                  lambda x, y: tp.sinkhorn(x, y, 0.1), tp.w1_exact):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError,
+                               match=r"^point set must be finite \(NaN/Inf rejected\)$"):
+                solve(x, y)
+
+
 class TestW1Exact:
     def test_single_pair(self):
         assert tp.w1_exact([[0.0]], [[1.0]]).distance == 1.0
