@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import hashlib
@@ -405,16 +406,14 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     state_rows = outdir / "state" / f"{run_id}.rows.csv"
     seq = cfg.sequence_for(seed)
     tcfg = replace(cfg.train, seed=seed)
-    spec = replace(cfg.model, summarizer=schedule == "gradual_temporal")
 
     start_model = None
     start_stage = 0
     rows: list[tuple] = []
     if state_ckpt.exists():
         ck = load_checkpoint(state_ckpt, expect_digest=cfg.digest)
-        template = ob.build_model(spec, seq.d, seq.k,
-                                  dc.substream(tcfg.seed, "init"))
-        start_model = arrays_to_model(template, ck.arrays)
+        start_model = arrays_to_model(
+            ob.initial_model(schedule, seq, cfg.model, seed), ck.arrays)
         start_stage = ck.domain_index + 1
         with open(state_rows, newline="", encoding="utf-8") as fh:
             rows = [tuple(r) for r in csv.reader(fh)]
@@ -429,7 +428,7 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
 
     try:
         model, trace = ob.train_schedule(
-            schedule, seq, tcfg, spec, holdout=cfg.holdout,
+            schedule, seq, tcfg, cfg.model, holdout=cfg.holdout,
             labeled_target=cfg.labeled_target, loss_spec=cfg.loss_spec,
             start_model=start_model, start_stage=start_stage,
             stage_callback=on_stage)
@@ -451,13 +450,13 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     save_checkpoint(outdir / "checkpoints" / f"{run_id}.ckpt", ckpt)
     for p in (state_ckpt, state_rows):
         p.unlink(missing_ok=True)
+    with contextlib.suppress(OSError):     # the state directory, once empty
+        state_ckpt.parent.rmdir()
     return rows, False
 
 
 def _pool_worker(args):
-    config_path, schedule, seed, halt_after = args
-    cfg = load_config(config_path)
-    return _run_one(cfg, schedule, seed, halt_after)
+    return _run_one(*args)
 
 
 def run_experiment(config_path, halt_after: int | None = None) -> int:
@@ -476,14 +475,14 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
     workers = max(1, min(workers, len(runs)))
     results: dict[tuple, tuple] = {}
     try:
-        if workers == 1 or halt_after is not None:
+        if workers == 1:
             for schedule, seed in runs:
                 results[(schedule, seed)] = _run_one(cfg, schedule, seed,
                                                      halt_after)
         else:
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 futs = {pool.submit(_pool_worker,
-                                    (str(config_path), schedule, seed, None)):
+                                    (cfg, schedule, seed, halt_after)):
                         (schedule, seed) for schedule, seed in runs}
                 for fut in concurrent.futures.as_completed(futs):
                     if fut.exception() is not None:
@@ -556,24 +555,13 @@ def _load_points(path) -> np.ndarray:
 def cmd_w1(args) -> int:
     a = _load_points(args.file_a)
     b = _load_points(args.file_b)
-    resampled = False
-    if args.method != "sorted_1d" and a.shape[0] != b.shape[0]:
-        a, b = tp.resample_to_equal(a, b, args.seed)
-        resampled = True
-    if args.method == "exact":
-        res = tp.w1_exact(a, b, include_coupling=False)
-    elif args.method == "sorted_1d":
-        if a.shape[1] != 1 or b.shape[1] != 1:
-            raise ConfigError("sorted_1d requires 1-D points")
-        res = tp.w1_sorted_1d(a, b)
-    else:
-        eps = args.epsilon
-        if eps is None:
-            eps = 0.01 * float(tp.cost_matrix(a, b).mean())
-        res = tp.sinkhorn(a, b, eps, max_iters=args.max_iters, tol=args.tol)
+    res, resampled = tp.w1(a, b, args.method, seed=args.seed,
+                           epsilon=args.epsilon, max_iters=args.max_iters,
+                           tol=args.tol)
     out = {"distance": res.distance, "method": res.method,
            "iterations": res.iterations, "converged": res.converged,
-           "n": int(a.shape[0]), "resampled": resampled}
+           "n": min(len(a), len(b)) if resampled else len(a),
+           "resampled": resampled}
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

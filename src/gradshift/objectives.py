@@ -171,22 +171,6 @@ def _loss_and_grad(spec: LossSpec, logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# gradient-penalty interpolates
-
-def _resampled(fa: np.ndarray, fb: np.ndarray, seed: int):
-    """Two feature batches of unequal size, the smaller one resampled with
-    replacement up to the larger one's size."""
-    n = max(fa.shape[0], fb.shape[0])
-    def up(x, tag):
-        if x.shape[0] == n:
-            return x
-        idx = (dc.rng_uniform(dc.substream(seed, "gp_resample", tag),
-                              (n,)) * x.shape[0]).astype(int)
-        return x[np.minimum(idx, x.shape[0] - 1)]
-    return up(fa, 0), up(fb, 1)
-
-
-# ---------------------------------------------------------------------------
 # optimizers
 
 class _Opt:
@@ -230,34 +214,13 @@ class _Opt:
             p -= np.divide(s, t, out=s)
 
 
-def train_critic(critic: md.MlpParams, features_a: np.ndarray,
-                 features_b: np.ndarray, *, steps: int, lr: float = 4e-5,
-                 gp_factor: float = 5.0, seed: int = 0,
-                 optimizer: str = "adam") -> float:
-    """Critic-only dual training on two fixed feature batches (in place).
-
-    The steps run as one critic_ascent, the inner update of every training
-    stage. Returns the final gap.
-
-    The default lr is deliberately slow (the large-scale configs in this
-    family run the critic 100x below the model lr): the two-sided penalty
-    equilibrates at a slope of 1 + W1/(2 * gp_factor), so a fully converged
-    critic overshoots W1 by 10% at gp_factor=5 on unit-distance data, while a
-    slow-lr snapshot tracks W1 from below. Training stages use the faster
-    TrainConfig.lr_critic instead.
-    """
-    opt = _Opt([critic.flat], optimizer, lr)
-    seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
-    return critic_ascent(critic, opt, features_a, features_b, gp_factor,
-                         seeds, "critic training")[0]
-
-
 def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
                   gp_factor: float, gp_seeds, where: str):
     """One dual update in place per seed in the list gp_seeds: each ascends
     mean c(a) - mean c(b) minus gp_factor times the gradient penalty at
-    interpolates drawn from that seed. Returns the last step's (gap,
-    penalty), before its update.
+    interpolates drawn from that seed, between the paired rows of the two
+    equal-size batches. Returns the last step's (gap, penalty), before its
+    update.
 
     Each step's gradient is computed in closed form from one numpy forward
     pass over the columns [a, b, interpolates] of a feature-major block
@@ -266,8 +229,8 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     delta_l = W_l gamma_l, with s_l each layer's slope. The penalty's
     adjoint then runs forward through that chain (double backprop), where a
     tanh layer also sends a second-derivative term to its pre-activation.
-    One primal backprop over all columns, seeded with the gap's -1/n_a and
-    +1/n_b, carries those terms to the parameters. The tests hold it to the
+    One primal backprop over all columns, seeded with the gap's -1/n and
+    +1/n, carries those terms to the parameters. The tests hold it to the
     taped gap and penalty.
     """
     if critic.out_dim != 1:
@@ -280,27 +243,28 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
                                 f"match features of shape {f.shape}")
         if len(f) == 0:
             raise ValueError("critic_ascent: empty feature batch")
-    na, nb = len(fa), len(fb)
-    k, n = na + nb, max(na, nb)
+    if len(fa) != len(fb):
+        raise dc.ShapeError(f"critic_ascent pairs its two feature batches, "
+                            f"got {len(fa)} and {len(fb)} rows")
+    k, n = 2 * len(fa), len(fa)
     # columns [a, b] are written once; each step's interpolates fill the last n
     x = md.feature_block(np.concatenate([fa, fb, np.empty((n, m))]))
-    xa, xb, xh = x[:m, :na], x[:m, na:k], x[:m, k:]
+    xa, xb, xh = x[:m, :n], x[:m, n:k], x[:m, k:]
     acts, n_layers = critic.activations, len(critic.activations)
     ws = [blk[:-1] for blk in critic.blocks()]
     grad = np.empty_like(critic.flat)
     d_blocks = critic.blocks(grad)
     seed_g = np.zeros((1, k + n))
-    seed_g[0, :na], seed_g[0, na:k] = -1.0 / na, 1.0 / nb
+    seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
     deltas = [None] * n_layers + [np.ones((1, n))]
     gammas, second, pen_w = ([None] * n_layers for _ in range(3))
     outs, gap, pen = None, 0.0, 0.0
-    for step, seed in enumerate(gp_seeds):
+    for step in range(len(gp_seeds)):
         if step % 64 == 0:          # the next 64 steps' draws in one pass
             u = dc.uniform_rows([dc.substream(s, "gp_u")
                                  for s in gp_seeds[step:step + 64]], n)
-        pa, pb = (xa, xb) if na == nb else (r.T for r in _resampled(fa, fb, seed))
-        np.multiply(pa, u[step % 64], out=xh)
-        xh += (1.0 - u[step % 64]) * pb
+        np.multiply(xa, u[step % 64], out=xh)
+        xh += (1.0 - u[step % 64]) * xb
         outs = md.mlp_layers(critic, x, outs)
         hs = [h[:-1] for h in outs[1:]]
         # each layer's slope from its output h (None: identity)
@@ -312,7 +276,7 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
             deltas[l] = ws[l] @ gammas[l]
         norms = np.sqrt(np.square(deltas[0]).sum(axis=0) + 1e-24)
         pen = float(np.square(norms - 1.0).sum()) / n
-        gap = float(hs[-1][0, :na].sum() / na - hs[-1][0, na:k].sum() / nb)
+        gap = float(hs[-1][0, :n].sum() / n - hs[-1][0, n:k].sum() / n)
         if not math.isfinite(pen * gp_factor - gap):
             raise TrainingDiverged(
                 f"non-finite critic loss at {where}, critic step {step}")
@@ -487,6 +451,16 @@ def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,
     return out, metrics
 
 
+def initial_model(kind: str, seq: DomainSequence, spec: ModelSpec,
+                  seed: int) -> AdaptationModel:
+    """The untrained model a run of schedule `kind` starts from, or that a
+    resumed run fills from its checkpoint: gradual_temporal adds the
+    summarizer, and the draws come from the run seed's init substream."""
+    if kind == "gradual_temporal":
+        spec = replace(spec, summarizer=True)
+    return build_model(spec, seq.d, seq.k, dc.substream(seed, "init"))
+
+
 def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
                    model_spec: ModelSpec | None = None, *, holdout: float = 0.25,
                    labeled_target: bool = True, loss_spec: LossSpec = LossSpec(),
@@ -504,17 +478,14 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         raise ValueError(f"unknown schedule {kind!r}; expected one of {SCHEDULES}")
     if seq.T < 2:
         raise ValueError("schedules need T >= 2 domains")
-    spec = model_spec if model_spec is not None else ModelSpec()
     temporal = kind == "gradual_temporal"
-    if temporal:
-        spec = replace(spec, summarizer=True)
     train_seq, eval_seq = split_holdout(seq, holdout,
                                         dc.substream(cfg.seed, "holdout"))
     eval_batch = eval_seq.domains[-1]
     if start_model is not None:
         model = start_model.copy()
     else:
-        model = build_model(spec, seq.d, seq.k, dc.substream(cfg.seed, "init"))
+        model = initial_model(kind, seq, model_spec or ModelSpec(), cfg.seed)
     domains = train_seq.domains
     if kind == "no_adaptation":
         stages = [(domains[0], domains[0])]

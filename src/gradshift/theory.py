@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,10 +208,7 @@ def sweep_horizon(inp: BoundInputs, T_values) -> SweepResult:
     best_T = None
     best_total = math.inf
     for T in T_values:
-        rep = evaluate_bound(BoundInputs(
-            T=T, n=inp.n, M=inp.M, rho=inp.rho, drift=inp.drift,
-            delta=inp.delta, vc=inp.vc, rseq=inp.rseq, rseq_c=inp.rseq_c,
-            c_online=inp.c_online))
+        rep = evaluate_bound(replace(inp, T=T))
         rows.append((T, rep.e1, rep.e2, rep.e3, rep.total))
         if rep.total < best_total:
             best_total = rep.total

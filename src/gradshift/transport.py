@@ -115,23 +115,23 @@ def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
     return TransportResult(total / n, "exact_assignment", coupling)
 
 
-def w1_sorted_1d(A, B) -> TransportResult:
-    """Exact 1-D W1 for any two sizes; independent of the assignment solver."""
-    return wp_sorted_1d(A, B, 1)
-
-
 def wp_sorted_1d(A, B, p: float) -> TransportResult:
     """Exact 1-D W_p for sizes n, m as the integral of |F_a^-1 - F_b^-1|^p, a
-    sum over the merged quantile breaks i*m, j*n (scaled by n*m); no coupling."""
-    a = np.sort(np.asarray(A, dtype=np.float64).reshape(-1))
-    b = np.sort(np.asarray(B, dtype=np.float64).reshape(-1))
-    n, m = a.shape[0], b.shape[0]
+    sum over the merged quantile breaks i*m, j*n (scaled by n*m); no coupling.
+    Each set is (n,) or (n, 1)."""
+    a = np.asarray(A, dtype=np.float64)
+    b = np.asarray(B, dtype=np.float64)
+    n, m = a.size, b.size
     if n == 0 or m == 0:
         raise ValueError(f"point sets must be non-empty, got sizes {n} and {m}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("point set must be finite (NaN/Inf rejected)")
+    if a.shape not in ((n,), (n, 1)) or b.shape not in ((m,), (m, 1)):
+        raise ValueError(f"sorted_1d requires 1-D points, got shapes "
+                         f"{a.shape} and {b.shape}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    a, b = np.sort(a.reshape(-1)), np.sort(b.reshape(-1))
     breaks = np.union1d(np.arange(n + 1, dtype=np.int64) * m,
                         np.arange(m + 1, dtype=np.int64) * n)
     lo = breaks[:-1]
@@ -219,6 +219,27 @@ def resample_to_equal(A, B, seed: int):
     return A, B
 
 
+def w1(A, B, method: str, *, seed: int, epsilon: float | None = None,
+       max_iters: int = 5000, tol: float = 1e-6):
+    """W1 by method "exact" (assignment), "sorted_1d" (1-D quantile integral)
+    or "sinkhorn"; returns (TransportResult, resampled). exact and sinkhorn
+    first resample unequal sets to the smaller count, drawn from `seed`.
+    Sinkhorn's epsilon defaults to a hundredth of the pair's mean cost.
+    """
+    if method not in ("exact", "sorted_1d", "sinkhorn"):
+        raise ValueError(f"unknown W1 method {method!r}")
+    if method == "sorted_1d":
+        return wp_sorted_1d(A, B, 1), False
+    resampled = len(A) != len(B)
+    if resampled:
+        A, B = resample_to_equal(A, B, seed)
+    if method == "exact":
+        return w1_exact(A, B, include_coupling=False), resampled
+    if epsilon is None:
+        epsilon = 0.01 * float(cost_matrix(A, B).mean())
+    return sinkhorn(A, B, epsilon, max_iters=max_iters, tol=tol), resampled
+
+
 @dataclass
 class DriftEstimate:
     per_step: list[float]              # max over classes, per consecutive pair
@@ -228,22 +249,20 @@ class DriftEstimate:
     iterations: int                    # Sinkhorn iterations over all pairs
 
 
-def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
-                            seed: int = 0, epsilon: float | None = None,
+def class_conditional_delta(seq, estimator: str = "exact", seed: int = 0,
+                            epsilon: float | None = None,
                             max_iters: int = 2000) -> DriftEstimate:
     """Empirical per-step drift: W1 between class-conditional feature sets of
     consecutive domains, maxed over classes then over steps.
 
     estimator="exact" uses the quantile integral in one dimension (any class
     sizes) and otherwise the assignment solver; "sinkhorn" uses the entropic
-    solver with epsilon defaulting to 0.01 * mean cost per pair. The two
-    solvers get class sets resampled to equal size. `converged` is false if
-    any Sinkhorn solve stopped at max_iters.
+    solver. Each pair is one w1 call, seeded by (seed, step, class).
+    `converged` is false if any Sinkhorn solve stopped at max_iters.
     """
-    if p != 1:
-        raise ValueError("only p=1 is exposed for multi-sample drift estimation")
     if estimator not in ("exact", "sinkhorn"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    method = "sorted_1d" if estimator == "exact" and seq.d == 1 else estimator
     for dom in seq.domains:
         present = np.unique(dom.labels)
         for y in range(seq.k):
@@ -256,22 +275,11 @@ def class_conditional_delta(seq, p: int = 1, estimator: str = "exact",
         a, b = seq.domains[t], seq.domains[t + 1]
         worst = 0.0
         for y in range(seq.k):
-            xa = a.features[a.labels == y]
-            xb = b.features[b.labels == y]
-            if estimator == "sinkhorn" or seq.d > 1:
-                xa, xb = resample_to_equal(xa, xb, dc.substream(seed, t, y))
-            if estimator == "exact":
-                if seq.d == 1:
-                    res = w1_sorted_1d(xa, xb)
-                else:
-                    res = w1_exact(xa, xb, include_coupling=False)
-            else:
-                eps = epsilon
-                if eps is None:
-                    eps = 0.01 * float(cost_matrix(xa, xb).mean())
-                res = sinkhorn(xa, xb, eps, max_iters=max_iters)
-                converged = converged and res.converged
-                iters += res.iterations
+            res, _ = w1(a.features[a.labels == y], b.features[b.labels == y],
+                        method, seed=dc.substream(seed, t, y), epsilon=epsilon,
+                        max_iters=max_iters)
+            converged = converged and res.converged
+            iters += res.iterations
             worst = max(worst, res.distance)
         per_step.append(worst)
     return DriftEstimate(per_step, max(per_step), estimator, converged, iters)

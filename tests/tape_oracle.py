@@ -222,11 +222,9 @@ def alignment_gap(critic: md.MlpParams, features_a, features_b, tape: Tape,
 
 
 def interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
-    """Per-row random points between two feature batches, one scalar draw
-    per seed (a smaller batch is first resampled up to the larger one's
-    size): the penalty's points as critic_ascent draws them in one pass."""
-    if fa.shape[0] != fb.shape[0]:
-        fa, fb = ob._resampled(fa, fb, seed)
+    """Per-row random points between two paired feature batches, one scalar
+    draw per seed: the penalty's points as critic_ascent draws them in one
+    pass."""
     u = dc.rng_uniform(dc.substream(seed, "gp_u"), (fa.shape[0], 1))
     return u * fa + (1.0 - u) * fb
 

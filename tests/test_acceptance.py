@@ -26,6 +26,7 @@ from gradshift import models as md
 from gradshift import objectives as ob
 from gradshift import theory as th
 from gradshift import transport as tp
+from critic_training import train_critic
 from tape_oracle import gradient_penalty
 
 REPO = Path(__file__).resolve().parent.parent
@@ -109,7 +110,7 @@ def test_criterion_01_ot_exactness():
         a = dc.rng_normal(dc.substream(s, 0), (32,))
         b = dc.rng_normal(dc.substream(s, 1), (32,), 0.7, 0.8)
         assert abs(tp.w1_exact(a, b).distance
-                   - tp.w1_sorted_1d(a, b).distance) < 1e-9
+                   - tp.wp_sorted_1d(a, b, 1).distance) < 1e-9
     elapsed = time.perf_counter() - started
     report(1, "OT exactness", elapsed < 10.0, f"{elapsed:.1f}s")
 
@@ -307,8 +308,8 @@ def test_criterion_11_critic_dual_sanity():
     feats_b = dc.rng_normal(dc.substream(11, "b"), (512, 1), 1.0, 0.1)
     model = ob.build_model(ob.ModelSpec(feature_dim=1, critic_hidden=16), 1, 2,
                            seed=dc.substream(11, "c"))
-    gap = ob.train_critic(model.critic, feats_a, feats_b, steps=2000,
-                          gp_factor=5.0, seed=11)
+    gap = train_critic(model.critic, feats_a, feats_b, steps=2000,
+                       gp_factor=5.0, seed=11)
     exact = tp.w1_exact(feats_a, feats_b).distance
     ok = 0.7 * exact <= gap <= 1.05 * exact
     report(11, "Critic dual sanity", ok,

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -44,6 +45,28 @@ def write_config(tmp_path, text=None, name="exp.toml"):
     p.write_text(text or SMALL_CONFIG.format(out=tmp_path / "out"))
     return p
 
+
+# `gradshift w1` output for test_w1_json_pinned's generated point files
+W1_LINES = {
+    ("exact", (12, 12)):
+        '{"converged": true, "distance": 0.7490556486630826, "iterations": 0, '
+        '"method": "exact_assignment", "n": 12, "resampled": false}',
+    ("exact", (12, 9)):
+        '{"converged": true, "distance": 1.1236935393884584, "iterations": 0, '
+        '"method": "exact_assignment", "n": 9, "resampled": true}',
+    ("sorted_1d", (12, 12)):
+        '{"converged": true, "distance": 0.750247876776347, "iterations": 0, '
+        '"method": "sorted_1d", "n": 12, "resampled": false}',
+    ("sorted_1d", (12, 9)):
+        '{"converged": true, "distance": 0.9119264570238583, "iterations": 0, '
+        '"method": "sorted_1d", "n": 12, "resampled": false}',
+    ("sinkhorn", (12, 12)):
+        '{"converged": false, "distance": 0.75212826335934, "iterations": 5000, '
+        '"method": "sinkhorn", "n": 12, "resampled": false}',
+    ("sinkhorn", (12, 9)):
+        '{"converged": false, "distance": 1.1266828025709559, "iterations": '
+        '5000, "method": "sinkhorn", "n": 9, "resampled": true}',
+}
 
 MINIMAL = 'output_dir = "x"\n[generator]\nkind = "rotating_moons"\nT = 3\nn = 10\n'
 
@@ -377,7 +400,7 @@ class TestRunExperiment:
         assert cli.run_experiment(p2) == 0
         resumed = (tmp_path / "out2" / "metrics.csv").read_bytes()
         assert resumed == base
-        assert not (tmp_path / "out2" / "state" / "gradual-s1.ckpt").exists()
+        assert not (tmp_path / "out2" / "state").exists()
 
     def test_halt_resume_trains_each_stage_once(self, tmp_path, monkeypatch):
         calls = []
@@ -404,6 +427,31 @@ class TestRunExperiment:
         assert len(uninterrupted) == 12
         assert (tmp_path / "out2" / "metrics.csv").read_bytes() == \
                (tmp_path / "out" / "metrics.csv").read_bytes()
+
+    def test_parallel_halt_resume_matches_serial(self, tmp_path, monkeypatch):
+        # the same config file (and so the same digest) for both runs
+        text = SMALL_CONFIG.replace(
+            '"gradual"]', '"direct", "gradual", "gradual_temporal"]').replace(
+            "T = 3", "T = 4")
+        p = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        out = tmp_path / "out"
+
+        def artifacts():
+            return {str(f.relative_to(out)): f.read_bytes()
+                    for f in sorted(out.rglob("*")) if f.is_file()}
+
+        monkeypatch.setenv("GRADSHIFT_THREADS", "1")
+        assert cli.run_experiment(p) == 0
+        serial = artifacts()
+        assert len(serial) == 2 + 8
+        shutil.rmtree(out)
+        monkeypatch.setenv("GRADSHIFT_THREADS", "2")
+        assert cli.run_experiment(p, halt_after=1) == 0
+        assert len(list((out / "state").glob("*.ckpt"))) == 8
+        assert not (out / "metrics.csv").exists()
+        assert cli.run_experiment(p) == 0
+        assert artifacts() == serial
+        assert not (out / "state").exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.toml"
@@ -489,6 +537,29 @@ class TestSubcommands:
         # |1-0.5|, |1-1|
         assert abs(out["distance"] - 1.0 / 6.0) < 1e-15
         assert out["resampled"] is False
+
+    def test_w1_sorted_1d_multi_dimensional_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+        assert cli.main(["w1", str(a), str(a), "--method", "sorted_1d"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith("sorted_1d requires 1-D points")
+
+    @pytest.mark.parametrize("sizes", [(12, 12), (12, 9)],
+                             ids=["equal", "unequal"])
+    @pytest.mark.parametrize("method", ["exact", "sorted_1d", "sinkhorn"])
+    def test_w1_json_pinned(self, tmp_path, capsys, method, sizes):
+        # the exact output line, n included: the smaller count when the
+        # sets were resampled to equal size, otherwise the first file's
+        d = 1 if method == "sorted_1d" else 2
+        files = []
+        for name, x in (("a.csv", dc.rng_normal(11, (sizes[0], d))),
+                        ("b.csv", dc.rng_normal(12, (sizes[1], d)) + 0.5)):
+            files.append(tmp_path / name)
+            files[-1].write_text("".join(",".join(repr(v) for v in r) + "\n"
+                                         for r in x.tolist()))
+        assert cli.main(["w1", *map(str, files), "--method", method]) == 0
+        assert capsys.readouterr().out == W1_LINES[method, sizes] + "\n"
 
     def test_w1_dimension_mismatch_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

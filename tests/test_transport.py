@@ -106,7 +106,7 @@ def test_non_finite_points_rejected(value):
     b = dc.rng_normal(2, (5, 2))
     b[3, 1] = value
     # w1_exact last: its assignment solver never returns on a NaN cost
-    for solve in (tp.cost_matrix, tp.w1_sorted_1d,
+    for solve in (tp.cost_matrix, lambda x, y: tp.wp_sorted_1d(x, y, 1),
                   lambda x, y: tp.resample_to_equal(x, y[:4], 0),
                   lambda x, y: tp.sinkhorn(x, y, 0.1), tp.w1_exact):
         for x, y in ((a, b), (b, a)):
@@ -145,7 +145,7 @@ class TestW1Exact:
             a = dc.rng_normal(dc.substream(seed, 0), (32,))
             b = dc.rng_normal(dc.substream(seed, 1), (32,), 1.0, 0.5)
             assert abs(tp.w1_exact(a, b).distance
-                       - tp.w1_sorted_1d(a, b).distance) < 1e-9
+                       - tp.wp_sorted_1d(a, b, 1).distance) < 1e-9
 
     def test_symmetry(self):
         a = dc.rng_normal(1, (24, 2))
@@ -226,13 +226,13 @@ class TestAssignmentEquivalence:
 
 class TestSorted1d:
     def test_example(self):
-        res = tp.w1_sorted_1d([0.0, 1.0], [1.0, 2.0])
+        res = tp.wp_sorted_1d([0.0, 1.0], [1.0, 2.0], 1)
         assert res.distance == 1.0
         assert res.coupling is None
 
     def test_identical(self):
         x = dc.rng_normal(5, (40,))
-        assert tp.w1_sorted_1d(x, x).distance == 0.0
+        assert tp.wp_sorted_1d(x, x, 1).distance == 0.0
 
     def test_monotone_in_p(self):
         # sorted-pairing W1 <= W2 on 1-D instances
@@ -269,11 +269,24 @@ class TestSorted1d:
             size = math.lcm(n, m)
             want = tp.w1_exact(np.repeat(a, size // n, axis=0),
                                np.repeat(b, size // m, axis=0)).distance
-            assert abs(tp.w1_sorted_1d(a, b).distance - want) <= 1e-12
+            assert abs(tp.wp_sorted_1d(a, b, 1).distance - want) <= 1e-12
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            tp.w1_sorted_1d(np.zeros(0), [1.0])
+            tp.wp_sorted_1d(np.zeros(0), [1.0], 1)
+
+    def test_multi_dimensional_points_rejected(self):
+        # flattening these 2-D sets gave 0.25, where W1 is the shift, 0.5
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        b = a + [0.5, 0.0]
+        assert tp.w1_exact(a, b).distance == 0.5
+        for x, y in ((a, b), (a[:, 0], b)):
+            with pytest.raises(ValueError) as err:
+                tp.wp_sorted_1d(x, y, 1)
+            assert str(err.value) == (f"sorted_1d requires 1-D points, got "
+                                      f"shapes {x.shape} and {y.shape}")
+        # (n,) and (n, 1) are the same set
+        assert tp.wp_sorted_1d(a[:, :1], b[:, 0], 1).distance == 0.5
 
 
 class TestSinkhorn:
@@ -494,7 +507,7 @@ class TestClassConditionalDelta:
             assert abs(got - want) <= 1e-12
             exact.append(got)
             ra, rb = tp.resample_to_equal(a, b, dc.substream(s, 0, 0))
-            resampled.append(tp.w1_sorted_1d(ra, rb).distance)
+            resampled.append(tp.wp_sorted_1d(ra, rb, 1).distance)
         assert 0.045 <= np.mean(exact) <= 0.06
         assert np.mean(resampled) >= 1.2 * np.mean(exact)
 
