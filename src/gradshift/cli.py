@@ -53,9 +53,9 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"output_dir", "seeds", "schedules", "holdout"}
 # [train] and [model] keys are the fields of TrainConfig, LossSpec and
 # ModelSpec, renamed where the config spells them differently; the run sets
-# `seed` and `summarizer`, and training always uses the default `rho`
+# `seed` and `summarizer`
 _KEY_OF_FIELD = {"lam": "lambda", "kind": "loss", "bound": "loss_bound"}
-_UNSET_FIELDS = {"seed", "summarizer", "rho"}
+_UNSET_FIELDS = {"seed", "summarizer"}
 
 
 def _boolean(value):
@@ -120,7 +120,6 @@ class ExperimentConfig:
     train: ob.TrainConfig       # seed 0: each run replaces it with its own
     model: ob.ModelSpec
     loss_spec: ob.LossSpec
-    labeled_target: bool = True
     digest: bytes = b""
 
     def sequence_for(self, run_seed: int) -> dom.DomainSequence:
@@ -220,17 +219,13 @@ def validate_config(data: dict, digest: bytes) -> ExperimentConfig:
     if not 0 < holdout < 1:
         raise ConfigError("holdout: must be in (0, 1)")
     generator = _generator_keys(tables["generator"])
-    train = dict(tables.get("train", {}))
-    labeled_target = _checked("[train] labeled_target", _boolean,
-                              train.pop("labeled_target", True))
-    train_cfg, loss_spec = _build((ob.TrainConfig, ob.LossSpec), train,
-                                  "[train]")
+    train_cfg, loss_spec = _build((ob.TrainConfig, ob.LossSpec),
+                                  tables.get("train", {}), "[train]")
     model_spec, = _build((ob.ModelSpec,), tables.get("model", {}), "[model]")
     return ExperimentConfig(
         output_dir=top["output_dir"], seeds=list(seeds),
         schedules=list(schedules), holdout=holdout, generator=generator,
-        train=train_cfg, model=model_spec, loss_spec=loss_spec,
-        labeled_target=labeled_target, digest=digest)
+        train=train_cfg, model=model_spec, loss_spec=loss_spec, digest=digest)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -276,7 +271,6 @@ class Checkpoint:
     domain_index: int
     epoch: int
     config_digest: bytes
-    version: int = CHECKPOINT_VERSION
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -285,7 +279,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     arrays += [np.asarray(a, dtype=np.float64) for a in ckpt.arrays]
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<II", ckpt.version, len(arrays)))
+    buf.write(struct.pack("<II", CHECKPOINT_VERSION, len(arrays)))
     for a in arrays:
         if a.ndim == 2:
             buf.write(struct.pack("<II", a.shape[0], a.shape[1]))
@@ -343,7 +337,7 @@ def load_checkpoint(path, expect_digest: bytes | None = None) -> Checkpoint:
     if np.any(pos < 0) or np.any(pos != np.floor(pos)):
         raise InvalidValue(f"{path}: training position {pos.tolist()} is not "
                            "a pair of non-negative integers")
-    return Checkpoint(arrays[1:], int(pos[0]), int(pos[1]), digest, version)
+    return Checkpoint(arrays[1:], int(pos[0]), int(pos[1]), digest)
 
 
 def model_to_arrays(model: ob.AdaptationModel) -> list[np.ndarray]:
@@ -397,8 +391,8 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     """Execute one (schedule, seed) run with stage-boundary state saving.
 
     With halt_after set, the run saves its state and halts after that stage,
-    or after its last stage if it has fewer. Returns (rows, halted) where
-    rows are metrics-CSV field tuples.
+    or after its last stage if it has fewer. Returns the run's metrics-CSV
+    rows, as field tuples.
     """
     run_id = f"{schedule}-s{seed}"
     outdir = Path(cfg.output_dir)
@@ -429,9 +423,8 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     try:
         model, trace = ob.train_schedule(
             schedule, seq, tcfg, cfg.model, holdout=cfg.holdout,
-            labeled_target=cfg.labeled_target, loss_spec=cfg.loss_spec,
-            start_model=start_model, start_stage=start_stage,
-            stage_callback=on_stage)
+            loss_spec=cfg.loss_spec, start_model=start_model,
+            start_stage=start_stage, stage_callback=on_stage)
         last_stage = start_stage + len(trace) - 1
     except _Halted as e:
         last_stage, model = e.args
@@ -445,14 +438,14 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         _atomic_write_text(state_rows, buf.getvalue())
-        return rows, True
+        return rows
     ckpt = Checkpoint(model_to_arrays(model), seq.T - 1, 0, cfg.digest)
     save_checkpoint(outdir / "checkpoints" / f"{run_id}.ckpt", ckpt)
     for p in (state_ckpt, state_rows):
         p.unlink(missing_ok=True)
     with contextlib.suppress(OSError):     # the state directory, once empty
         state_ckpt.parent.rmdir()
-    return rows, False
+    return rows
 
 
 def _pool_worker(args):
@@ -463,57 +456,46 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
     """Execute every (schedule, seed) combination and write artifacts.
 
     Returns the process exit code (0 ok, 2 config error, 3 divergence)."""
-    try:
-        cfg = load_config(config_path)
-    except (ConfigError, FileNotFoundError) as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True))
-        return EXIT_CONFIG
+    return _emit(_run_experiment, config_path, halt_after)
+
+
+def _run_experiment(config_path, halt_after: int | None) -> dict:
+    cfg = load_config(config_path)
     outdir = Path(cfg.output_dir)
     runs = [(schedule, seed) for schedule in cfg.schedules for seed in cfg.seeds]
     threads = os.environ.get("GRADSHIFT_THREADS")
     workers = int(threads) if threads else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(runs)))
-    results: dict[tuple, tuple] = {}
-    try:
-        if workers == 1:
-            for schedule, seed in runs:
-                results[(schedule, seed)] = _run_one(cfg, schedule, seed,
-                                                     halt_after)
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futs = {pool.submit(_pool_worker,
-                                    (cfg, schedule, seed, halt_after)):
-                        (schedule, seed) for schedule, seed in runs}
-                for fut in concurrent.futures.as_completed(futs):
-                    if fut.exception() is not None:
-                        # leaving the pool waits for its runs: drop the queued
-                        pool.shutdown(cancel_futures=True)
-                    results[futs[fut]] = fut.result()
-    except ob.TrainingDiverged as e:
-        print(json.dumps({"error": f"training diverged: {e}"}, sort_keys=True))
-        return EXIT_DIVERGED
-    except CheckpointError as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True))
-        return EXIT_CONFIG
-
-    halted = any(h for _, h in results.values())
-    if halted:
-        print(json.dumps({"halted": True, "output_dir": str(outdir)},
-                         sort_keys=True))
-        return EXIT_OK
+    results: dict[tuple, list] = {}
+    if workers == 1:
+        for schedule, seed in runs:
+            results[(schedule, seed)] = _run_one(cfg, schedule, seed,
+                                                 halt_after)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            futs = {pool.submit(_pool_worker,
+                                (cfg, schedule, seed, halt_after)):
+                    (schedule, seed) for schedule, seed in runs}
+            for fut in concurrent.futures.as_completed(futs):
+                if fut.exception() is not None:
+                    # leaving the pool waits for its runs: drop the queued
+                    pool.shutdown(cancel_futures=True)
+                results[futs[fut]] = fut.result()
+    if halt_after is not None:
+        return {"halted": True, "output_dir": str(outdir)}
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(METRICS_HEADER.split(","))
     for schedule, seed in runs:
-        w.writerows(results[(schedule, seed)][0])
+        w.writerows(results[(schedule, seed)])
     _atomic_write_text(outdir / "metrics.csv", buf.getvalue())
 
     report: dict = {"config_digest": cfg.digest.hex(), "schedules": {}}
     for schedule in cfg.schedules:
         finals = []
         for seed in cfg.seeds:
-            rows = results[(schedule, seed)][0]
+            rows = results[(schedule, seed)]
             finals.append(float(rows[-1][8]))
         report["schedules"][schedule] = {
             "mean_target_acc": float(np.mean(finals)),
@@ -523,9 +505,7 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
         }
     _atomic_write_text(outdir / "report.json",
                        json.dumps(report, sort_keys=True, indent=1) + "\n")
-    print(json.dumps({"output_dir": str(outdir), "runs": len(runs)},
-                     sort_keys=True))
-    return EXIT_OK
+    return {"output_dir": str(outdir), "runs": len(runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +532,16 @@ def _load_points(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def cmd_w1(args) -> int:
+def cmd_w1(args) -> dict:
     a = _load_points(args.file_a)
     b = _load_points(args.file_b)
     res, resampled = tp.w1(a, b, args.method, seed=args.seed,
                            epsilon=args.epsilon, max_iters=args.max_iters,
                            tol=args.tol)
-    out = {"distance": res.distance, "method": res.method,
-           "iterations": res.iterations, "converged": res.converged,
-           "n": min(len(a), len(b)) if resampled else len(a),
-           "resampled": resampled}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"distance": res.distance, "method": res.method,
+            "iterations": res.iterations, "converged": res.converged,
+            "n": min(len(a), len(b)) if resampled else len(a),
+            "resampled": resampled}
 
 
 # bound flag (as its argparse dest) -> BoundInputs field, whose default the
@@ -578,12 +556,10 @@ def _bound_inputs(args, T: int) -> th.BoundInputs:
                                             for dest, name in _BOUND_FLAGS.items()})
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> dict:
     rep = th.evaluate_bound(_bound_inputs(args, args.T))
-    out = {"inputs": _bound_echo(args), "e1": rep.e1, "e2": rep.e2,
-           "e3": rep.e3, "total": rep.total, "parts": rep.parts}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"inputs": _bound_echo(args), "e1": rep.e1, "e2": rep.e2,
+            "e3": rep.e3, "total": rep.total, "parts": rep.parts}
 
 
 def _bound_echo(args) -> dict:
@@ -593,69 +569,75 @@ def _bound_echo(args) -> dict:
     return out
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     res = th.sweep_horizon(_bound_inputs(args, args.T_min), range(args.T_min, args.T_max + 1, args.T_step))
-    out = {"inputs": {**_bound_echo(args), "T_min": args.T_min,
-                      "T_max": args.T_max, "T_step": args.T_step},
-           "argmin_T": res.argmin_T,
-           "rows": [{"T": t, "e1": e1, "e2": e2, "e3": e3, "total": tot}
-                    for t, e1, e2, e3, tot in res.rows]}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"inputs": {**_bound_echo(args), "T_min": args.T_min,
+                       "T_max": args.T_max, "T_step": args.T_step},
+            "argmin_T": res.argmin_T,
+            "rows": [{"T": t, "e1": e1, "e2": e2, "e3": e3, "total": tot}
+                     for t, e1, e2, e3, tot in res.rows]}
 
 
-def cmd_disc(args) -> int:
+def cmd_disc(args) -> dict:
     seq = dom.make_shifting_gaussians(
         args.T, args.n, shift_per_step=args.shift,
         class_means=[[-2.0], [2.0]], sigma=args.sigma, seed=args.seed)
     spec = ob.ModelSpec(feature_dim=args.feature_dim, hidden=args.hidden)
     pool = th.make_hypothesis_pool(seq, args.pool_random, args.pool_snapshots,
                                    seed=args.seed, spec=spec)
-    loss = ob.LossSpec("cross_entropy_bounded", bound=args.M, rho=args.rho)
+    loss = ob.LossSpec("cross_entropy_bounded", bound=args.M)
     disc = th.estimate_discrepancy(seq, pool, loss)
-    out = {"inputs": {"T": args.T, "n": args.n, "shift": args.shift,
-                      "sigma": args.sigma, "seed": args.seed,
-                      "pool_random": args.pool_random,
-                      "pool_snapshots": args.pool_snapshots,
-                      "M": args.M, "rho": args.rho},
-           "disc": disc, "pool_size": len(pool),
-           "t_rho_delta": args.T * args.rho * args.shift}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"inputs": {"T": args.T, "n": args.n, "shift": args.shift,
+                       "sigma": args.sigma, "seed": args.seed,
+                       "pool_random": args.pool_random,
+                       "pool_snapshots": args.pool_snapshots,
+                       "M": args.M, "rho": args.rho},
+            "disc": disc, "pool_size": len(pool),
+            "t_rho_delta": args.T * args.rho * args.shift}
 
 
-def cmd_seqrad(args) -> int:
+def cmd_seqrad(args) -> dict:
     if args.preset == "two_constants":
         table = np.array([[1.0] * args.zsize, [-1.0] * args.zsize])
     else:
         table = dc.rng_normal(args.seed, (args.fsize, args.zsize))
     inst = th.FiniteInstance(table, args.T)
     value = th.seq_rademacher_exact(inst)
-    out = {"inputs": {"fsize": int(table.shape[0]), "zsize": args.zsize,
-                      "T": args.T, "seed": args.seed,
-                      "preset": args.preset},
-           "tree_count": inst.tree_count(), "value": value}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"inputs": {"fsize": int(table.shape[0]), "zsize": args.zsize,
+                       "T": args.T, "seed": args.seed,
+                       "preset": args.preset},
+            "tree_count": inst.tree_count(), "value": value}
 
 
-def cmd_lemma1(args) -> int:
+def cmd_lemma1(args) -> dict:
     rep = th.check_lemma1(
         th.gaussian_sampler(0.0, args.sigma),
         th.gaussian_sampler(args.shift, args.sigma),
         true_w1=args.shift, loss=th.clamp_loss(-args.clamp, args.clamp),
         rho=args.rho, trials=args.trials, n=args.n, seed=args.seed)
-    out = {"inputs": {"shift": args.shift, "sigma": args.sigma,
-                      "trials": args.trials, "n": args.n, "seed": args.seed,
-                      "rho": args.rho, "clamp": args.clamp},
-           "bound": rep.bound, "max_gap": rep.max_gap,
-           "violations": rep.violations, "violation_rate": rep.violation_rate}
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return {"inputs": {"shift": args.shift, "sigma": args.sigma,
+                       "trials": args.trials, "n": args.n, "seed": args.seed,
+                       "rho": args.rho, "clamp": args.clamp},
+            "bound": rep.bound, "max_gap": rep.max_gap,
+            "violations": rep.violations, "violation_rate": rep.violation_rate}
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _emit(command, *args) -> int:
+    """Run one command and print its result, or its error, as one sorted-keys
+    JSON line; returns the exit code (0 ok, 2 bad input, 3 divergence)."""
+    code = EXIT_OK
+    try:
+        out = command(*args)
+    except ob.TrainingDiverged as e:
+        out, code = {"error": f"training diverged: {e}"}, EXIT_DIVERGED
+    except (ConfigError, CheckpointError, ValueError, FileNotFoundError) as e:
+        out, code = {"error": str(e)}, EXIT_CONFIG
+    print(json.dumps(out, sort_keys=True))
+    return code
+
 
 class _JsonArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -684,6 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     w1.add_argument("--max-iters", type=int, default=5000)
     w1.add_argument("--tol", type=float, default=1e-6)
     w1.add_argument("--seed", type=int, default=0)
+    w1.set_defaults(handler=cmd_w1)
 
     bound_defaults = {f.name: f.default for f in fields(th.BoundInputs)}
 
@@ -697,12 +680,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound", help="evaluate the excess-risk bound terms")
     add_bound_flags(bound)
+    bound.set_defaults(handler=cmd_bound)
 
     sweep = sub.add_parser("sweep", help="bound terms across horizons")
     add_bound_flags(sweep, with_T=False)
     sweep.add_argument("--T-min", type=int, default=2)
     sweep.add_argument("--T-max", type=int, required=True)
     sweep.add_argument("--T-step", type=int, default=1)
+    sweep.set_defaults(handler=cmd_sweep)
 
     disc = sub.add_parser("disc", help="discrepancy estimate on drifting "
                                        "gaussians")
@@ -717,6 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--rho", type=float, default=1.0)
     disc.add_argument("--feature-dim", type=int, default=4)
     disc.add_argument("--hidden", type=int, default=8)
+    disc.set_defaults(handler=cmd_disc)
 
     seqrad = sub.add_parser("seqrad", help="exact sequential complexity on a "
                                            "finite instance")
@@ -725,6 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     seqrad.add_argument("--fsize", type=int, default=3)
     seqrad.add_argument("--seed", type=int, default=0)
     seqrad.add_argument("--preset", choices=["two_constants"], default=None)
+    seqrad.set_defaults(handler=cmd_seqrad)
 
     lem = sub.add_parser("lemma1", help="two-domain loss-gap bound check")
     lem.add_argument("--shift", type=float, default=0.3)
@@ -734,6 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     lem.add_argument("--seed", type=int, default=0)
     lem.add_argument("--rho", type=float, default=1.0)
     lem.add_argument("--clamp", type=float, default=5.0)
+    lem.set_defaults(handler=cmd_lemma1)
     return p
 
 
@@ -743,19 +731,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        if args.command == "run":
-            return run_experiment(args.config, halt_after=args.halt_after)
-        handler = {"w1": cmd_w1, "bound": cmd_bound, "sweep": cmd_sweep,
-                   "disc": cmd_disc, "seqrad": cmd_seqrad,
-                   "lemma1": cmd_lemma1}[args.command]
-        return handler(args)
-    except ob.TrainingDiverged as e:
-        print(json.dumps({"error": f"training diverged: {e}"}, sort_keys=True))
-        return EXIT_DIVERGED
-    except (ConfigError, ValueError, FileNotFoundError) as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True))
-        return EXIT_CONFIG
+    if args.command == "run":
+        return run_experiment(args.config, halt_after=args.halt_after)
+    return _emit(args.handler, args)
 
 
 if __name__ == "__main__":

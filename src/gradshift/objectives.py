@@ -30,14 +30,12 @@ class TrainingDiverged(RuntimeError):
 class LossSpec:
     kind: str = "cross_entropy_bounded"   # or "hinge"
     bound: float = 5.0                    # clamp M
-    rho: float = 1.0                      # Lipschitz constant in the
-                                          # per-logit score metric
 
     def __post_init__(self):
         if self.kind not in ("cross_entropy_bounded", "hinge"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.bound <= 0 or self.rho <= 0:
-            raise ValueError("loss bound and rho must be positive")
+        if self.bound <= 0:
+            raise ValueError("loss bound must be positive")
 
 
 @dataclass
@@ -51,6 +49,8 @@ class TrainConfig:
     epochs_per_domain: int = 40
     seed: int = 0
     optimizer: str = "adam"               # or "sgd"
+    labeled_target: bool = True           # adapting schedules train on
+                                          # the target's labels too
 
     def __post_init__(self):
         if self.lam < 0 or self.gp_factor < 0:
@@ -463,7 +463,7 @@ def initial_model(kind: str, seq: DomainSequence, spec: ModelSpec,
 
 def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
                    model_spec: ModelSpec | None = None, *, holdout: float = 0.25,
-                   labeled_target: bool = True, loss_spec: LossSpec = LossSpec(),
+                   loss_spec: LossSpec = LossSpec(),
                    start_model: AdaptationModel | None = None,
                    start_stage: int = 0, stage_callback=None):
     """Run one adaptation schedule; returns (final model, per-stage metrics).
@@ -501,7 +501,7 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
     for t in range(start_stage, len(stages)):
         source, target = stages[t]
         metrics = _run_stage(model, source, target, cfg,
-                             labeled_target=labeled_target and align,
+                             labeled_target=cfg.labeled_target and align,
                              align=align, temporal=temporal, stage=t,
                              loss_spec=loss_spec, eval_batch=eval_batch)
         if temporal:

@@ -93,7 +93,7 @@ def _solve_assignment(C: np.ndarray):
     return rows, float(C[rows, np.arange(n)].sum())
 
 
-def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
+def w1_exact(A, B) -> TransportResult:
     """W1 between equal-size empirical measures via minimum-cost matching."""
     A, B = _points(A), _points(B)
     if A.shape[0] != B.shape[0]:
@@ -105,14 +105,8 @@ def w1_exact(A, B, *, include_coupling=None) -> TransportResult:
         raise ValueError(f"n={n} exceeds the assignment guard "
                          f"({ASSIGNMENT_GUARD}); use sinkhorn")
     C = cost_matrix(A, B)
-    rows, total = _solve_assignment(C)
-    if include_coupling is None:
-        include_coupling = n <= 1024
-    coupling = None
-    if include_coupling:
-        coupling = np.zeros((n, n))
-        coupling[rows, np.arange(n)] = 1.0 / n
-    return TransportResult(total / n, "exact_assignment", coupling)
+    _, total = _solve_assignment(C)
+    return TransportResult(total / n, "exact_assignment")
 
 
 def wp_sorted_1d(A, B, p: float) -> TransportResult:
@@ -234,7 +228,7 @@ def w1(A, B, method: str, *, seed: int, epsilon: float | None = None,
     if resampled:
         A, B = resample_to_equal(A, B, seed)
     if method == "exact":
-        return w1_exact(A, B, include_coupling=False), resampled
+        return w1_exact(A, B), resampled
     if epsilon is None:
         epsilon = 0.01 * float(cost_matrix(A, B).mean())
     return sinkhorn(A, B, epsilon, max_iters=max_iters, tol=tol), resampled

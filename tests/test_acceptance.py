@@ -207,7 +207,7 @@ def test_criterion_05_discrepancy_vs_proof_bound():
     pool = th.make_hypothesis_pool(seq, 64, 8, seed=502,
                                    spec=ob.ModelSpec(feature_dim=4, hidden=8))
     disc = th.estimate_discrepancy(
-        seq, pool, ob.LossSpec("cross_entropy_bounded", bound=5.0, rho=1.0))
+        seq, pool, ob.LossSpec("cross_entropy_bounded", bound=5.0))
     bound = 5 * 1.0 * 0.3 + 0.15
     elapsed = time.perf_counter() - started
     report(5, "Discrepancy vs T*rho*Delta", disc <= bound and elapsed < 120.0,

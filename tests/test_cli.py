@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -153,8 +154,8 @@ class TestConfigParse:
             "lambda = 2\noptimizer = \"sgd\"\n"))
         assert (cfg.output_dir, cfg.seeds, cfg.holdout) == ("hi", [1, 2], 0.5)
         assert cfg.generator == {"kind": "rotating_moons", "T": 3, "n": 10}
-        assert cfg.labeled_target is False
-        assert cfg.train == ob.TrainConfig(lam=2.0, optimizer="sgd")
+        assert cfg.train == ob.TrainConfig(lam=2.0, optimizer="sgd",
+                                           labeled_target=False)
         assert cfg.model == ob.ModelSpec() and cfg.loss_spec == ob.LossSpec()
 
     def test_comments_and_blanks(self, tmp_path):
@@ -460,6 +461,23 @@ class TestRunExperiment:
         err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert "error" in err
 
+    @pytest.mark.parametrize("rows,error", [
+        (None, "No such file or directory"),
+        ("0,0,0.5\n0,1,1.5\n", "schedules need T >= 2 domains")],
+        ids=["missing_file", "one_domain"])
+    def test_file_dataset_error_exit_2(self, tmp_path, capsys, rows, error):
+        # answered as `gradshift run` answers it, not raised
+        data = tmp_path / "seq.csv"
+        if rows is not None:
+            data.write_text("t,y,x0\n" + rows)
+        text = (f'output_dir = "{tmp_path / "out"}"\n[generator]\n'
+                f'kind = "file"\npath = "{data}"\n')
+        assert cli.run_experiment(write_config(tmp_path, text)) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert list(out) == ["error"] and error in out["error"]
+
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         p = write_config(tmp_path)
         assert cli.run_experiment(p) == 0
@@ -479,7 +497,7 @@ class TestRunExperiment:
             if seed == 1:
                 raise ob.TrainingDiverged("injected")
             time.sleep(0.5)
-            return [], False
+            return []
 
         # forked workers inherit the patched module
         monkeypatch.setattr(cli, "_run_one", run_one)
@@ -500,7 +518,46 @@ class TestRunExperiment:
         assert "diverged" in err["error"]
 
 
+def _subcommands():
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def _valid_and_rejected(tmp_path, command):
+    """One valid and one rejected `gradshift` argv for the subcommand."""
+    pts = tmp_path / "p.csv"
+    pts.write_text("0.0\n1.0\n")
+    missing = str(tmp_path / "missing")
+    return {
+        "run": (["run", str(write_config(tmp_path))], ["run", missing]),
+        "w1": (["w1", str(pts), str(pts)], ["w1", str(pts), missing]),
+        "bound": (["bound", "--T", "2", "--n", "10"],
+                  ["bound", "--T", "1", "--n", "10"]),
+        "sweep": (["sweep", "--n", "10", "--T-max", "3"],
+                  ["sweep", "--n", "10", "--T-min", "3", "--T-max", "2"]),
+        "disc": (["disc", "--T", "2", "--n", "20", "--pool-random", "2",
+                  "--pool-snapshots", "1"], ["disc", "--T", "1"]),
+        "seqrad": (["seqrad", "--preset", "two_constants", "--T", "1"],
+                   ["seqrad", "--T", "9"]),
+        "lemma1": (["lemma1", "--trials", "5", "--n", "20"],
+                   ["lemma1", "--trials", "many"]),
+    }[command]
+
+
 class TestSubcommands:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_one_json_line(self, tmp_path, capsys, command):
+        # success and rejection alike print one sorted-keys JSON line
+        valid, rejected = _valid_and_rejected(tmp_path, command)
+        for argv, code in ((valid, 0), (rejected, 2)):
+            assert cli.main(argv) == code
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1
+            out = json.loads(lines[0])
+            assert lines[0] == json.dumps(out, sort_keys=True)
+            assert ("error" in out) == (code == 2)
+
     def test_w1_identical_files(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         pts.write_text("0.0,0.0\n1.0,2.0\n")

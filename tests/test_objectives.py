@@ -413,7 +413,7 @@ class TestModelStep:
                                       noise_sigma=0.1, seed=12)
         cfg = ob.TrainConfig(seed=12, epochs_per_domain=2, batch_size=16,
                              k_critic=2, lam=2.0, lr_critic=0.05,
-                             optimizer=optimizer)
+                             optimizer=optimizer, labeled_target=labeled)
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
                             summarizer_hidden=6, summarizer_layers=layers)
         step = ob._primal_dual_step
@@ -436,8 +436,7 @@ class TestModelStep:
             return ce, gap, pen
 
         monkeypatch.setattr(ob, "_primal_dual_step", checked)
-        ob.train_schedule(schedule, seq, cfg, spec, labeled_target=labeled,
-                          loss_spec=ob.LossSpec(loss))
+        ob.train_schedule(schedule, seq, cfg, spec, loss_spec=ob.LossSpec(loss))
         assert len(errors) >= 6 and max(errors) <= 1e-10
 
     def test_training_records_no_tape(self, monkeypatch):

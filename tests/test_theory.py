@@ -100,7 +100,7 @@ class TestDiscrepancy:
                                           sigma=0.5, seed=9)
         pool = th.make_hypothesis_pool(seq, 16, 4, seed=2,
                                        spec=ModelSpec(feature_dim=4, hidden=8))
-        spec = LossSpec("cross_entropy_bounded", bound=5.0, rho=1.0)
+        spec = LossSpec("cross_entropy_bounded", bound=5.0)
         disc = th.estimate_discrepancy(seq, pool, spec)
         assert disc <= 4 * 1.0 * 0.3 + 0.15
 

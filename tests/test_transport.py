@@ -163,14 +163,6 @@ class TestW1Exact:
             ac = tp.w1_exact(a, c).distance
             assert ac <= ab + bc + 1e-9
 
-    def test_coupling_marginals(self):
-        a = dc.rng_normal(3, (10, 2))
-        b = dc.rng_normal(4, (10, 2))
-        res = tp.w1_exact(a, b)
-        assert np.allclose(res.coupling.sum(axis=0), 0.1, atol=1e-6)
-        assert np.allclose(res.coupling.sum(axis=1), 0.1, atol=1e-6)
-        assert abs((res.coupling * tp.cost_matrix(a, b)).sum() - res.distance) < 1e-9
-
     def test_unequal_sizes_error(self):
         with pytest.raises(ValueError, match="resample_to_equal"):
             tp.w1_exact(np.zeros((3, 1)), np.zeros((4, 1)))
