@@ -103,6 +103,9 @@ def check_lemma1(mu_sampler, nu_sampler, true_w1: float, loss, rho: float,
     rho-Lipschitz bounded function applied elementwise to samples. A trial
     violates when its gap exceeds rho * true_w1 + 3 * stderr of the gap.
     """
+    if n < 1 or trials < 1:
+        raise ValueError(f"n and trials must be >= 1, got n={n}, "
+                         f"trials={trials}")
     violations = 0
     max_gap = 0.0
     bound = rho * true_w1
@@ -116,7 +119,7 @@ def check_lemma1(mu_sampler, nu_sampler, true_w1: float, loss, rho: float,
         if gap > bound + 3.0 * stderr:
             violations += 1
         max_gap = max(max_gap, gap)
-    return GapCheckReport(trials, violations, violations / max(trials, 1),
+    return GapCheckReport(trials, violations, violations / trials,
                           max_gap, bound)
 
 
@@ -229,8 +232,8 @@ class FiniteInstance:
 
     def __post_init__(self):
         self.f_table = np.asarray(self.f_table, dtype=np.float64)
-        if self.f_table.ndim != 2 or self.f_table.shape[0] < 1:
-            raise ValueError("f_table must be (|F|, |Z|) with |F| >= 1")
+        if self.f_table.ndim != 2 or min(self.f_table.shape) < 1:
+            raise ValueError("f_table must be (|F|, |Z|) with |F|, |Z| >= 1")
         if not 1 <= self.depth <= 4:
             raise ValueError(f"depth must be in [1, 4], got {self.depth}")
 

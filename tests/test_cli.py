@@ -687,6 +687,22 @@ class TestSubcommands:
         assert out["violation_rate"] <= 0.05
         assert out["bound"] == 0.3
 
+    @pytest.mark.parametrize("preset", [[], ["--preset", "two_constants"]],
+                             ids=["random", "two_constants"])
+    def test_seqrad_no_outcomes_exit_2(self, capsys, preset):
+        # a complexity over no trees printed as -Infinity, which is not JSON
+        assert cli.main(["seqrad", "--zsize", "0", *preset]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "f_table must be (|F|, |Z|) with |F|, |Z| >= 1"
+
+    @pytest.mark.parametrize("flag", ["--n", "--trials"])
+    def test_lemma1_empty_exit_2(self, capsys, flag):
+        # a check over no samples or no trials read as a clean pass
+        argv = ["lemma1", "--trials", "2", "--n", "10", flag, "0"]
+        assert cli.main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith("n and trials must be >= 1")
+
     def test_disc_small(self, capsys):
         assert cli.main(["disc", "--T", "4", "--n", "200", "--pool-random",
                          "6", "--pool-snapshots", "2"]) == 0

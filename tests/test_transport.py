@@ -164,8 +164,10 @@ class TestW1Exact:
             assert ac <= ab + bc + 1e-9
 
     def test_unequal_sizes_error(self):
-        with pytest.raises(ValueError, match="resample_to_equal"):
+        with pytest.raises(ValueError, match=r"use transport\.w1"):
             tp.w1_exact(np.zeros((3, 1)), np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"use transport\.w1"):
+            tp.sinkhorn(np.zeros((3, 1)), np.zeros((4, 1)), 0.1)
 
     def test_guard(self):
         with pytest.raises(ValueError, match="sinkhorn"):
@@ -214,6 +216,56 @@ class TestAssignmentEquivalence:
             assert_optimal(C, reference_assignment(C)[1])
             ties = np.floor(C * 2)
             assert_optimal(ties, reference_assignment(ties)[1])
+
+    @pytest.mark.parametrize("n", [250, 300])
+    def test_vs_reference_solver_drift_sizes(self, n):
+        # about the drift estimator's class size; from n = 50 on, each
+        # auction phase stops with n // 50 rows unassigned
+        s = dc.substream(56, n)
+        a = dc.rng_normal(dc.substream(s, 0), (n, 2))
+        b = dc.rng_normal(dc.substream(s, 1), (n, 2), 0.5, 1.0)
+        C = tp.cost_matrix(a, b)
+        assert_optimal(C, reference_assignment(C)[1])
+        ties = np.floor(C * 2)
+        assert_optimal(ties, reference_assignment(ties)[1])
+
+    def test_degenerate_vs_brute_force(self):
+        for n in range(1, 8):
+            for C in (np.zeros((n, n)), np.full((n, n), 2.5)):
+                assert_optimal(C, brute_force_cost(C))
+        for trial in range(60):
+            n = 1 + trial % 7
+            # costs spanning 1e-8 to 1e8
+            u = dc.rng_uniform(dc.substream(55, trial), (n, n))
+            C = 10.0 ** (u * 16 - 8)
+            assert_optimal(C, brute_force_cost(C))
+
+    def test_auction_prices_feasible_and_deterministic(self):
+        assert not tp._auction_prices(np.full((1, 1), 3.0)).any()
+        assert not tp._auction_prices(np.zeros((5, 5))).any()
+        # the per-row tie-break sends the rows of an all-equal matrix to
+        # distinct columns, one bid each a phase, so the prices stay equal
+        assert np.ptp(tp._auction_prices(np.full((1024, 1024), 3.0))) == 0.0
+        s = dc.substream(57, 0)
+        C = tp.cost_matrix(dc.rng_normal(dc.substream(s, 0), (120, 2)),
+                           dc.rng_normal(dc.substream(s, 1), (120, 2)))
+        p = tp._auction_prices(C)
+        assert p.tobytes() == tp._auction_prices(C).tobytes()
+        # duals v = -p, u = min_j (C + p) are feasible and close nearly all
+        # of the zero-dual start's gap to the optimum
+        u = (C + p).min(axis=1)
+        assert (C + p - u[:, None] >= 0).all()
+        _, opt = tp._solve_assignment(C)
+        assert opt - (u.sum() - p.sum()) <= 0.02 * (opt - C.min(axis=1).sum())
+
+    @pytest.mark.parametrize("n, want", [(1024, "0x1.82eb63fa7ad7dp-1"),
+                                         (250, "0x1.cf5a2b941dd25p-1")])
+    def test_w1_exact_pinned(self, n, want):
+        # the bits the zero-dual start gave before the auction warm start
+        s = 61 if n == 1024 else 62
+        a = dc.rng_normal(dc.substream(s, 0), (n, 2))
+        b = dc.rng_normal(dc.substream(s, 1), (n, 2), 0.5, 1.0)
+        assert tp.w1_exact(a, b).distance.hex() == want
 
 
 class TestSorted1d:
