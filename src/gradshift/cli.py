@@ -611,9 +611,8 @@ def cmd_seqrad(args) -> dict:
 
 def cmd_lemma1(args) -> dict:
     rep = th.check_lemma1(
-        th.gaussian_sampler(0.0, args.sigma),
-        th.gaussian_sampler(args.shift, args.sigma),
-        true_w1=args.shift, loss=th.clamp_loss(-args.clamp, args.clamp),
+        th.gaussian_sampler(0.0, args.sigma), args.shift,
+        loss=th.clamp_loss(-args.clamp, args.clamp),
         rho=args.rho, trials=args.trials, n=args.n, seed=args.seed)
     return {"inputs": {"shift": args.shift, "sigma": args.sigma,
                        "trials": args.trials, "n": args.n, "seed": args.seed,

@@ -343,6 +343,18 @@ def uniform_rows(seeds, n: int) -> np.ndarray:
     return _uniform01(list(seeds), n)
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from the uniform pairs (u[..., 2k], u[..., 2k+1])."""
+    u1 = np.maximum(u[..., 0::2], 2.0 ** -53)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[..., 1::2])
+
+
+def normal_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) standard normals: row i equals
+    rng_normal(seeds[i], (n,)) bit for bit, from one vectorized pass."""
+    return _box_muller(_uniform01(list(seeds), 2 * n))
+
+
 def rng_fill(seed: int, shape, distribution) -> np.ndarray:
     """Deterministic array fill; a pure function of (seed, shape, distribution).
 
@@ -360,11 +372,7 @@ def rng_fill(seed: int, shape, distribution) -> np.ndarray:
         _, mu, sigma = distribution
         if sigma < 0:
             raise ValueError(f"normal requires sigma >= 0, got {sigma}")
-        u = _uniform01(seed, 2 * n)
-        u1 = np.maximum(u[0::2], 2.0 ** -53)
-        u2 = u[1::2]
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        out = mu + sigma * z
+        out = mu + sigma * _box_muller(_uniform01(seed, 2 * n))
     else:
         raise ValueError(f"unknown distribution {kind!r}")
     return out.reshape(shape) if shape else np.asarray(out[0])

@@ -92,43 +92,57 @@ class GapCheckReport:
     violations: int
     violation_rate: float
     max_gap: float
-    bound: float                 # rho * true_w1
+    bound: float                 # rho * |shift|, rho times the exact W1
 
 
-def check_lemma1(mu_sampler, nu_sampler, true_w1: float, loss, rho: float,
-                 trials: int, n: int, seed: int) -> GapCheckReport:
-    """Empirical check that |E_mu loss - E_nu loss| <= rho * W1 + sampling slack.
+LEMMA1_BLOCK = 16                # trials per draw; a block stays in cache
 
-    Samplers are callables (n, seed) -> (n,) or (n, d) arrays; `loss` is a
-    rho-Lipschitz bounded function applied elementwise to samples. A trial
-    violates when its gap exceeds rho * true_w1 + 3 * stderr of the gap.
+
+def check_lemma1(sampler, shift: float, loss, rho: float, trials: int, n: int,
+                 seed: int) -> GapCheckReport:
+    """Empirical check that |E_mu loss - E_nu loss| <= rho * W1 + sampling slack
+    on a translation family: nu is mu moved by `shift`, so W1(mu, nu) is
+    |shift| exactly and the two samples of a trial share their randoms.
+
+    `sampler(seeds, n)` gives one (n,) sample of mu per seed, as rows; `loss`
+    is a rho-Lipschitz bounded function applied elementwise. Trials run in
+    blocks of LEMMA1_BLOCK rows, trial i seeded by substream(seed, "trial",
+    i). A trial violates when its gap exceeds rho * |shift| + 3 * stderr of
+    the gap.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got n={n}, "
                          f"trials={trials}")
+    if not (rho > 0 and math.isfinite(rho) and math.isfinite(shift)):
+        raise ValueError(f"rho must be positive and finite and shift finite, "
+                         f"got rho={rho}, shift={shift}")
+    bound = rho * abs(shift)
     violations = 0
     max_gap = 0.0
-    bound = rho * true_w1
-    for i in range(trials):
-        # both samplers see the same per-trial seed: identical samplers give
-        # identical samples, and translation families share common randoms
-        a = loss(mu_sampler(n, dc.substream(seed, "trial", i)))
-        b = loss(nu_sampler(n, dc.substream(seed, "trial", i)))
-        gap = abs(float(np.mean(a)) - float(np.mean(b)))
-        stderr = math.sqrt(np.var(a) / n + np.var(b) / n)
-        if gap > bound + 3.0 * stderr:
-            violations += 1
-        max_gap = max(max_gap, gap)
+    for lo in range(0, trials, LEMMA1_BLOCK):
+        seeds = [dc.substream(seed, "trial", i)
+                 for i in range(lo, min(lo + LEMMA1_BLOCK, trials))]
+        x = sampler(seeds, n)
+        a, b = loss(x), loss(x + shift)
+        gap = np.abs(a.mean(axis=1) - b.mean(axis=1))
+        stderr = np.sqrt(a.var(axis=1) / n + b.var(axis=1) / n)
+        violations += int((gap > bound + 3.0 * stderr).sum())
+        max_gap = max(max_gap, float(gap.max()))
     return GapCheckReport(trials, violations, violations / trials,
                           max_gap, bound)
 
 
 def gaussian_sampler(mu: float, sigma: float):
-    return lambda n, seed: dc.rng_normal(seed, (n,), mu, sigma)
+    """Sampler of N(mu, sigma^2): (seeds, n) -> (len(seeds), n) rows."""
+    if sigma < 0:
+        raise ValueError(f"normal requires sigma >= 0, got {sigma}")
+    return lambda seeds, n: mu + sigma * dc.normal_rows(seeds, n)
 
 
 def clamp_loss(lo: float, hi: float):
     """1-Lipschitz bounded loss x -> clamp(x, lo, hi)."""
+    if not lo < hi:
+        raise ValueError(f"clamp needs lo < hi, got ({lo}, {hi})")
     return lambda x: np.clip(x, lo, hi)
 
 

@@ -36,17 +36,25 @@ def _points(x) -> np.ndarray:
 
 def cost_matrix(A, B) -> np.ndarray:
     """Pairwise Euclidean distances, computed from direct differences so that
-    identical points give exact zeros."""
+    identical points give exact zeros. Each block of rows sums its squared
+    coordinate differences in coordinate order, as numpy's sum over the last
+    axis does below 8 coordinates."""
     A, B = _points(A), _points(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    n, m = A.shape[0], B.shape[0]
+    (n, d), m = A.shape, B.shape[0]
     out = np.empty((n, m))
-    block = max(1, int(2**19 / max(m * A.shape[1], 1)))
+    block = max(1, int(2**19 / max(m * d, 1)))
+    sq = np.empty((min(block, n), m))
     for s in range(0, n, block):
-        e = min(s + block, n)
-        diff = A[s:e, None, :] - B[None, :, :]
-        out[s:e] = np.sqrt(np.sum(diff * diff, axis=2))
+        a, acc = A[s:s + block], out[s:s + block]
+        np.subtract.outer(a[:, 0], B[:, 0], out=acc)
+        acc *= acc
+        for k in range(1, d):
+            t = np.subtract.outer(a[:, k], B[:, k], out=sq[:len(a)])
+            t *= t
+            acc += t
+        np.sqrt(acc, out=acc)
     return out
 
 
@@ -183,19 +191,23 @@ def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
 _SAFE = 1e50                              # scalings stay in [1/_SAFE, _SAFE]
 
 
-def _scaling_step(s, x, p, q, y, C, K, eps, w):
-    """Half-step x = 1 / (w s), s = K y, in place. An entry of x that would
-    leave [1/_SAFE, _SAFE] is 1 instead, its log-domain update goes into the
-    potential p, and its line of K = exp((p + q - C) / eps) is recomputed."""
-    s *= w
-    ok = (s > 1.0 / _SAFE) & (s < _SAFE)
-    np.divide(1.0, s, out=x, where=ok)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        qy = q + eps * np.log(y)
-        p[bad] = -eps * (_logsumexp((qy - C[bad]) / eps, axis=1) + np.log(w))
-        x[bad] = 1.0
-        K[bad] = np.exp((p[bad, None] + q - C[bad]) / eps)
+def _scaling_step(s, x, p, q, y, C, K, eps, w) -> bool:
+    """Half-step x = 1 / (w s), s = K y, in place; s is left as it is. An
+    entry of x that would leave [1/_SAFE, _SAFE] is 1 instead, its log-domain
+    update goes into the potential p, and its line of K = exp((p + q - C) /
+    eps) is recomputed. Returns whether any entry took that fallback."""
+    np.multiply(s, w, out=x)
+    if 1.0 / _SAFE < x.min() and x.max() < _SAFE:
+        np.divide(1.0, x, out=x)
+        return False
+    ok = (x > 1.0 / _SAFE) & (x < _SAFE)
+    np.divide(1.0, x, out=x, where=ok)
+    bad = np.flatnonzero(~ok)
+    qy = q + eps * np.log(y)
+    p[bad] = -eps * (_logsumexp((qy - C[bad]) / eps, axis=1) + np.log(w))
+    x[bad] = 1.0
+    K[bad] = np.exp((p[bad, None] + q - C[bad]) / eps)
+    return True
 
 
 def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
@@ -222,12 +234,17 @@ def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
     K = np.exp(-C / epsilon)
     converged = False
     check = 1 if max_iters <= 1000 else 10
+    Kb = K @ b
     for iterations in range(1, max_iters + 1):
-        _scaling_step(K @ b, a, f, g, b, C, K, epsilon, w)
-        _scaling_step(a @ K, b, g, f, a, C.T, K.T, epsilon, w)
+        _scaling_step(Kb, a, f, g, b, C, K, epsilon, w)
+        aK = a @ K
+        fell_back = _scaling_step(aK, b, g, f, a, C.T, K.T, epsilon, w)
+        Kb = K @ b                        # the check's and the next row step's
         if iterations % check == 0 or iterations == max_iters:
-            err_r = float(np.abs(w * w * a * (K @ b) - w).sum())
-            err_c = float(np.abs(w * w * b * (a @ K) - w).sum())
+            if fell_back:                 # it rewrote columns of K
+                aK = a @ K
+            err_r = float(np.abs(w * w * a * Kb - w).sum())
+            err_c = float(np.abs(w * w * b * aK - w).sum())
             if err_r < tol and err_c < tol:
                 converged = True
                 break

@@ -703,6 +703,38 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["error"].startswith("n and trials must be >= 1")
 
+    def test_lemma1_default_pinned(self, capsys):
+        # the line the per-trial loop printed before trials ran in blocks
+        assert cli.main(["lemma1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"bound": 0.3, "inputs": {"clamp": 5.0, "n": 2000, "rho": 1.0, '
+            '"seed": 0, "shift": 0.3, "sigma": 1.0, "trials": 1000}, '
+            '"max_gap": 0.3000000000000001, "violation_rate": 0.0, '
+            '"violations": 0}\n')
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--rho", "-1", "rho must be positive"),
+        ("--rho", "0", "rho must be positive"),
+        ("--clamp", "0", "clamp needs lo < hi"),
+        ("--clamp", "-1", "clamp needs lo < hi")])
+    def test_lemma1_nonpositive_exit_2(self, capsys, flag, value, error):
+        # --rho -1 printed a negative bound that every trial violated
+        argv = ["lemma1", "--trials", "2", "--n", "10", flag, value]
+        assert cli.main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"].startswith(error)
+
+    def test_lemma1_negative_shift(self, capsys):
+        # W1 of a translation is |shift|; the bound read -0.3 and every
+        # trial violated it
+        outs = []
+        for shift in ("0.3", "-0.3"):
+            assert cli.main(["lemma1", "--trials", "50", "--n", "500",
+                             "--shift", shift]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[1]["bound"] == outs[0]["bound"] == 0.3
+        assert outs[1]["violations"] == outs[0]["violations"] == 0
+
     def test_disc_small(self, capsys):
         assert cli.main(["disc", "--T", "4", "--n", "200", "--pool-random",
                          "6", "--pool-snapshots", "2"]) == 0

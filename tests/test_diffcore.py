@@ -394,6 +394,16 @@ class TestRng:
             assert [float(x).hex() for x in row] == \
                 [float(x).hex() for x in want.ravel()]
 
+    @pytest.mark.parametrize("n", [1, 6, 9])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_normal_rows_match_per_seed_draws(self, n, count):
+        seeds = [dc.substream(3, "trial", i) for i in range(count)]
+        rows = dc.normal_rows(seeds, n)
+        assert rows.shape == (count, n)
+        for s, row in zip(seeds, rows):
+            assert [float(x).hex() for x in row] == \
+                [float(x).hex() for x in dc.rng_normal(s, (n,))]
+
     def test_permutation(self):
         p = dc.rng_permutation(11, 50)
         assert sorted(p.tolist()) == list(range(50))

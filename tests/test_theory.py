@@ -10,6 +10,9 @@ from gradshift import models as md
 from gradshift import theory as th
 from gradshift.objectives import LossSpec, ModelSpec
 
+# An overflow, a division by zero or a NaN inside a check fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def brute_force_seqrad(f_table, T):
     """Independent enumeration: trees built as recursive tuples, paths walked
@@ -113,18 +116,31 @@ class TestDiscrepancy:
             th.estimate_discrepancy(seq, pool, LossSpec())
 
 
+def per_trial_lemma1(shift, loss, rho, trials, n, seed):
+    """One trial at a time, each sample drawn on its own: the reference for
+    the blocked `th.check_lemma1` on N(0, 1). Returns (violations, max_gap)."""
+    violations, max_gap = 0, 0.0
+    for i in range(trials):
+        x = dc.rng_normal(dc.substream(seed, "trial", i), (n,))
+        a, b = loss(x), loss(x + shift)
+        gap = abs(float(np.mean(a)) - float(np.mean(b)))
+        stderr = math.sqrt(np.var(a) / n + np.var(b) / n)
+        violations += gap > rho * abs(shift) + 3.0 * stderr
+        max_gap = max(max_gap, gap)
+    return violations, max_gap
+
+
 class TestLemma1Check:
-    def test_identical_samplers_zero_gap(self):
-        s = th.gaussian_sampler(0.0, 1.0)
-        rep = th.check_lemma1(s, s, 0.0, th.clamp_loss(-5, 5), rho=1.0,
-                              trials=20, n=200, seed=4)
+    def test_zero_shift_zero_gap(self):
+        rep = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), 0.0,
+                              th.clamp_loss(-5, 5), rho=1.0, trials=20, n=200,
+                              seed=4)
         assert rep.max_gap == 0.0
         assert rep.violations == 0
 
     def test_gaussian_translation(self):
-        rep = th.check_lemma1(th.gaussian_sampler(0.0, 1.0),
-                              th.gaussian_sampler(0.3, 1.0),
-                              true_w1=0.3, loss=th.clamp_loss(-5, 5), rho=1.0,
+        rep = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), 0.3,
+                              loss=th.clamp_loss(-5, 5), rho=1.0,
                               trials=200, n=2000, seed=7)
         assert rep.bound == 0.3
         assert rep.violation_rate <= 0.01
@@ -133,14 +149,33 @@ class TestLemma1Check:
     def test_scaling_invariance(self):
         base = th.clamp_loss(-5, 5)
         scaled = lambda x: 2.0 * base(x)
-        a = th.check_lemma1(th.gaussian_sampler(0.0, 1.0),
-                            th.gaussian_sampler(0.3, 1.0), 0.3, base, 1.0,
+        a = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), 0.3, base, 1.0,
                             trials=100, n=500, seed=8)
-        b = th.check_lemma1(th.gaussian_sampler(0.0, 1.0),
-                            th.gaussian_sampler(0.3, 1.0), 0.3, scaled, 2.0,
+        b = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), 0.3, scaled, 2.0,
                             trials=100, n=500, seed=8)
         assert b.bound == 2 * a.bound
         assert b.violations == a.violations
+
+    @pytest.mark.parametrize("trials", [1, th.LEMMA1_BLOCK,
+                                        th.LEMMA1_BLOCK + 1, 40])
+    def test_blocks_match_per_trial_draws(self, trials):
+        # rho = 0.5 understates the clamp's Lipschitz constant 1, so about a
+        # quarter of the trials violate (11 and 9 of 40)
+        loss = th.clamp_loss(-2.0, 2.0)
+        for shift in (0.3, -0.3):
+            rep = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), shift, loss,
+                                  0.5, trials, 851, seed=9)
+            want = per_trial_lemma1(shift, loss, 0.5, trials, 851, seed=9)
+            assert (rep.violations, rep.max_gap) == want
+            assert rep.bound == 0.15
+        assert per_trial_lemma1(0.3, loss, 0.5, 40, 851, seed=9)[0] == 11
+
+    @pytest.mark.parametrize("rho, shift", [(0.0, 0.3), (-1.0, 0.3),
+                                            (math.inf, 0.3), (1.0, math.nan)])
+    def test_bad_rho_or_shift_rejected(self, rho, shift):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            th.check_lemma1(th.gaussian_sampler(0.0, 1.0), shift,
+                            th.clamp_loss(-5, 5), rho, 2, 10, 0)
 
 
 class TestEvaluateBound:

@@ -115,6 +115,44 @@ def test_non_finite_points_rejected(value):
                 solve(x, y)
 
 
+def direct_cost(A, B):
+    """Euclidean distances from the (n, m, d) difference array, summed over d
+    in one numpy call: the reference for the per-coordinate `tp.cost_matrix`."""
+    A, B = tp._points(A), tp._points(B)
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+class TestCostMatrix:
+    M = 512
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_direct_differences(self, d):
+        # a row block holds 2**19 elements, 1024 // d rows of M = 512; the
+        # coordinates span six decades so that the summation order shows
+        block = int(2 ** 19 / (self.M * d))
+        scale = 10.0 ** np.arange(-3, d - 3)
+        B = dc.rng_normal(dc.substream(20, d), (self.M, d))
+        for n in (2 * block, 2 * block + 1, 3):
+            A = dc.rng_normal(dc.substream(21, d, n), (n, d)) * scale
+            assert tp.cost_matrix(A, B).tobytes() == \
+                direct_cost(A, B).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 13])
+    def test_identical_points_exact_zeros(self, d):
+        x = dc.rng_normal(dc.substream(22, d), (300, d))
+        assert (np.diag(tp.cost_matrix(x, x)) == 0.0).all()
+
+    @pytest.mark.parametrize("d", [8, 13])
+    def test_many_coordinates_within_rounding(self, d):
+        # from 8 coordinates numpy sums pairwise, in 8 lanes, so the last
+        # bit may differ from the sum in coordinate order
+        a = dc.rng_normal(dc.substream(23, d), (300, d))
+        b = dc.rng_normal(dc.substream(24, d), (200, d))
+        want = direct_cost(a, b)
+        assert np.abs(tp.cost_matrix(a, b) - want).max() <= 1e-15 * want.max()
+
+
 class TestW1Exact:
     def test_single_pair(self):
         assert tp.w1_exact([[0.0]], [[1.0]]).distance == 1.0
@@ -436,6 +474,35 @@ class TestSinkhornEquivalence:
             assert (res.iterations, res.converged) == (iters, conv)
             assert abs(res.distance - dist) <= 1e-12 * max(1.0, dist)
             assert np.abs(res.coupling - P).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, shift, factor, max_iters, tol, fallback, "
+                             "want", [(20, 5.0, 3e-3, 2000, 1e-6, 10, 110),
+                                      (4, FAR_APART, 1e-3, 500, 0.5, 1, 1)])
+    def test_column_fallback_on_check_iteration(self, monkeypatch, n, shift,
+                                                factor, max_iters, tol,
+                                                fallback, want):
+        # far-apart clouds at a small epsilon: the column half-step of a
+        # check iteration leaves the scaling range and rewrites columns of
+        # K, so the check cannot reuse its a @ K. In the second case the
+        # solve converges on that iteration, which a stale a @ K delays.
+        a = dc.rng_normal(dc.substream(0, "a"), (n, 2))
+        b = dc.rng_normal(dc.substream(0, "b"), (n, 2), shift, 1.0)
+        eps = factor * float(tp.cost_matrix(a, b).mean())
+        fell_back = []
+        step = tp._scaling_step
+
+        def spy(*args):
+            fell_back.append(step(*args))
+            return fell_back[-1]
+
+        monkeypatch.setattr(tp, "_scaling_step", spy)
+        res = tp.sinkhorn(a, b, eps, max_iters=max_iters, tol=tol)
+        columns = [i // 2 + 1 for i, f in enumerate(fell_back) if f and i % 2]
+        assert fallback in columns
+        dist, P, iters, conv = reference_sinkhorn(a, b, eps, max_iters, tol)
+        assert (res.iterations, res.converged) == (iters, conv) == (want, True)
+        assert abs(res.distance - dist) <= 1e-12 * max(1.0, dist)
+        assert np.abs(res.coupling - P).max() <= 1e-12
 
     def test_default_epsilon_250_points(self):
         a = dc.rng_normal(dc.substream(15, "a"), (250, 2))
