@@ -513,17 +513,20 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
 
 def _load_points(path) -> np.ndarray:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: cannot parse point row") from None
-            if not np.isfinite(rows[-1]).all():
-                raise ConfigError(f"{path}:{ln}: non-finite coordinate")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    for ln, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise ConfigError(f"{path}:{ln}: cannot parse point row") from None
+        if not np.isfinite(rows[-1]).all():
+            raise ConfigError(f"{path}:{ln}: non-finite coordinate")
     if not rows:
         raise ConfigError(f"{path}: no points")
     widths = {len(r) for r in rows}

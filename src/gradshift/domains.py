@@ -194,8 +194,14 @@ class SequenceFormatError(ValueError):
 
 
 def load_sequence(path) -> DomainSequence:
+    """Read what save_sequence writes. The sidecar is optional; it must be a
+    JSON object, and its `k` an int above every label id. Malformed content
+    raises SequenceFormatError."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SequenceFormatError(f"{path}: {e}") from None
     lines = text.splitlines()
     if not lines:
         raise SequenceFormatError(f"{path}: empty file")
@@ -233,8 +239,19 @@ def load_sequence(path) -> DomainSequence:
     meta = {}
     mpath = path.with_suffix(".meta.json")
     if mpath.exists():
-        meta = json.loads(mpath.read_text(encoding="utf-8"))
-    k = meta.get("k", max(y for rs in rows.values() for y, _ in rs) + 1)
+        try:
+            meta = json.loads(mpath.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as e:   # bad UTF-8 or JSON
+            raise SequenceFormatError(f"{mpath}: {e}") from None
+        if not isinstance(meta, dict):
+            raise SequenceFormatError(f"{mpath}: not a JSON object")
+    top = max(y for rs in rows.values() for y, _ in rs)
+    k = meta.get("k", top + 1)
+    # labels are int64, so k - 1 must fit in one
+    if type(k) is not int or not top < k <= np.iinfo(np.int64).max:
+        raise SequenceFormatError(
+            f"{path}: k must be an int above every label id (max {top}) "
+            f"and below 2**63, got k={k!r}")
     ts = sorted(rows)
     if ts != list(range(len(ts))):
         raise SequenceFormatError(f"{path}: domain indices {ts} not consecutive from 0")
@@ -242,9 +259,6 @@ def load_sequence(path) -> DomainSequence:
     for t in ts:
         ys = np.array([y for y, _ in rows[t]], dtype=np.int64)
         xs = np.array([f for _, f in rows[t]], dtype=np.float64)
-        if ys.max() >= k:
-            raise SequenceFormatError(
-                f"{path}: domain {t} has label id {ys.max()} >= k={k}")
         domains.append(DomainBatch(t, xs, ys, k))
     meta.pop("k", None)
     return DomainSequence(domains, meta)

@@ -171,19 +171,29 @@ def mlp_backward(params: MlpParams, outs: list[np.ndarray],
     """Backprop d_out, (out_dim, rows), a gradient w.r.t. the values of the
     last of mlp_layers' outputs `outs`, through the layers. Returns the
     gradient w.r.t. the input values, (in_dim, rows), and the flat parameter
-    gradient (the layout of params.flat), one gemm per layer block."""
-    grad = np.empty_like(params.flat)
-    blocks, d_blocks = params.blocks(), params.blocks(grad)
-    g = d_out
+    gradient (the layout of params.flat), one gemm per layer block each."""
+    return _backprop(params, outs, d_out, True, True)
+
+
+def _backprop(params: MlpParams, outs: list[np.ndarray], g: np.ndarray,
+              to_params: bool, to_input: bool):
+    """mlp_backward's two results, each only if asked for (None otherwise):
+    a caller that keeps one half skips the gemms and the vector of the
+    other."""
+    blocks = params.blocks()
+    grad = np.empty_like(params.flat) if to_params else None
+    d_blocks = params.blocks(grad) if to_params else None
     for l in reversed(range(len(blocks))):
         act, h = params.activations[l], outs[l + 1][:-1]
         if act == "relu":
             g = g * (h > 0.0)
         elif act == "tanh":
             g = g * (1.0 - np.square(h))
-        np.dot(outs[l], g.T, out=d_blocks[l])
-        g = blocks[l][:-1] @ g
-    return g, grad
+        if to_params:
+            np.dot(outs[l], g.T, out=d_blocks[l])
+        if l or to_input:
+            g = blocks[l][:-1] @ g
+    return (g if to_input else None), grad
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -371,7 +371,7 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
         loss = ce + cfg.lam * (c[:nt].mean() - c[nt:].mean())
         d_c = np.full((1, len(c)), -cfg.lam / hist.shape[1])
         d_c[0, :nt] = cfg.lam / nt
-        d_cols = md.mlp_backward(model.critic, c_outs, d_c)[0]
+        d_cols = md._backprop(model.critic, c_outs, d_c, False, True)[0]
         d_t, d_hist = d_cols[:, :nt], d_cols[:, nt:]
         if temporal:
             grad_r, d_mean = md.gru_backward(model.summarizer, cache,
@@ -382,9 +382,9 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
         if labeled_target:
             d_feats[:, ns:] += d_t
     _check_finite(loss, "model loss", where)
-    grads[0] = md.mlp_backward(model.g, g_outs, d_feats)[1]
+    grads[0] = md._backprop(model.g, g_outs, d_feats, True, False)[1]
     if align and not labeled_target:
-        grads[0] += md.mlp_backward(model.g, t_outs, d_t)[1]
+        grads[0] += md._backprop(model.g, t_outs, d_t, True, False)[1]
     opt_model.step(grads)
     return ce, gap, pen
 

@@ -108,7 +108,17 @@ def check_lemma1(sampler, shift: float, loss, rho: float, trials: int, n: int,
     is a rho-Lipschitz bounded function applied elementwise. Trials run in
     blocks of LEMMA1_BLOCK rows, trial i seeded by substream(seed, "trial",
     i). A trial violates when its gap exceeds rho * |shift| + 3 * stderr of
-    the gap.
+    the gap + slack, where slack bounds what rounding adds to the gap.
+
+    The slack is twice a first-order bound, in u = 2^-53, on what rounding
+    adds to the gap. A mean of n floats, summed in any order, lies within
+    about n u mean|a| of their exact mean (Higham 2002, sec. 4.2), so the two
+    means add n u (mean|a| + mean|b|). Each shifted point y = fl(x + shift)
+    lies within u |y| of x + shift, which moves the exact mean of a
+    rho-Lipschitz loss by at most rho u mean|y|. The loss itself is taken as
+    exact (clamp_loss is), and the factor 2 covers the second-order terms
+    and the roundings of the gap and the threshold. Without the slack, a
+    sample with no spread (stderr 0) shows its rounding as a violation.
     """
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got n={n}, "
@@ -123,10 +133,14 @@ def check_lemma1(sampler, shift: float, loss, rho: float, trials: int, n: int,
         seeds = [dc.substream(seed, "trial", i)
                  for i in range(lo, min(lo + LEMMA1_BLOCK, trials))]
         x = sampler(seeds, n)
-        a, b = loss(x), loss(x + shift)
+        y = x + shift
+        a, b = loss(x), loss(y)
         gap = np.abs(a.mean(axis=1) - b.mean(axis=1))
         stderr = np.sqrt(a.var(axis=1) / n + b.var(axis=1) / n)
-        violations += int((gap > bound + 3.0 * stderr).sum())
+        slack = 2.0 ** -52 * (n * (np.abs(a).mean(axis=1)
+                                   + np.abs(b).mean(axis=1))
+                              + rho * np.abs(y).mean(axis=1))
+        violations += int((gap > bound + 3.0 * stderr + slack).sum())
         max_gap = max(max_gap, float(gap.max()))
     return GapCheckReport(trials, violations, violations / trials,
                           max_gap, bound)

@@ -58,31 +58,48 @@ def cost_matrix(A, B) -> np.ndarray:
     return out
 
 
+_BLOCK = 2 ** 17                          # elements in an assignment row block
+
+
 def _auction_prices(C: np.ndarray) -> np.ndarray:
     """Column prices p from an eps-scaled Jacobi auction (Bertsekas 1988): each
     unassigned row bids for its best column of C + p by its margin over the
     second best plus eps, and a column goes to its highest bid (earliest row on
     a tie). eps falls 5x a phase from max C / 4 to 1e-3 max C / sqrt(n); a
-    phase ends with n // 50 rows unassigned, since only the prices are kept."""
+    phase ends with n // 50 rows unassigned, since only the prices are kept.
+    Rows bid in blocks of about _BLOCK elements; a row's bid reads only that
+    row, so the blocks do not change the prices."""
     n = C.shape[0]
     p = np.zeros(n)
     top = float(C.max()) if n >= 2 else 0.0
     if top <= 0:
         return p
     eps, final = top / 4, 1e-3 * top / n ** 0.5
-    i = np.arange(n)                     # per-row cyclic tie-break < final
-    C = np.add.outer(i, i) % n * (final / n) + C
+    i = np.arange(n)
+    # per-row cyclic tie-break ((r + j) mod n) * final / n < final: row r of
+    # it is window r of the doubled ramp, added to C one block at a time
+    ramp = np.concatenate((i, i)) * (final / n)
+    tie = np.lib.stride_tricks.sliding_window_view(ramp, n)[:n]
+    block = max(1, _BLOCK // n)              # rows
+    C_off = np.empty((n, n))
+    for s in range(0, n, block):
+        np.add(tie[s:s + block], C[s:s + block], out=C_off[s:s + block])
     while True:
         owner = np.full(n, -1)               # row holding each column
         free = i
         while free.size > n // 50:
-            V = C[free]
-            V += p
-            k = i[:free.size]
-            j = V.argmin(axis=1)
-            best = V[k, j]
-            V[k, j] = np.inf
-            bid = p[j] + (V.min(axis=1) - best) + eps
+            j = np.empty(free.size, dtype=np.intp)
+            best, second = np.empty(free.size), np.empty(free.size)
+            for s in range(0, free.size, block):
+                V = C_off[free[s:s + block]]
+                V += p
+                k = i[:len(V)]
+                jb = V.argmin(axis=1)
+                j[s:s + block] = jb
+                best[s:s + block] = V[k, jb]
+                V[k, jb] = np.inf
+                V.min(axis=1, out=second[s:s + block])
+            bid = p[j] + (second - best) + eps
             order = np.lexsort((-bid, j))    # by column, highest bid first
             js = j[order]
             win = order[np.concatenate(([True], js[1:] != js[:-1]))]
@@ -103,7 +120,10 @@ def _solve_assignment(C: np.ndarray):
     `vs`, the scratch copy of v, so its path cost d stays inf."""
     n = C.shape[0]
     v = -_auction_prices(C)
-    u = (C - v).min(axis=1)
+    u = np.empty(n)
+    block = max(1, _BLOCK // n)              # rows
+    for s in range(0, n, block):
+        np.min(C[s:s + block] - v, axis=1, out=u[s:s + block])
     row4col = [-1] * n
     d, r, vs = np.empty(n), np.empty(n), np.empty(n)
     for cur in range(n):

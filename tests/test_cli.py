@@ -47,6 +47,9 @@ def write_config(tmp_path, text=None, name="exp.toml"):
     return p
 
 
+# data rows of a valid two-domain, two-class sequence file
+TWO_DOMAINS = "0,0,0.5\n0,1,1.5\n1,0,0.5\n1,1,1.5\n"
+
 # `gradshift w1` output for test_w1_json_pinned's generated point files
 W1_LINES = {
     ("exact", (12, 12)):
@@ -144,6 +147,14 @@ CONFIG_BYTES = st.one_of(
               st.lists(st.none() | st.integers(0, len(LITERALS) - 1),
                        min_size=len(VALID.splitlines()),
                        max_size=len(VALID.splitlines()))))
+
+
+_POINTS = b"0.0,1.5\n-2.25,1e-3\n\n3.0,4.0\n"
+# a valid point file with junk spliced in, or any bytes
+POINT_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda i, junk: _POINTS[:i] + junk + _POINTS[i:],
+              st.integers(0, len(_POINTS)), st.binary(min_size=1, max_size=6)))
 
 
 class TestConfigParse:
@@ -461,15 +472,20 @@ class TestRunExperiment:
         err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert "error" in err
 
-    @pytest.mark.parametrize("rows,error", [
-        (None, "No such file or directory"),
-        ("0,0,0.5\n0,1,1.5\n", "schedules need T >= 2 domains")],
-        ids=["missing_file", "one_domain"])
-    def test_file_dataset_error_exit_2(self, tmp_path, capsys, rows, error):
+    @pytest.mark.parametrize("rows,sidecar,error", [
+        (None, None, "No such file or directory"),
+        ("0,0,0.5\n0,1,1.5\n", None, "schedules need T >= 2 domains"),
+        (TWO_DOMAINS, '{"k": "2"}', "k must be an int"),
+        (TWO_DOMAINS, "[2]", "not a JSON object")],
+        ids=["missing_file", "one_domain", "sidecar_k_str", "sidecar_list"])
+    def test_file_dataset_error_exit_2(self, tmp_path, capsys, rows, sidecar,
+                                       error):
         # answered as `gradshift run` answers it, not raised
         data = tmp_path / "seq.csv"
         if rows is not None:
             data.write_text("t,y,x0\n" + rows)
+        if sidecar is not None:
+            (tmp_path / "seq.meta.json").write_text(sidecar)
         text = (f'output_dir = "{tmp_path / "out"}"\n[generator]\n'
                 f'kind = "file"\npath = "{data}"\n')
         assert cli.run_experiment(write_config(tmp_path, text)) == 2
@@ -618,6 +634,24 @@ class TestSubcommands:
         assert cli.main(["w1", *map(str, files), "--method", method]) == 0
         assert capsys.readouterr().out == W1_LINES[method, sizes] + "\n"
 
+    def test_w1_undecodable_points_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_bytes(b"0.0,0.0\n1.0,\xff0.0\n")
+        assert cli.main(["w1", str(a), str(a)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert "can't decode byte 0xff" in out["error"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=POINT_BYTES)
+    def test_points_arbitrary_bytes(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("fuzz") / "p.csv"
+        p.write_bytes(raw)
+        try:
+            pts = cli._load_points(p)
+        except cli.ConfigError:
+            return
+        assert pts.ndim == 2 and np.isfinite(pts).all()
+
     def test_w1_dimension_mismatch_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -711,6 +745,15 @@ class TestSubcommands:
             '"seed": 0, "shift": 0.3, "sigma": 1.0, "trials": 1000}, '
             '"max_gap": 0.3000000000000001, "violation_rate": 0.0, '
             '"violations": 0}\n')
+
+    def test_lemma1_no_spread_no_violations(self, capsys):
+        # with sigma 0 each mean is of n equal values; without the rounding
+        # slack, 89 of these gaps land an ulp above rho * |shift|
+        for k in range(1, 200):
+            assert cli.main(["lemma1", "--sigma", "0", "--shift", repr(k / 97),
+                             "--trials", "1"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["violations"] == 0, k
 
     @pytest.mark.parametrize("flag, value, error", [
         ("--rho", "-1", "rho must be positive"),

@@ -1,10 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradshift import diffcore as dc
 from gradshift import domains as dom
+
+# An overflow, a division by zero or a NaN fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # chi-squared critical values at p=0.001 for the dfs used below
 CHI2_P001 = {1: 10.828, 3: 16.266, 5: 20.515, 9: 27.877}
@@ -118,6 +124,33 @@ class TestShiftingGaussians:
         assert stat < CHI2_P001[df]
 
 
+TINY_CSV = "t,y,x0,x1\n0,0,0.0,1.0\n0,1,1.0,0.0\n1,0,0.5,0.5\n"
+_TINY = TINY_CSV.encode()
+
+
+def _splice(base: bytes, i: int, junk: bytes) -> bytes:
+    return base[:i] + junk + base[i:]
+
+
+# a valid file with junk spliced in, or any bytes; a sidecar that is absent,
+# any bytes, or a JSON object whose k is any JSON value
+SEQUENCE_CSV = st.one_of(
+    st.binary(max_size=120),
+    st.builds(_splice, st.just(_TINY), st.integers(0, len(_TINY)),
+              st.binary(min_size=1, max_size=6)),
+    st.builds(_splice, st.just(_TINY), st.integers(0, len(_TINY)),
+              st.sampled_from([b"-", b"9" * 20, b",", b"\n", b"nan", b"1e999",
+                               b"\r", b"_", b"\xe2\x80\xa8"])))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+SIDECAR = st.one_of(
+    st.none(),
+    st.binary(max_size=40),
+    st.builds(lambda k: json.dumps({"k": k}).encode(), _JSON))
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         seq = dom.make_shifting_gaussians(3, 25, shift_per_step=0.2,
@@ -166,6 +199,48 @@ class TestSaveLoad:
         p.write_text("t,y,x0\n1,0,0.0\n0,0,1.0\n0,1,1.0\n1,1,1.0\n")
         with pytest.raises(dom.SequenceFormatError, match="sorted"):
             dom.load_sequence(p)
+
+    @pytest.mark.parametrize("sidecar, error", [
+        (b'{"k": "2"}', "k must be an int"),
+        (b'{"k": 2.5}', "k must be an int"),
+        (b'{"k": true}', "k must be an int"),
+        (b'{"k": 1}', r"above every label id \(max 1\)"),
+        (b'{"k": 9223372036854775808}', "below 2"),
+        (b"[2]", "not a JSON object"),
+        (b'{"k": 2', "Expecting"),
+        (b'{"k": 2}\xff', "can't decode byte 0xff"),
+        (b"[" * 100000, "recursion"),
+    ], ids=["str", "float", "bool", "small", "huge", "list", "json", "utf8",
+            "nested"])
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar, error):
+        p = tmp_path / "bad.csv"
+        p.write_text(TINY_CSV)
+        (tmp_path / "bad.meta.json").write_bytes(sidecar)
+        with pytest.raises(dom.SequenceFormatError, match=error):
+            dom.load_sequence(p)
+
+    @pytest.mark.parametrize("raw, error", [
+        (b"t,y,x0\n0,0,0.\xff\n", "can't decode byte 0xff"),
+        (b"t,y,x0\n0,0,0.0\n0,9223372036854775807,1.0\n", "below 2"),
+    ], ids=["utf8", "label"])
+    def test_bad_csv_rejected(self, tmp_path, raw, error):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(raw)
+        with pytest.raises(dom.SequenceFormatError, match=error):
+            dom.load_sequence(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv=SEQUENCE_CSV, sidecar=SIDECAR)
+    def test_arbitrary_bytes(self, tmp_path_factory, csv, sidecar):
+        p = tmp_path_factory.mktemp("fuzz") / "s.csv"
+        p.write_bytes(csv)
+        if sidecar is not None:
+            p.with_suffix(".meta.json").write_bytes(sidecar)
+        try:
+            seq = dom.load_sequence(p)
+        except dom.SequenceFormatError:
+            return
+        assert isinstance(seq, dom.DomainSequence)
 
 
 class TestSplitHoldout:

@@ -138,6 +138,16 @@ class TestLemma1Check:
         assert rep.max_gap == 0.0
         assert rep.violations == 0
 
+    def test_no_spread_shift_rounding(self):
+        # with sigma 0 a gap above the bound is rounding alone; near this mu,
+        # where sin has slope 1, rounding x + shift puts 21 of these gaps
+        # above rho * |shift| plus the means' share of the slack
+        mu = 2 * math.pi * 159155
+        for k in range(1, 200):
+            rep = th.check_lemma1(th.gaussian_sampler(mu, 0.0), k / 97e3,
+                                  np.sin, rho=1.0, trials=1, n=50, seed=0)
+            assert rep.violations == 0, k
+
     def test_gaussian_translation(self):
         rep = th.check_lemma1(th.gaussian_sampler(0.0, 1.0), 0.3,
                               loss=th.clamp_loss(-5, 5), rho=1.0,

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,42 @@ def reference_assignment(C: np.ndarray):
     rows = p[1:] - 1
     total = float(C[rows, np.arange(n)].sum())
     return rows, total
+
+
+def reference_auction_prices(C: np.ndarray) -> np.ndarray:
+    """The auction over whole matrices: the offset matrix from an outer sum
+    and each round's free rows gathered at once. The reference for the
+    row-block `tp._auction_prices`."""
+    n = C.shape[0]
+    p = np.zeros(n)
+    top = float(C.max()) if n >= 2 else 0.0
+    if top <= 0:
+        return p
+    eps, final = top / 4, 1e-3 * top / n ** 0.5
+    i = np.arange(n)                     # per-row cyclic tie-break < final
+    C = np.add.outer(i, i) % n * (final / n) + C
+    while True:
+        owner = np.full(n, -1)               # row holding each column
+        free = i
+        while free.size > n // 50:
+            V = C[free]
+            V += p
+            k = i[:free.size]
+            j = V.argmin(axis=1)
+            best = V[k, j]
+            V[k, j] = np.inf
+            bid = p[j] + (V.min(axis=1) - best) + eps
+            order = np.lexsort((-bid, j))    # by column, highest bid first
+            js = j[order]
+            win = order[np.concatenate(([True], js[1:] != js[:-1]))]
+            owner[j[win]] = free[win]
+            p[j[win]] = bid[win]
+            held = np.zeros(n, dtype=bool)
+            held[owner[owner >= 0]] = True
+            free = np.flatnonzero(~held)
+        if eps <= final:
+            return p
+        eps = max(eps / 5, final)
 
 
 def reference_sinkhorn(A, B, epsilon, max_iters=5000, tol=1e-6):
@@ -304,6 +342,70 @@ class TestAssignmentEquivalence:
         a = dc.rng_normal(dc.substream(s, 0), (n, 2))
         b = dc.rng_normal(dc.substream(s, 1), (n, 2), 0.5, 1.0)
         assert tp.w1_exact(a, b).distance.hex() == want
+
+
+def benchmark_pair_costs():
+    """The n = 1024 pair that `gradshift w1 --method exact` solves in the
+    drift benchmark at seed 0."""
+    rng = np.random.default_rng([0, 1])
+    a = rng.standard_normal((1024, 2))
+    b = rng.standard_normal((1024, 2)) + [0.5, 0.0]
+    return tp.cost_matrix(a, b)
+
+
+def auction_cases(n):
+    """Random, integer, duplicate-point (3 x 3 grid) and all-equal costs."""
+    s = dc.substream(58, n)
+    grid = [np.floor(dc.rng_uniform(dc.substream(s, 2, side), (n, 2)) * 3)
+            for side in (0, 1)]
+    return {"random": dc.rng_uniform(dc.substream(s, 0), (n, n)),
+            "integer": np.floor(dc.rng_uniform(dc.substream(s, 1), (n, n)) * 4),
+            "duplicates": tp.cost_matrix(*grid),
+            "equal": np.full((n, n), 2.5)}
+
+
+class TestAuctionBlocks:
+    """The row-block auction and initial duals give the whole-matrix bits."""
+
+    def test_benchmark_pair_bit_identical(self):
+        C = benchmark_pair_costs()
+        assert tp._auction_prices(C).tobytes() == \
+            reference_auction_prices(C).tobytes()
+        rows, total = tp._solve_assignment(C)
+        # the matching and total of the whole-matrix auction
+        assert total.hex() == "0x1.0e301b22420b0p+9"
+        assert hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()[
+            :16] == "88d86bba427f6546"
+
+    # 600 rows at 218 a block: the first round of each phase takes two full
+    # blocks and a partial one; below 363 rows a round is one block
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 129, 250, 600])
+    def test_cases_bit_identical(self, n):
+        for name, C in auction_cases(n).items():
+            assert tp._auction_prices(C).tobytes() == \
+                reference_auction_prices(C).tobytes(), name
+
+    @pytest.mark.parametrize("n", [7, 50, 129, 250])
+    def test_small_blocks_bit_identical(self, n, monkeypatch):
+        # 3 rows a block: most rounds end on a partial block
+        monkeypatch.setattr(tp, "_BLOCK", 3 * n)
+        for name, C in auction_cases(n).items():
+            assert tp._auction_prices(C).tobytes() == \
+                reference_auction_prices(C).tobytes(), name
+            assert_optimal(C, reference_assignment(C)[1])
+
+    def test_peak_memory(self):
+        # one n x n array (the tie-broken costs) beside the caller's C, and
+        # a row block; the whole-matrix auction and duals reached 2.9 C
+        C = benchmark_pair_costs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tp._solve_assignment(C)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * C.nbytes
 
 
 class TestSorted1d:
