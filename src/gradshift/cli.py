@@ -53,9 +53,9 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"output_dir", "seeds", "schedules", "holdout"}
 # [train] and [model] keys are the fields of TrainConfig, LossSpec and
 # ModelSpec, renamed where the config spells them differently; the run sets
-# `seed` and `summarizer`
+# `seed` (and gradual_temporal adds the summarizer, see initial_model)
 _KEY_OF_FIELD = {"lam": "lambda", "kind": "loss", "bound": "loss_bound"}
-_UNSET_FIELDS = {"seed", "summarizer"}
+_UNSET_FIELDS = {"seed"}
 
 
 def _boolean(value):
@@ -414,7 +414,7 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
 
     def on_stage(idx, model, metrics):
         rows.append((run_id, str(seed), schedule, str(metrics.t),
-                     str(metrics.epoch), _fmt(metrics.class_loss),
+                     str(tcfg.epochs_per_domain - 1), _fmt(metrics.class_loss),
                      _fmt(metrics.alignment), _fmt(metrics.gp),
                      _fmt(metrics.target_acc), "0"))
         if halt_after is not None and idx >= halt_after:

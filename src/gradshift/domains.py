@@ -122,15 +122,14 @@ def make_rotating_moons(T: int, n: int, total_degrees: float = 120.0,
 
 
 def make_shifting_gaussians(T: int, n: int, shift_per_step: float = 0.3,
-                            class_means=None, sigma: float = 0.5, seed: int = 0,
-                            direction_cycle=None) -> DomainSequence:
+                            class_means=None, sigma: float = 0.5,
+                            seed: int = 0) -> DomainSequence:
     """Class-conditional N(mean_y + offset_t, sigma^2 I) with translation drift.
 
-    Each step translates every class-conditional by a vector of norm
-    shift_per_step, so the per-step class-conditional W_p drift equals
-    shift_per_step exactly for every p. direction_cycle (unit directions,
-    cycled per step) reproduces the alternating-shift setting; default is the
-    first coordinate axis.
+    Each step translates every class-conditional by (shift_per_step, 0, ...),
+    along the first coordinate axis, so domain t sits t * shift_per_step
+    from domain 0 and the per-step class-conditional W_p drift equals
+    shift_per_step exactly for every p.
     """
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
@@ -144,15 +143,8 @@ def make_shifting_gaussians(T: int, n: int, shift_per_step: float = 0.3,
     if means.ndim != 2:
         raise ValueError("class_means must be a (k, d) array-like")
     k, d = means.shape
-    if direction_cycle is None:
-        dirs = np.zeros((1, d))
-        dirs[0, 0] = 1.0
-    else:
-        dirs = np.atleast_2d(np.asarray(direction_cycle, dtype=np.float64))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ValueError("direction_cycle entries must be nonzero")
-        dirs = dirs / norms
+    step = np.zeros(d)
+    step[0] = shift_per_step
     domains = []
     offset = np.zeros(d)
     for t in range(T):
@@ -160,7 +152,7 @@ def make_shifting_gaussians(T: int, n: int, shift_per_step: float = 0.3,
         noise = dc.rng_normal(dc.substream(seed, "noise", t), (n, d), 0.0, sigma)
         x = means[y] + offset + noise
         domains.append(DomainBatch(t, x, y, k))
-        offset = offset + shift_per_step * dirs[t % len(dirs)]
+        offset = offset + step
     meta = {"generator": "shifting_gaussians", "T": T, "n": n, "seed": seed,
             "shift_per_step": shift_per_step, "sigma": sigma,
             "class_means": means.tolist(), "delta_true": float(shift_per_step)}

@@ -166,20 +166,13 @@ def mlp_layers(params: MlpParams, a: np.ndarray,
     return outs
 
 
-def mlp_backward(params: MlpParams, outs: list[np.ndarray],
-                 d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop d_out, (out_dim, rows), a gradient w.r.t. the values of the
-    last of mlp_layers' outputs `outs`, through the layers. Returns the
-    gradient w.r.t. the input values, (in_dim, rows), and the flat parameter
-    gradient (the layout of params.flat), one gemm per layer block each."""
-    return _backprop(params, outs, d_out, True, True)
-
-
-def _backprop(params: MlpParams, outs: list[np.ndarray], g: np.ndarray,
-              to_params: bool, to_input: bool):
-    """mlp_backward's two results, each only if asked for (None otherwise):
-    a caller that keeps one half skips the gemms and the vector of the
-    other."""
+def mlp_backward(params: MlpParams, outs: list[np.ndarray], g: np.ndarray,
+                 to_params: bool = True, to_input: bool = True):
+    """Backprop g, (out_dim, rows), a gradient w.r.t. the values of the last
+    of mlp_layers' outputs `outs`, through the layers. Returns the gradient
+    w.r.t. the input values, (in_dim, rows), and the flat parameter gradient
+    (the layout of params.flat), one gemm per layer block each; a half not
+    asked for is None, and its gemms and vector are skipped."""
     blocks = params.blocks()
     grad = np.empty_like(params.flat) if to_params else None
     d_blocks = params.blocks(grad) if to_params else None

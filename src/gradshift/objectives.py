@@ -10,7 +10,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +71,6 @@ class ModelSpec:
     critic_hidden: int = 16
     summarizer_hidden: int = 32
     summarizer_layers: int = 1
-    summarizer: bool = False
 
     def __post_init__(self):
         if min(self.feature_dim, self.hidden, self.critic_hidden,
@@ -111,8 +109,6 @@ class EpochMetrics:
     alignment: float
     gp: float
     target_acc: float
-    wall_s: float = 0.0
-    epoch: int = 0
 
 
 def build_model(spec: ModelSpec, d: int, k: int, seed: int) -> AdaptationModel:
@@ -127,13 +123,7 @@ def build_model(spec: ModelSpec, d: int, k: int, seed: int) -> AdaptationModel:
     # zero head: the first ascent step then breaks symmetry toward the
     # intended dual orientation instead of amplifying a random sign
     critic.weights[-1][:] = 0.0
-    summ = None
-    state = None
-    if spec.summarizer:
-        summ = md.init_recurrent(dc.substream(seed, "summ"), m,
-                                 spec.summarizer_hidden, spec.summarizer_layers, m)
-        state = md.fresh_state(summ)
-    return AdaptationModel(g, h, critic, summ, state)
+    return AdaptationModel(g, h, critic)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +306,13 @@ def _check_finite(value, what: str, where: str):
 
 def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                       opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
-                      loss_spec: LossSpec, *, labeled_target: bool, align: bool,
-                      temporal: bool, gp_seed: int, where: str):
+                      loss_spec: LossSpec, *, align: bool, gp_seed: int,
+                      where: str):
     """One batch's primal-dual step in place. Returns (class loss, gap,
     penalty); the last two come from the final critic step, 0 without
-    alignment.
+    alignment. An aligning step trains on the target's labels when
+    cfg.labeled_target is set, and on the temporal history when the model
+    has a summarizer.
 
     The labeled rows run forward through g and h. When aligning, the critic
     ascends k_critic times on the target features and the source history,
@@ -330,6 +322,8 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
     both back through g and, for the temporal history, through the
     summarizer's one gated step from the committed state.
     """
+    labeled_target = align and cfg.labeled_target
+    temporal = align and model.summarizer is not None
     x_lab, y_lab = xs, ys
     if labeled_target:
         x_lab, y_lab = np.concatenate([xs, xt]), np.concatenate([ys, yt])
@@ -371,7 +365,7 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
         loss = ce + cfg.lam * (c[:nt].mean() - c[nt:].mean())
         d_c = np.full((1, len(c)), -cfg.lam / hist.shape[1])
         d_c[0, :nt] = cfg.lam / nt
-        d_cols = md._backprop(model.critic, c_outs, d_c, False, True)[0]
+        d_cols = md.mlp_backward(model.critic, c_outs, d_c, to_params=False)[0]
         d_t, d_hist = d_cols[:, :nt], d_cols[:, nt:]
         if temporal:
             grad_r, d_mean = md.gru_backward(model.summarizer, cache,
@@ -382,26 +376,23 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
         if labeled_target:
             d_feats[:, ns:] += d_t
     _check_finite(loss, "model loss", where)
-    grads[0] = md._backprop(model.g, g_outs, d_feats, True, False)[1]
+    grads[0] = md.mlp_backward(model.g, g_outs, d_feats, to_input=False)[1]
     if align and not labeled_target:
-        grads[0] += md._backprop(model.g, t_outs, d_t, True, False)[1]
+        grads[0] += md.mlp_backward(model.g, t_outs, d_t, to_input=False)[1]
     opt_model.step(grads)
     return ce, gap, pen
 
 
 def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
-               cfg: TrainConfig, *, labeled_target: bool, align: bool,
-               temporal: bool, stage: int, loss_spec: LossSpec,
-               eval_batch: DomainBatch | None):
+               cfg: TrainConfig, *, align: bool, stage: int,
+               loss_spec: LossSpec, eval_batch: DomainBatch | None):
     """Train one adaptation stage in place, one _primal_dual_step per batch;
-    returns EpochMetrics."""
+    returns EpochMetrics. An aligning stage also trains the model's
+    summarizer, if it has one."""
     if source.d != target.d or source.k != target.k:
         raise ValueError("source/target dimension mismatch")
-    if temporal and model.summarizer is None:
-        raise ValueError("temporal stage requires a model with a summarizer")
-    started = time.perf_counter()
     nets = [model.g, model.h]
-    if align and temporal:
+    if align and model.summarizer is not None:
         nets.append(model.summarizer)
     opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
     opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
@@ -421,8 +412,7 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
             ce, gap, pen = _primal_dual_step(
                 model, opt_model, opt_critic, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
-                target.labels[tgt_idx], cfg, loss_spec,
-                labeled_target=labeled_target, align=align, temporal=temporal,
+                target.labels[tgt_idx], cfg, loss_spec, align=align,
                 gp_seed=dc.substream(cfg.seed, "gp", stage, epoch, b),
                 where=f"stage {stage} epoch {epoch} batch {b}")
             loss_sum += ce
@@ -434,9 +424,7 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         acc = md.accuracy(model.g, model.h, eval_batch.features, eval_batch.labels)
     return EpochMetrics(t=target.t, class_loss=loss_sum / max(n_steps, 1),
                         alignment=gap_sum / max(n_steps, 1),
-                        gp=pen_sum / max(n_steps, 1), target_acc=acc,
-                        wall_s=time.perf_counter() - started,
-                        epoch=cfg.epochs_per_domain - 1)
+                        gp=pen_sum / max(n_steps, 1), target_acc=acc)
 
 
 def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,
@@ -445,8 +433,7 @@ def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,
     """Plain empirical risk minimization sharing an adaptation stage's seed
     and batch order (the lambda=0 degenerate case without the critic loop)."""
     out = model.copy()
-    metrics = _run_stage(out, batch, batch, cfg, labeled_target=False,
-                         align=False, temporal=False, stage=stage,
+    metrics = _run_stage(out, batch, batch, cfg, align=False, stage=stage,
                          loss_spec=loss_spec, eval_batch=eval_batch)
     return out, metrics
 
@@ -456,9 +443,14 @@ def initial_model(kind: str, seq: DomainSequence, spec: ModelSpec,
     """The untrained model a run of schedule `kind` starts from, or that a
     resumed run fills from its checkpoint: gradual_temporal adds the
     summarizer, and the draws come from the run seed's init substream."""
-    if kind == "gradual_temporal":
-        spec = replace(spec, summarizer=True)
-    return build_model(spec, seq.d, seq.k, dc.substream(seed, "init"))
+    init = dc.substream(seed, "init")
+    model = build_model(spec, seq.d, seq.k, init)
+    if kind != "gradual_temporal":
+        return model
+    m = spec.feature_dim
+    summ = md.init_recurrent(dc.substream(init, "summ"), m,
+                             spec.summarizer_hidden, spec.summarizer_layers, m)
+    return replace(model, summarizer=summ, summary_state=md.fresh_state(summ))
 
 
 def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
@@ -478,7 +470,6 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         raise ValueError(f"unknown schedule {kind!r}; expected one of {SCHEDULES}")
     if seq.T < 2:
         raise ValueError("schedules need T >= 2 domains")
-    temporal = kind == "gradual_temporal"
     train_seq, eval_seq = split_holdout(seq, holdout,
                                         dc.substream(cfg.seed, "holdout"))
     eval_batch = eval_seq.domains[-1]
@@ -500,11 +491,10 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
     trace: list[EpochMetrics] = []
     for t in range(start_stage, len(stages)):
         source, target = stages[t]
-        metrics = _run_stage(model, source, target, cfg,
-                             labeled_target=cfg.labeled_target and align,
-                             align=align, temporal=temporal, stage=t,
-                             loss_spec=loss_spec, eval_batch=eval_batch)
-        if temporal:
+        metrics = _run_stage(model, source, target, cfg, align=align,
+                             stage=t, loss_spec=loss_spec,
+                             eval_batch=eval_batch)
+        if model.summarizer is not None:
             # commit the finished domain into the recurrent state under the
             # final feature map
             mean_f = md.mlp_eval(model.g, source.features).mean(axis=0)

@@ -21,33 +21,15 @@ from .objectives import build_model
 # ---------------------------------------------------------------------------
 # discrepancy
 
-@dataclass
-class PoolEntry:
-    h: md.MlpParams
-    g: md.MlpParams
-    tag: str                     # random-init | training-snapshot
-
-
-@dataclass
-class HypothesisPool:
-    entries: list[PoolEntry]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("hypothesis pool must be non-empty")
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def make_hypothesis_pool(seq: DomainSequence, n_random: int, n_snapshots: int,
-                         seed: int, spec: ModelSpec | None = None) -> HypothesisPool:
-    """Random feature/classifier inits plus short-training snapshots."""
+                         seed: int, spec: ModelSpec | None = None) -> list:
+    """(g, h) pairs: random feature/classifier inits, then short-training
+    snapshots."""
     spec = spec if spec is not None else ModelSpec()
-    entries = []
+    pool = []
     for i in range(n_random):
         m = build_model(spec, seq.d, seq.k, dc.substream(seed, "rand", i))
-        entries.append(PoolEntry(m.h, m.g, "random-init"))
+        pool.append((m.g, m.h))
     if n_snapshots > 0:
         cfg = TrainConfig(seed=dc.substream(seed, "snap"), epochs_per_domain=1,
                           lam=0.0)
@@ -55,25 +37,26 @@ def make_hypothesis_pool(seq: DomainSequence, n_random: int, n_snapshots: int,
         for i in range(n_snapshots):
             dom = seq.domains[i % max(seq.T - 1, 1)]
             model, _ = train_erm(model, dom, cfg, stage=i)
-            entries.append(PoolEntry(model.h.copy(), model.g.copy(),
-                                     "training-snapshot"))
-    return HypothesisPool(entries)
+            pool.append((model.g.copy(), model.h.copy()))
+    return pool
 
 
-def estimate_discrepancy(seq: DomainSequence, pool: HypothesisPool,
+def estimate_discrepancy(seq: DomainSequence, pool: list,
                          loss: LossSpec) -> float:
-    """Largest pool-hypothesis gap between the final domain's loss and the
-    average loss over the earlier domains (1/(T-1) weighting)."""
+    """Largest gap, over the pool's (g, h) pairs, between the final domain's
+    loss and the average loss over the earlier domains (1/(T-1) weighting)."""
     if seq.T < 2:
         raise ValueError("discrepancy needs T >= 2 domains")
+    if not pool:
+        raise ValueError("hypothesis pool must be non-empty")
     best = -math.inf
-    for entry in pool.entries:
-        if entry.g.in_dim != seq.d:
-            raise ValueError(f"pool feature map expects d={entry.g.in_dim}, "
+    for g, h in pool:
+        if g.in_dim != seq.d:
+            raise ValueError(f"pool feature map expects d={g.in_dim}, "
                              f"sequence has d={seq.d}")
         per_domain = []
         for dom in seq.domains:
-            logits = md.mlp_eval(entry.h, md.mlp_eval(entry.g, dom.features))
+            logits = md.mlp_eval(h, md.mlp_eval(g, dom.features))
             per_domain.append(float(loss_values_np(loss, logits, dom.labels).mean()))
         # mean of differences rather than difference of means: exactly zero
         # when all domains carry the same samples

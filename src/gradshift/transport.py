@@ -38,7 +38,8 @@ def cost_matrix(A, B) -> np.ndarray:
     """Pairwise Euclidean distances, computed from direct differences so that
     identical points give exact zeros. Each block of rows sums its squared
     coordinate differences in coordinate order, as numpy's sum over the last
-    axis does below 8 coordinates."""
+    axis does below 8 coordinates. Raises ValueError if a distance overflows
+    float64."""
     A, B = _points(A), _points(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
@@ -46,15 +47,18 @@ def cost_matrix(A, B) -> np.ndarray:
     out = np.empty((n, m))
     block = max(1, int(2**19 / max(m * d, 1)))
     sq = np.empty((min(block, n), m))
-    for s in range(0, n, block):
-        a, acc = A[s:s + block], out[s:s + block]
-        np.subtract.outer(a[:, 0], B[:, 0], out=acc)
-        acc *= acc
-        for k in range(1, d):
-            t = np.subtract.outer(a[:, k], B[:, k], out=sq[:len(a)])
-            t *= t
-            acc += t
-        np.sqrt(acc, out=acc)
+    with np.errstate(over="ignore"):         # an overflow is an inf, checked
+        for s in range(0, n, block):
+            a, acc = A[s:s + block], out[s:s + block]
+            np.subtract.outer(a[:, 0], B[:, 0], out=acc)
+            acc *= acc
+            for k in range(1, d):
+                t = np.subtract.outer(a[:, k], B[:, k], out=sq[:len(a)])
+                t *= t
+                acc += t
+            if np.isinf(acc).any():
+                raise ValueError("pairwise distances overflow float64")
+            np.sqrt(acc, out=acc)
     return out
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -14,6 +15,9 @@ from gradshift import diffcore as dc
 from gradshift import domains as dom
 from gradshift import models as md
 from gradshift import objectives as ob
+
+# An overflow, a division by zero or a NaN fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SMALL_CONFIG = """\
 output_dir = "{out}"
@@ -355,18 +359,79 @@ class TestCheckpointFormat:
 
     def test_model_array_round_trip(self, tmp_path):
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
-                            summarizer=True, summarizer_hidden=8)
-        model = ob.build_model(spec, 2, 2, seed=5)
+                            summarizer_hidden=8)
+        seq = dom.make_rotating_moons(2, 10)
+        model = ob.initial_model("gradual_temporal", seq, spec, seed=5)
         model.summary_state.count = 3
         ck = cli.Checkpoint(cli.model_to_arrays(model), 1, 0, bytes(32))
         p = tmp_path / "model.ckpt"
         cli.save_checkpoint(p, ck)
         back = cli.load_checkpoint(p)
-        template = ob.build_model(spec, 2, 2, seed=99)
+        template = ob.initial_model("gradual_temporal", seq, spec, seed=99)
         restored = cli.arrays_to_model(template, back.arrays)
         for a, b in zip(cli.model_to_arrays(model), cli.model_to_arrays(restored)):
             assert np.array_equal(a, b)
         assert restored.summary_state.count == 3
+
+
+# every schedule on a tiny task; output_dir is relative, so the config's
+# digest, and with it report.json, does not depend on where the test runs
+PINNED_CONFIG = """\
+output_dir = "out"
+seeds = [1, 2]
+schedules = ["no_adaptation", "direct", "gradual", "gradual_temporal"]
+
+[generator]
+kind = "rotating_moons"
+T = 3
+n = 60
+total_degrees = 60.0
+
+[train]
+epochs_per_domain = 2
+batch_size = 16
+k_critic = 2
+{extra}
+[model]
+feature_dim = 4
+hidden = 8
+critic_hidden = 8
+summarizer_hidden = 6
+"""
+
+# labeled_target -> (metrics.csv, sha256 of report.json) of PINNED_CONFIG
+PINNED_ARTIFACTS = {
+    True: ("""\
+run_id,seed,schedule,t,epoch,class_loss,alignment,gp,target_acc,wall_ms
+no_adaptation-s1,1,no_adaptation,0,1,0.645896729,0,0,0.466666667,0
+no_adaptation-s2,2,no_adaptation,0,1,0.645864178,0,0,0.5625,0
+direct-s1,1,direct,2,1,0.67661511,0.00536503961,0.939279039,0.666666667,0
+direct-s2,2,direct,2,1,0.65467845,7.22656158e-05,0.950407694,0.5625,0
+gradual-s1,1,gradual,1,1,0.656874366,0.0018588649,0.973939062,0.466666667,0
+gradual-s1,1,gradual,2,1,0.67822909,0.00359996043,0.932364537,0.6,0
+gradual-s2,2,gradual,1,1,0.651406177,0.000736449693,0.975467037,0.625,0
+gradual-s2,2,gradual,2,1,0.655689658,-0.0010940785,0.934935459,0.625,0
+gradual_temporal-s1,1,gradual_temporal,1,1,0.656877212,0.00240929882,0.971694332,0.466666667,0
+gradual_temporal-s1,1,gradual_temporal,2,1,0.678224248,0.00636594655,0.927683649,0.6,0
+gradual_temporal-s2,2,gradual_temporal,1,1,0.651418963,0.000514917208,0.979059452,0.625,0
+gradual_temporal-s2,2,gradual_temporal,2,1,0.655732245,0.00333438926,0.941791243,0.625,0
+""", "cde076cbc03a4312b06b074178f5574c43992c0ea7f6a35294bf85efcda8d190"),
+    False: ("""\
+run_id,seed,schedule,t,epoch,class_loss,alignment,gp,target_acc,wall_ms
+no_adaptation-s1,1,no_adaptation,0,1,0.645896729,0,0,0.466666667,0
+no_adaptation-s2,2,no_adaptation,0,1,0.645864178,0,0,0.5625,0
+direct-s1,1,direct,2,1,0.642219589,0.00550433852,0.939960005,0.466666667,0
+direct-s2,2,direct,2,1,0.647739043,4.83219977e-05,0.950392531,0.5,0
+gradual-s1,1,gradual,1,1,0.64589787,0.00186129079,0.973949931,0.466666667,0
+gradual-s1,1,gradual,2,1,0.646835242,0.00357495318,0.932828532,0.466666667,0
+gradual-s2,2,gradual,1,1,0.645864552,0.00073894518,0.975449075,0.5625,0
+gradual-s2,2,gradual,2,1,0.653695821,-0.00113713569,0.934887964,0.5625,0
+gradual_temporal-s1,1,gradual_temporal,1,1,0.645898883,0.00241831661,0.971703399,0.466666667,0
+gradual_temporal-s1,1,gradual_temporal,2,1,0.646892818,0.00649940341,0.928000016,0.466666667,0
+gradual_temporal-s2,2,gradual_temporal,1,1,0.645870041,0.000513490406,0.979060547,0.5625,0
+gradual_temporal-s2,2,gradual_temporal,2,1,0.653824083,0.00330494704,0.941814177,0.625,0
+""", "b6aa2c4209f9bd6f3b7907fd728d9caf58ee889404e108eb10c0ea95f00a2373"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -375,6 +440,20 @@ def serial_runs(monkeypatch):
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("labeled", [True, False],
+                             ids=["labeled", "unlabeled"])
+    def test_training_bytes_pinned(self, tmp_path, monkeypatch, capsys,
+                                   labeled):
+        # the artifacts of every schedule, byte for byte, at one worker
+        monkeypatch.chdir(tmp_path)
+        extra = "" if labeled else "labeled_target = false\n"
+        (tmp_path / "exp.toml").write_text(PINNED_CONFIG.format(extra=extra))
+        assert cli.run_experiment("exp.toml") == 0
+        metrics, report_sha = PINNED_ARTIFACTS[labeled]
+        assert (tmp_path / "out" / "metrics.csv").read_text() == metrics
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == report_sha
+
     def test_artifacts_and_bookkeeping(self, tmp_path, capsys):
         p = write_config(tmp_path)
         assert cli.run_experiment(p) == 0
@@ -524,12 +603,14 @@ class TestRunExperiment:
         assert cli.run_experiment(write_config(tmp_path, text)) == 3
         assert len(list(started.iterdir())) < 8
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_3(self, tmp_path, capsys):
         text = SMALL_CONFIG.format(out=tmp_path / "outd").replace(
             "lambda = 1.0", "lambda = 1.0\nlr_model = 1e160\noptimizer = \"sgd\"")
         p = write_config(tmp_path, text, name="div.toml")
-        assert cli.run_experiment(p) == 3
+        # the run overflows on purpose; a mark cannot lift the module's
+        # error filter, since pytest applies the module's mark last
+        with np.errstate(all="ignore"):
+            assert cli.run_experiment(p) == 3
         err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert "diverged" in err["error"]
 
@@ -633,6 +714,16 @@ class TestSubcommands:
                                          for r in x.tolist()))
         assert cli.main(["w1", *map(str, files), "--method", method]) == 0
         assert capsys.readouterr().out == W1_LINES[method, sizes] + "\n"
+
+    @pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+    def test_w1_overflow_exit_2(self, tmp_path, capsys, method):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,0\n1e200,0\n2,1\n")
+        b.write_text("1,0\n-1e200,1\n3,3\n")
+        assert cli.main(["w1", str(a), str(b), "--method", method]) == 2
+        assert capsys.readouterr().out == \
+            '{"error": "pairwise distances overflow float64"}\n'
 
     def test_w1_undecodable_points_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -97,15 +97,14 @@ class TestShiftingGaussians:
                 w = sorted_w1(xa[:m], xb[:m])
                 assert abs(w - 0.3) < 0.05
 
-    def test_direction_cycle(self):
-        seq = dom.make_shifting_gaussians(
-            5, 10, shift_per_step=1.0, class_means=[[0.0, 0.0]], sigma=0.0,
-            seed=0, direction_cycle=[[0, 1], [1, 0], [0, -1], [-1, 0]])
-        centers = [d.features.mean(axis=0) for d in seq.domains]
-        for a, b in zip(centers, centers[1:]):
-            assert abs(np.linalg.norm(b - a) - 1.0) < 1e-9
-        assert np.allclose(centers[0], [0, 0])
-        assert np.allclose(centers[2], [1, 1])
+    def test_shift_along_first_axis(self):
+        # sigma 0: every point of domain t is its class mean plus (t*shift, 0)
+        means = [[-1.5, 0.25], [2.0, -3.0]]
+        seq = dom.make_shifting_gaussians(5, 12, shift_per_step=0.375,
+                                          class_means=means, sigma=0.0, seed=0)
+        for d in seq.domains:
+            want = np.asarray(means)[d.labels] + [d.t * 0.375, 0.0]
+            assert np.array_equal(d.features, want)
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):

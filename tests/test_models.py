@@ -191,6 +191,12 @@ class TestForwards:
         want = np.concatenate([g[i].ravel() for i in bound.param_ids()])
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(d_x.T - g[xid]) <= 1e-12 * np.linalg.norm(g[xid])
+        # each half alone: the same bits, and None for the other
+        outs = md.mlp_layers(p, md.feature_block(x))
+        no_x, only_p = md.mlp_backward(p, outs, d_out.T, to_input=False)
+        only_x, no_p = md.mlp_backward(p, outs, d_out.T, to_params=False)
+        assert no_x is None and no_p is None
+        assert np.array_equal(only_p, grad) and np.array_equal(only_x, d_x)
 
 
 class TestSummarizer:

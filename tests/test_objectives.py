@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -425,13 +426,15 @@ class TestModelStep:
         errors = []
 
         def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
-                    loss_spec, **kw):
+                    loss_spec, *, align, gp_seed, where):
             got = _Recorded()
             ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
-                                loss_spec, **kw)
-            del kw["gp_seed"], kw["where"]
+                                loss_spec, align=align, gp_seed=gp_seed,
+                                where=where)
             ce_ref, want = tape_oracle.taped_model_step(
-                model, xs, ys, xt, yt, cfg, loss_spec, **kw)
+                model, xs, ys, xt, yt, cfg, loss_spec, align=align,
+                labeled_target=align and labeled,
+                temporal=align and schedule == "gradual_temporal")
             assert [g.shape for g in got.grads] == [g.shape for g in want]
             assert abs(ce - ce_ref) <= 1e-12 * ce_ref
             got_v, want_v = np.concatenate(got.grads), np.concatenate(want)
@@ -474,9 +477,8 @@ def adapt_pair(model, source, target, cfg, labeled_target=True, *, stage=0):
     """One primal-dual adaptation stage on a copy of model; returns
     (adapted model, metrics) and leaves the input model as it was."""
     out = model.copy()
-    metrics = ob._run_stage(out, source, target, cfg,
-                            labeled_target=labeled_target, align=True,
-                            temporal=False, stage=stage,
+    cfg = dataclasses.replace(cfg, labeled_target=labeled_target)
+    metrics = ob._run_stage(out, source, target, cfg, align=True, stage=stage,
                             loss_spec=ob.LossSpec(), eval_batch=None)
     return out, metrics
 

@@ -76,7 +76,7 @@ class TestDiscrepancy:
         seq = dom.DomainSequence(doms, {})
         g = md.MlpParams([np.eye(1)], [np.zeros(1)], ["identity"])
         h = md.MlpParams([np.array([[-1.0, 1.0]])], [np.zeros(2)], ["identity"])
-        pool = th.HypothesisPool([th.PoolEntry(h, g, "random-init")])
+        pool = [(g, h)]
         spec = LossSpec("cross_entropy_bounded", bound=50.0)
         got = th.estimate_discrepancy(seq, pool, spec)
         # hand evaluation: logits are (-x, x); ce = log(1+exp(2x*(1-2y)))
@@ -91,7 +91,7 @@ class TestDiscrepancy:
         seq = self.toy_sequence()
         spec = ModelSpec(feature_dim=4, hidden=8)
         big = th.make_hypothesis_pool(seq, 8, 0, seed=3, spec=spec)
-        small = th.HypothesisPool(big.entries[:3])
+        small = big[:3]
         loss = LossSpec()
         assert th.estimate_discrepancy(seq, big, loss) >= \
             th.estimate_discrepancy(seq, small, loss)
@@ -107,11 +107,16 @@ class TestDiscrepancy:
         disc = th.estimate_discrepancy(seq, pool, spec)
         assert disc <= 4 * 1.0 * 0.3 + 0.15
 
+    def test_empty_pool(self):
+        with pytest.raises(ValueError,
+                           match="^hypothesis pool must be non-empty$"):
+            th.estimate_discrepancy(self.toy_sequence(), [], LossSpec())
+
     def test_pool_dimension_mismatch(self):
         seq = self.toy_sequence()
         g = md.MlpParams([np.eye(3)], [np.zeros(3)], ["identity"])
         h = md.MlpParams([np.zeros((3, 2))], [np.zeros(2)], ["identity"])
-        pool = th.HypothesisPool([th.PoolEntry(h, g, "random-init")])
+        pool = [(g, h)]
         with pytest.raises(ValueError, match="expects d="):
             th.estimate_discrepancy(seq, pool, LossSpec())
 

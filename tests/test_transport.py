@@ -163,6 +163,9 @@ def direct_cost(A, B):
 
 class TestCostMatrix:
     M = 512
+    # finite points, two of them 2e200 apart: a squared distance overflows
+    OVERFLOW = ([[0.0, 0.0], [1e200, 0.0], [2.0, 1.0]],
+                [[1.0, 0.0], [-1e200, 1.0], [3.0, 3.0]])
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_equals_direct_differences(self, d):
@@ -189,6 +192,16 @@ class TestCostMatrix:
         b = dc.rng_normal(dc.substream(24, d), (200, d))
         want = direct_cost(a, b)
         assert np.abs(tp.cost_matrix(a, b) - want).max() <= 1e-15 * want.max()
+
+    @pytest.mark.parametrize("solve", [
+        tp.cost_matrix, tp.w1_exact, lambda a, b: tp.sinkhorn(a, b, 0.1),
+        lambda a, b: tp.w1(a, b, "sinkhorn", seed=0)],
+        ids=["cost_matrix", "w1_exact", "sinkhorn", "w1_sinkhorn"])
+    def test_overflow_raises(self, solve):
+        # on inf costs the exact solver's auction would never stop bidding
+        with pytest.raises(ValueError,
+                           match="^pairwise distances overflow float64$"):
+            solve(*self.OVERFLOW)
 
 
 class TestW1Exact:
