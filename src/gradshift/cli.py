@@ -17,10 +17,12 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import sys
 import tomllib
+from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -512,7 +514,7 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
 # subcommands
 
 def _load_points(path) -> np.ndarray:
-    rows = []
+    coords, widths = array("d"), set()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -522,17 +524,18 @@ def _load_points(path) -> np.ndarray:
         if not line:
             continue
         try:
-            rows.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError:
             raise ConfigError(f"{path}:{ln}: cannot parse point row") from None
-        if not np.isfinite(rows[-1]).all():
+        if not all(map(math.isfinite, row)):
             raise ConfigError(f"{path}:{ln}: non-finite coordinate")
-    if not rows:
+        widths.add(len(row))
+        coords.extend(row)
+    if not coords:
         raise ConfigError(f"{path}: no points")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-    return np.asarray(rows, dtype=np.float64)
+    return np.frombuffer(coords, dtype=np.float64).reshape(-1, widths.pop())
 
 
 def cmd_w1(args) -> dict:
@@ -631,13 +634,15 @@ def _emit(command, *args) -> int:
     """Run one command and print its result, or its error, as one sorted-keys
     JSON line; returns the exit code (0 ok, 2 bad input, 3 divergence)."""
     code = EXIT_OK
-    try:
-        out = command(*args)
+    try:                      # a NaN or inf left in the result is an error
+        line = json.dumps(command(*args), sort_keys=True, allow_nan=False)
     except ob.TrainingDiverged as e:
-        out, code = {"error": f"training diverged: {e}"}, EXIT_DIVERGED
+        error, code = f"training diverged: {e}", EXIT_DIVERGED
     except (ConfigError, CheckpointError, ValueError, FileNotFoundError) as e:
-        out, code = {"error": str(e)}, EXIT_CONFIG
-    print(json.dumps(out, sort_keys=True))
+        error, code = str(e), EXIT_CONFIG
+    if code != EXIT_OK:
+        line = json.dumps({"error": error}, sort_keys=True)
+    print(line)
     return code
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,6 +186,9 @@ class SequenceFormatError(ValueError):
     pass
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def load_sequence(path) -> DomainSequence:
     """Read what save_sequence writes. The sidecar is optional; it must be a
     JSON object, and its `k` an int above every label id. Malformed content
@@ -203,8 +207,10 @@ def load_sequence(path) -> DomainSequence:
     d = len(header) - 2
     if d < 1:
         raise SequenceFormatError(f"{path}:1: no feature columns")
-    rows: dict[int, list] = {}
-    last_t = -1
+    ts: list[int] = []               # each domain's t, in file order
+    starts: list[int] = []           # the row where each domain starts
+    labels, feats = array("q"), array("d")
+    top = last_t = -1
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -215,18 +221,24 @@ def load_sequence(path) -> DomainSequence:
         try:
             t = int(parts[0])
             y = int(parts[1])
-            feats = [float(v) for v in parts[2:]]
+            row = [float(v) for v in parts[2:]]
         except ValueError as e:
             raise SequenceFormatError(f"{path}:{ln}: {e}") from None
-        if not all(map(math.isfinite, feats)):
+        if not all(map(math.isfinite, row)):
             raise SequenceFormatError(f"{path}:{ln}: non-finite feature value")
         if t < 0 or y < 0:
             raise SequenceFormatError(f"{path}:{ln}: t and y must be non-negative")
         if t < last_t:
             raise SequenceFormatError(f"{path}:{ln}: rows not sorted by t")
+        if t != last_t:
+            ts.append(t)
+            starts.append(len(labels))
         last_t = t
-        rows.setdefault(t, []).append((y, feats))
-    if not rows:
+        if y > top:
+            top = y
+        labels.append(min(y, _INT64_MAX))   # a larger y fails the k check
+        feats.extend(row)
+    if not labels:
         raise SequenceFormatError(f"{path}: no data rows")
     meta = {}
     mpath = path.with_suffix(".meta.json")
@@ -237,21 +249,19 @@ def load_sequence(path) -> DomainSequence:
             raise SequenceFormatError(f"{mpath}: {e}") from None
         if not isinstance(meta, dict):
             raise SequenceFormatError(f"{mpath}: not a JSON object")
-    top = max(y for rs in rows.values() for y, _ in rs)
     k = meta.get("k", top + 1)
     # labels are int64, so k - 1 must fit in one
-    if type(k) is not int or not top < k <= np.iinfo(np.int64).max:
+    if type(k) is not int or not top < k <= _INT64_MAX:
         raise SequenceFormatError(
             f"{path}: k must be an int above every label id (max {top}) "
             f"and below 2**63, got k={k!r}")
-    ts = sorted(rows)
     if ts != list(range(len(ts))):
         raise SequenceFormatError(f"{path}: domain indices {ts} not consecutive from 0")
-    domains = []
-    for t in ts:
-        ys = np.array([y for y, _ in rows[t]], dtype=np.int64)
-        xs = np.array([f for _, f in rows[t]], dtype=np.float64)
-        domains.append(DomainBatch(t, xs, ys, k))
+    ys = np.frombuffer(labels, dtype=np.int64)
+    xs = np.frombuffer(feats, dtype=np.float64).reshape(-1, d)
+    cuts = starts + [len(ys)]
+    domains = [DomainBatch(t, xs[a:b], ys[a:b], k)
+               for t, a, b in zip(ts, cuts, cuts[1:])]
     meta.pop("k", None)
     return DomainSequence(domains, meta)
 

@@ -160,6 +160,11 @@ class BoundInputs:
     c_online: float = 1.0
 
     def __post_init__(self):
+        for name in ("M", "rho", "drift", "delta", "vc", "rseq", "rseq_c",
+                     "c_online"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.T < 2:
             raise ValueError(f"T must be >= 2, got {self.T}")
         if not 0 < self.delta < 1:
@@ -198,7 +203,10 @@ def evaluate_bound(inp: BoundInputs) -> BoundReport:
     e1 = e1_decay + e1_conf
     e2 = e2_vc + e2_online
     e3 = e3_complexity + e3_drift
-    return BoundReport(e1, e2, e3, e1 + e2 + e3, parts={
+    total = e1 + e2 + e3
+    if math.isinf(total):                    # every term is non-negative
+        raise ValueError("bound terms overflow float64")
+    return BoundReport(e1, e2, e3, total, parts={
         "e1_decay": e1_decay, "e1_confidence": e1_conf, "e2_vc": e2_vc,
         "e2_online": e2_online, "e3_complexity": e3_complexity,
         "e3_drift": e3_drift, "rseq": rseq})

@@ -34,6 +34,9 @@ def _points(x) -> np.ndarray:
     return a
 
 
+_BLOCK = 2 ** 17                 # elements in a cost or assignment row block
+
+
 def cost_matrix(A, B) -> np.ndarray:
     """Pairwise Euclidean distances, computed from direct differences so that
     identical points give exact zeros. Each block of rows sums its squared
@@ -45,7 +48,7 @@ def cost_matrix(A, B) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     (n, d), m = A.shape, B.shape[0]
     out = np.empty((n, m))
-    block = max(1, int(2**19 / max(m * d, 1)))
+    block = max(1, _BLOCK // max(m * d, 1))   # rows
     sq = np.empty((min(block, n), m))
     with np.errstate(over="ignore"):         # an overflow is an inf, checked
         for s in range(0, n, block):
@@ -62,9 +65,6 @@ def cost_matrix(A, B) -> np.ndarray:
     return out
 
 
-_BLOCK = 2 ** 17                          # elements in an assignment row block
-
-
 def _auction_prices(C: np.ndarray) -> np.ndarray:
     """Column prices p from an eps-scaled Jacobi auction (Bertsekas 1988): each
     unassigned row bids for its best column of C + p by its margin over the
@@ -72,7 +72,8 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
     a tie). eps falls 5x a phase from max C / 4 to 1e-3 max C / sqrt(n); a
     phase ends with n // 50 rows unassigned, since only the prices are kept.
     Rows bid in blocks of about _BLOCK elements; a row's bid reads only that
-    row, so the blocks do not change the prices."""
+    row, so the blocks do not change the prices. C is consumed: it is
+    overwritten with the tie-broken costs the rows bid on."""
     n = C.shape[0]
     p = np.zeros(n)
     top = float(C.max()) if n >= 2 else 0.0
@@ -81,13 +82,12 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
     eps, final = top / 4, 1e-3 * top / n ** 0.5
     i = np.arange(n)
     # per-row cyclic tie-break ((r + j) mod n) * final / n < final: row r of
-    # it is window r of the doubled ramp, added to C one block at a time
+    # it is window r of the doubled ramp, added into C one block at a time
     ramp = np.concatenate((i, i)) * (final / n)
     tie = np.lib.stride_tricks.sliding_window_view(ramp, n)[:n]
     block = max(1, _BLOCK // n)              # rows
-    C_off = np.empty((n, n))
     for s in range(0, n, block):
-        np.add(tie[s:s + block], C[s:s + block], out=C_off[s:s + block])
+        np.add(tie[s:s + block], C[s:s + block], out=C[s:s + block])
     while True:
         owner = np.full(n, -1)               # row holding each column
         free = i
@@ -95,7 +95,7 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
             j = np.empty(free.size, dtype=np.intp)
             best, second = np.empty(free.size), np.empty(free.size)
             for s in range(0, free.size, block):
-                V = C_off[free[s:s + block]]
+                V = C[free[s:s + block]]
                 V += p
                 k = i[:len(V)]
                 jb = V.argmin(axis=1)
@@ -117,13 +117,13 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
         eps = max(eps / 5, final)
 
 
-def _solve_assignment(C: np.ndarray):
+def _solve_assignment(C: np.ndarray, p: np.ndarray):
     """Shortest augmenting paths with lazy dual updates (Crouse 2016) from the
     feasible duals v = -p, u = min_j (C - v) of auction prices p; returns (row
     matched to each column, total cost). A visited column is masked by -inf in
     `vs`, the scratch copy of v, so its path cost d stays inf."""
     n = C.shape[0]
-    v = -_auction_prices(C)
+    v = -p
     u = np.empty(n)
     block = max(1, _BLOCK // n)              # rows
     for s in range(0, n, block):
@@ -176,8 +176,10 @@ def w1_exact(A, B) -> TransportResult:
     if n > ASSIGNMENT_GUARD:
         raise ValueError(f"n={n} exceeds the assignment guard "
                          f"({ASSIGNMENT_GUARD}); use sinkhorn")
-    C = cost_matrix(A, B)
-    _, total = _solve_assignment(C)
+    # the auction consumes its matrix and the search gets the same bits built
+    # again, so the solve never holds two n x n arrays
+    p = _auction_prices(cost_matrix(A, B))
+    _, total = _solve_assignment(cost_matrix(A, B), p)
     return TransportResult(total / n, "exact_assignment")
 
 
@@ -201,8 +203,11 @@ def wp_sorted_1d(A, B, p: float) -> TransportResult:
     breaks = np.union1d(np.arange(n + 1, dtype=np.int64) * m,
                         np.arange(m + 1, dtype=np.int64) * n)
     lo = breaks[:-1]
-    total = float(np.dot(np.abs(a[lo // m] - b[lo // n]) ** p,
-                         np.diff(breaks)) / (n * m))
+    with np.errstate(over="ignore"):         # an overflow is an inf, checked
+        total = float(np.dot(np.abs(a[lo // m] - b[lo // n]) ** p,
+                             np.diff(breaks)) / (n * m))
+    if np.isinf(total):
+        raise ValueError("pairwise distances overflow float64")
     return TransportResult(total ** (1.0 / p), "sorted_1d")
 
 
@@ -242,8 +247,8 @@ def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
     Distance is the transport cost <coupling, cost> without the entropy term.
     Non-convergence within max_iters flags the result instead of raising.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     A, B = _points(A), _points(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError(

