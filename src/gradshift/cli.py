@@ -461,13 +461,23 @@ def run_experiment(config_path, halt_after: int | None = None) -> int:
     return _emit(_run_experiment, config_path, halt_after)
 
 
+def _thread_cap() -> int:
+    """The worker cap from GRADSHIFT_THREADS, a positive integer; unset or
+    empty, the core count."""
+    threads = os.environ.get("GRADSHIFT_THREADS", "")
+    if not threads:
+        return os.cpu_count() or 1
+    if not (threads.isascii() and threads.isdigit()) or int(threads) < 1:
+        raise ConfigError(f"GRADSHIFT_THREADS must be a positive integer, "
+                          f"got {threads!r}")
+    return int(threads)
+
+
 def _run_experiment(config_path, halt_after: int | None) -> dict:
     cfg = load_config(config_path)
     outdir = Path(cfg.output_dir)
     runs = [(schedule, seed) for schedule in cfg.schedules for seed in cfg.seeds]
-    threads = os.environ.get("GRADSHIFT_THREADS")
-    workers = int(threads) if threads else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(runs)))
+    workers = max(1, min(_thread_cap(), len(runs)))
     results: dict[tuple, list] = {}
     if workers == 1:
         for schedule, seed in runs:

@@ -179,9 +179,10 @@ class _Opt:
             self.step_count = 0
 
     def step(self, grads: list[np.ndarray]):
+        # each ufunc writes into a work buffer, its third argument
         if self.kind == "sgd":
             for p, g, (s, _) in zip(self.params, grads, self.work):
-                p -= np.multiply(g, self.lr, out=s)
+                p -= np.multiply(g, self.lr, s)
             return
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -192,37 +193,28 @@ class _Opt:
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
             # p -= lr (m / c1) / (sqrt(v / c2) + eps)
             m *= b1
-            m += np.multiply(g, 1 - b1, out=s)
+            m += np.multiply(g, 1 - b1, s)
             v *= b2
-            np.multiply(g, 1 - b2, out=s)
-            v += np.multiply(s, g, out=s)
-            np.divide(m, c1, out=s)
+            np.multiply(g, 1 - b2, s)
+            v += np.multiply(s, g, s)
+            np.divide(m, c1, s)
             s *= self.lr
-            np.divide(v, c2, out=t)
-            np.sqrt(t, out=t)
+            np.divide(v, c2, t)
+            np.sqrt(t, t)
             t += eps
-            p -= np.divide(s, t, out=s)
+            p -= np.divide(s, t, s)
 
 
 def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
-                  gp_factor: float, gp_seeds, where: str):
+                  gp_factor: float, gp_seeds, where: str, *,
+                  work: "_StageWork | None" = None):
     """One dual update in place per seed in the list gp_seeds: each ascends
     mean c(a) - mean c(b) minus gp_factor times the gradient penalty at
     interpolates drawn from that seed, between the paired rows of the two
     equal-size batches. Returns the last step's (gap, penalty), before its
-    update.
-
-    Each step's gradient is computed in closed form from one numpy forward
-    pass over the columns [a, b, interpolates] of a feature-major block
-    (mlp_layers' form). The input gradient at the interpolates is the
-    backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
-    delta_l = W_l gamma_l, with s_l each layer's slope. The penalty's
-    adjoint then runs forward through that chain (double backprop), where a
-    tanh layer also sends a second-derivative term to its pre-activation.
-    One primal backprop over all columns, seeded with the gap's -1/n and
-    +1/n, carries those terms to the parameters. The tests hold it to the
-    taped gap and penalty.
-    """
+    update. The steps run in a _CriticLoop for the critic and the batch
+    size; a training stage passes its `work`, which keeps that loop for the
+    stage's later batches of the same size."""
     if critic.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
     fa, fb = dc.array(features_a), dc.array(features_b)
@@ -236,64 +228,203 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     if len(fa) != len(fb):
         raise dc.ShapeError(f"critic_ascent pairs its two feature batches, "
                             f"got {len(fa)} and {len(fb)} rows")
-    k, n = 2 * len(fa), len(fa)
-    # columns [a, b] are written once; each step's interpolates fill the last n
-    x = md.feature_block(np.concatenate([fa, fb, np.empty((n, m))]))
-    xa, xb, xh = x[:m, :n], x[:m, n:k], x[:m, k:]
-    acts, n_layers = critic.activations, len(critic.activations)
-    ws = [blk[:-1] for blk in critic.blocks()]
-    grad = np.empty_like(critic.flat)
-    d_blocks = critic.blocks(grad)
-    seed_g = np.zeros((1, k + n))
-    seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
-    deltas = [None] * n_layers + [np.ones((1, n))]
-    gammas, second, pen_w = ([None] * n_layers for _ in range(3))
-    outs, gap, pen = None, 0.0, 0.0
-    for step in range(len(gp_seeds)):
-        if step % 64 == 0:          # the next 64 steps' draws in one pass
-            u = dc.uniform_rows([dc.substream(s, "gp_u")
-                                 for s in gp_seeds[step:step + 64]], n)
-        np.multiply(xa, u[step % 64], out=xh)
-        xh += (1.0 - u[step % 64]) * xb
-        outs = md.mlp_layers(critic, x, outs)
-        hs = [h[:-1] for h in outs[1:]]
-        # each layer's slope from its output h (None: identity)
-        slopes = [None if a == "identity" else (h > 0.0) if a == "relu"
-                  else 1.0 - np.square(h) for a, h in zip(acts, hs)]
-        for l in reversed(range(n_layers)):
-            s = slopes[l]
-            gammas[l] = deltas[l + 1] if s is None else deltas[l + 1] * s[:, k:]
-            deltas[l] = ws[l] @ gammas[l]
-        norms = np.sqrt(np.square(deltas[0]).sum(axis=0) + 1e-24)
-        pen = float(np.square(norms - 1.0).sum()) / n
-        gap = float(hs[-1][0, :n].sum() / n - hs[-1][0, n:k].sum() / n)
-        if not math.isfinite(pen * gp_factor - gap):
-            raise TrainingDiverged(
-                f"non-finite critic loss at {where}, critic step {step}")
-        # the penalty's adjoint, forward through the input-gradient chain
-        d_delta = (gp_factor * 2.0 / n) * ((norms - 1.0) / norms) * deltas[0]
-        for l in range(n_layers):
-            pen_w[l] = d_delta @ gammas[l].T
-            if l + 1 == n_layers and acts[l] != "tanh":
-                break                     # nothing below uses d_gamma
-            d_gamma = ws[l].T @ d_delta
-            s = slopes[l]
-            if acts[l] == "tanh":
-                second[l] = d_gamma * deltas[l + 1] * (-2.0 * hs[l][:, k:] * s[:, k:])
-            d_delta = d_gamma if s is None else d_gamma * s[:, k:]
-        # primal backprop over all columns
-        g = seed_g
-        for l in reversed(range(n_layers)):
-            if slopes[l] is not None:
-                g = g * slopes[l]
-            if second[l] is not None:
-                g[:, k:] += second[l]
-            np.dot(outs[l], g.T, out=d_blocks[l])
-            d_blocks[l][:-1] += pen_w[l]
-            if l:
-                g = ws[l] @ g
-        opt.step([grad])
-    return gap, pen
+    loop = (_CriticLoop(critic, len(fa)) if work is None
+            else work.critic_loop(critic, len(fa)))
+    return loop.run(opt, fa, fb, gp_factor, gp_seeds, where)
+
+
+class _CriticLoop:
+    """critic_ascent's closed-form steps for one critic and batch size n.
+
+    Each step's gradient is computed in closed form from one numpy forward
+    pass over the columns [a, b, interpolates] of a feature-major block
+    (mlp_layers' form). The input gradient at the interpolates is the
+    backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
+    delta_l = W_l gamma_l, with s_l each layer's slope. The penalty's
+    adjoint then runs forward through that chain (double backprop), where a
+    tanh layer also sends a second-derivative term to its pre-activation.
+    One primal backprop over all columns, seeded with the gap's -1/n and
+    +1/n, carries those terms to the parameters. The tests hold it to the
+    taped gap and penalty, and to the bits of the loop that allocated its
+    arrays afresh each step (tests/critic_oracle.py).
+
+    Construction binds every view and work buffer, so a step allocates
+    nothing: each numpy call writes into a bound array (the third argument
+    of a ufunc, out= of a dot). An identity head's products with the ones
+    row (delta_{L-1} = W_L 1) and with the gap's seed have one term each,
+    so they are an exact broadcast copy and an exact broadcast multiply
+    instead of gemms.
+    """
+
+    def __init__(self, critic: md.MlpParams, n: int):
+        m, k = critic.in_dim, 2 * n
+        self.n = n
+        # columns [a, b] are written once per run; each step's interpolates
+        # fill the last n
+        x = np.empty((m + 1, k + n))
+        x[m] = 1.0
+        self.xa, self.xb, self.xh = x[:m, :n], x[:m, n:k], x[:m, k:]
+        self.x_tmp = np.empty((m, n))
+        acts, last = critic.activations, len(critic.activations) - 1
+        self.last = last
+        self.identity_head = identity_head = acts[last] == "identity"
+        self.grad = np.empty_like(critic.flat)
+        self.seed_g = seed_g = np.zeros((1, k + n))
+        seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
+        # Layer l, with W_l of shape (fan_in, fan_out), has: its output h
+        # (in outs[l + 1], ones row last) and slope s over all k + n columns
+        # (None for identity, h > 0 for relu, 1 - h^2 for tanh); the
+        # chain's deltas[l] (fan_in, n) and gammas[l] (fan_out, n;
+        # delta_{l+1} itself for identity); the adjoint's d_deltas[l]
+        # (fan_in, n), d_gamma and second-derivative term (fan_out, n) and
+        # pen_w (fan_in, fan_out); the primal backprop's gradient at h,
+        # backs[l] (fan_out, k + n; an identity head's is the gap's seed
+        # itself). The suffix _i marks the columns of the interpolates.
+        blocks, d_blocks = critic.blocks(), critic.blocks(self.grad)
+        self.ws = ws = [blk[:-1] for blk in blocks]
+        outs, slopes, deltas, gammas, d_gammas, backs = [x], [], [], [], [], []
+        for w, act in zip(ws, acts):
+            fan_in, fan_out = w.shape
+            outs.append(np.empty((fan_out + 1, k + n)))
+            outs[-1][-1] = 1.0
+            slopes.append(None if act == "identity" else np.empty(
+                (fan_out, k + n), bool if act == "relu" else np.float64))
+            deltas.append(np.empty((fan_in, n)))
+            gammas.append(None if act == "identity" else np.empty((fan_out, n)))
+            d_gammas.append(np.empty((fan_out, n)))
+            backs.append(np.empty((fan_out, k + n)))
+        deltas.append(np.ones((1, n)))
+        if identity_head:
+            backs[last] = seed_g
+        d_deltas = [np.empty_like(deltas[0])]
+        forward, slope_fills, chain, adjoint, primal = [], [], [], [], []
+        for l, act in enumerate(acts):
+            w, h, s, back = ws[l], outs[l + 1][:-1], slopes[l], backs[l]
+            s_i = None if s is None else s[:, k:]
+            if gammas[l] is None:
+                gammas[l] = deltas[l + 1]
+            if l < last:
+                d_deltas.append(d_gammas[l] if s is None
+                                else np.empty_like(d_gammas[l]))
+            forward.append((blocks[l].T, outs[l], h, act))
+            if s is not None:
+                slope_fills.append((h, s, act == "tanh"))
+            if not (identity_head and l == last):
+                chain.append((s_i, deltas[l + 1], gammas[l], w, deltas[l]))
+            pen_w = np.empty(w.shape)
+            # a tanh layer's second-derivative term; gammas[l] has no reader
+            # after pen_w, so it holds the term's factor -2 h s
+            second = None
+            if act == "tanh":
+                second = (np.empty((w.shape[1], n)), gammas[l], deltas[l + 1],
+                          h[:, k:])
+            # the head's d_gamma has no reader unless the head is tanh
+            d_gamma = d_gammas[l] if l < last or second else None
+            adjoint.append((gammas[l].T, pen_w, w.T, d_gamma, s_i, second))
+            primal.append((s, back, second[0] if second else None,
+                           back[:, k:], outs[l], back.T, d_blocks[l],
+                           d_blocks[l][:-1], pen_w, w,
+                           backs[l - 1] if l else None))
+        self.forward, self.slope_fills = forward, slope_fills
+        self.chain, self.adjoint = chain[::-1], adjoint
+        self.primal = primal[::-1]
+        self.deltas, self.d_deltas = deltas, d_deltas
+        self.back_last = backs[last]
+        self.head_a, self.head_b = outs[-1][0, :n], outs[-1][0, n:k]
+        self.norms, self.norms_m1, self.work_n = (np.empty(n), np.empty(n),
+                                                  np.empty(n))
+
+    def run(self, opt: _Opt, fa: np.ndarray, fb: np.ndarray,
+            gp_factor: float, gp_seeds, where: str):
+        """critic_ascent's steps on the paired (n, width) batches fa, fb."""
+        n, last, ws, seed_g = self.n, self.last, self.ws, self.seed_g
+        xa, xb, xh, x_tmp = self.xa, self.xb, self.xh, self.x_tmp
+        xa[...], xb[...] = fa.T, fb.T
+        forward, slope_fills = self.forward, self.slope_fills
+        chain, adjoint, primal = self.chain, self.adjoint, self.primal
+        identity_head, deltas, d_deltas = (self.identity_head, self.deltas,
+                                           self.d_deltas)
+        head_a, head_b, back_last = self.head_a, self.head_b, self.back_last
+        norms, norms_m1, work_n = self.norms, self.norms_m1, self.work_n
+        sq0 = d_deltas[0]                   # free until the adjoint fills it
+        grads = [self.grad]
+        adjoint_scale = gp_factor * 2.0 / n
+        gap, pen = 0.0, 0.0
+        for step in range(len(gp_seeds)):
+            j = step % 64
+            if j == 0:              # the next 64 steps' draws in one pass
+                u = dc.uniform_rows([dc.substream(s, "gp_u")
+                                     for s in gp_seeds[step:step + 64]], n)
+                u_c = np.subtract(1.0, u)
+            np.multiply(xa, u[j], xh)
+            np.multiply(u_c[j], xb, x_tmp)
+            xh += x_tmp
+            for blk_t, inp, h, act in forward:
+                blk_t.dot(inp, out=h)
+                if act == "relu":
+                    np.maximum(h, 0.0, out=h)
+                elif act == "tanh":
+                    np.tanh(h, h)
+            for h, s, tanh in slope_fills:
+                if tanh:
+                    np.square(h, s)
+                    np.subtract(1.0, s, s)
+                else:
+                    np.greater(h, 0.0, s)
+            if identity_head:
+                np.copyto(deltas[last], ws[last])
+            for s_i, above, gamma, w, delta in chain:
+                if s_i is not None:
+                    np.multiply(above, s_i, gamma)
+                w.dot(gamma, out=delta)
+            np.square(deltas[0], sq0)
+            np.add.reduce(sq0, 0, None, norms)
+            norms += 1e-24
+            np.sqrt(norms, norms)
+            np.subtract(norms, 1.0, norms_m1)
+            pen = float(np.add.reduce(np.square(norms_m1, work_n))) / n
+            gap = float(np.add.reduce(head_a) / n - np.add.reduce(head_b) / n)
+            if not math.isfinite(pen * gp_factor - gap):
+                raise TrainingDiverged(
+                    f"non-finite critic loss at {where}, critic step {step}")
+            # the penalty's adjoint, forward through the input-gradient chain
+            np.divide(norms_m1, norms, work_n)
+            work_n *= adjoint_scale
+            np.multiply(work_n, deltas[0], d_deltas[0])
+            for l, (gamma_t, pen_w, w_t, d_gamma, s_i,
+                    second) in enumerate(adjoint):
+                d_delta = d_deltas[l]
+                d_delta.dot(gamma_t, out=pen_w)
+                if d_gamma is None:
+                    break
+                w_t.dot(d_delta, out=d_gamma)
+                if second is not None:
+                    sec, tmp, above, h_i = second
+                    np.multiply(d_gamma, above, sec)
+                    np.multiply(h_i, -2.0, tmp)
+                    tmp *= s_i
+                    sec *= tmp
+                if s_i is not None and l < last:
+                    np.multiply(d_gamma, s_i, d_deltas[l + 1])
+            # primal backprop over all columns
+            for s, g, sec, g_i, inp, g_t, d_blk, d_w, pen_w, w, below in primal:
+                if s is not None:
+                    if g is back_last:
+                        np.multiply(seed_g, s, g)
+                    else:
+                        g *= s
+                if sec is not None:
+                    g_i += sec
+                inp.dot(g_t, out=d_blk)
+                d_w += pen_w
+                if below is None:
+                    continue
+                if g is seed_g:
+                    np.multiply(w, seed_g, below)
+                else:
+                    w.dot(g, out=below)
+            opt.step(grads)
+        return gap, pen
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +435,54 @@ def _check_finite(value, what: str, where: str):
         raise TrainingDiverged(f"non-finite {what} at {where}")
 
 
+class _StageWork:
+    """The arrays that one stage's primal-dual steps reuse: for each forward
+    pass (a network over one role's rows) and column count, mlp_layers'
+    input block and outputs, and for each batch size the critic's
+    _CriticLoop. Only a stage's first batch of each size allocates them."""
+
+    def __init__(self):
+        self._outs: dict[tuple[str, int], list[np.ndarray]] = {}
+        self._critic_loops: dict[tuple[int, int], _CriticLoop] = {}
+
+    def critic_loop(self, critic: md.MlpParams, n: int) -> _CriticLoop:
+        """The stage critic's _CriticLoop for batches of n rows, bound on
+        the stage's first such batch."""
+        key = (id(critic), n)
+        loop = self._critic_loops.get(key)
+        if loop is None:
+            loop = self._critic_loops[key] = _CriticLoop(critic, n)
+        return loop
+
+    def block(self, key: str, width: int, cols: int) -> np.ndarray:
+        """The feature-major input block (width + 1, cols) of forward pass
+        `key`, ones row last; the caller writes the other rows."""
+        outs = self._outs.get((key, cols))
+        if outs is not None:
+            return outs[0]
+        a = np.empty((width + 1, cols))
+        a[-1] = 1.0
+        return a
+
+    def forward(self, key: str, params: md.MlpParams, a: np.ndarray):
+        """mlp_layers(params, a), into the arrays of the stage's last pass
+        `key` over as many columns."""
+        outs = self._outs.get((key, a.shape[1]))
+        if outs is not None:
+            outs[0] = a
+        outs = self._outs[(key, a.shape[1])] = md.mlp_layers(params, a, outs)
+        return outs
+
+
 def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                       opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
                       loss_spec: LossSpec, *, align: bool, gp_seed: int,
-                      where: str):
+                      where: str, work: _StageWork):
     """One batch's primal-dual step in place. Returns (class loss, gap,
     penalty); the last two come from the final critic step, 0 without
     alignment. An aligning step trains on the target's labels when
     cfg.labeled_target is set, and on the temporal history when the model
-    has a summarizer.
+    has a summarizer. `work` holds the arrays the stage's steps reuse.
 
     The labeled rows run forward through g and h. When aligning, the critic
     ascends k_critic times on the target features and the source history,
@@ -324,52 +494,58 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
     """
     labeled_target = align and cfg.labeled_target
     temporal = align and model.summarizer is not None
-    x_lab, y_lab = xs, ys
-    if labeled_target:
-        x_lab, y_lab = np.concatenate([xs, xt]), np.concatenate([ys, yt])
+    ns = len(xs)
+    y_lab = np.concatenate([ys, yt]) if labeled_target else ys
     # feature-major blocks throughout (see models.mlp_layers): a row of a
     # batch is a column here
-    g_outs = md.mlp_layers(model.g, md.feature_block(x_lab))
-    h_outs = md.mlp_layers(model.h, g_outs[-1])
+    x_lab = work.block("g", xs.shape[1], len(y_lab))
+    x_lab[:-1, :ns] = xs.T
+    if labeled_target:
+        x_lab[:-1, ns:] = xt.T
+    g_outs = work.forward("g", model.g, x_lab)
+    h_outs = work.forward("h", model.h, g_outs[-1])
     logits = h_outs[-1][:-1].T
     _check_finite(logits, "logits", where)
     losses, d_logits = _loss_and_grad(loss_spec, logits, y_lab)
-    loss = ce = float(losses.mean())
+    loss = ce = float(np.add.reduce(losses) / len(losses))
     d_feats, grad_h = md.mlp_backward(model.h, h_outs, d_logits.T)
     grads = [None, grad_h]
     gap = pen = 0.0
     if align:
-        ns = len(xs)
         f_s = g_outs[-1][:-1, :ns]
         if labeled_target:
             f_t = g_outs[-1][:-1, ns:]
         else:
-            t_outs = md.mlp_layers(model.g, md.feature_block(xt))
+            x_t = work.block("t", xt.shape[1], len(xt))
+            x_t[:-1] = xt.T
+            t_outs = work.forward("t", model.g, x_t)
             f_t = t_outs[-1][:-1]
         _check_finite(f_s, "source features", where)
         _check_finite(f_t, "target features", where)
         hist = f_s
         if temporal:
             _, readout, cache = md.gru_step(model.summarizer, model.summary_state,
-                                            f_s.mean(axis=1))
+                                            np.add.reduce(f_s, axis=1) / ns)
             hist = f_s * 0.5 + readout[:, None] * 0.5
         gap, pen = critic_ascent(model.critic, opt_critic, f_t.T, hist.T,
                                  cfg.gp_factor, [dc.substream(gp_seed, kk)
                                                  for kk in range(cfg.k_critic)],
-                                 where)
+                                 where, work=work)
         # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)
-        nt = f_t.shape[1]
-        c_outs = md.mlp_layers(model.critic, md.feature_block(
-            np.concatenate([f_t, hist], axis=1).T))
+        nt, nh = f_t.shape[1], hist.shape[1]
+        x_c = work.block("critic", len(f_t), nt + nh)
+        x_c[:-1, :nt], x_c[:-1, nt:] = f_t, hist
+        c_outs = work.forward("critic", model.critic, x_c)
         c = c_outs[-1][0]
-        loss = ce + cfg.lam * (c[:nt].mean() - c[nt:].mean())
-        d_c = np.full((1, len(c)), -cfg.lam / hist.shape[1])
+        loss = ce + cfg.lam * (np.add.reduce(c[:nt]) / nt
+                               - np.add.reduce(c[nt:]) / nh)
+        d_c = np.full((1, len(c)), -cfg.lam / nh)
         d_c[0, :nt] = cfg.lam / nt
         d_cols = md.mlp_backward(model.critic, c_outs, d_c, to_params=False)[0]
         d_t, d_hist = d_cols[:, :nt], d_cols[:, nt:]
         if temporal:
             grad_r, d_mean = md.gru_backward(model.summarizer, cache,
-                                             0.5 * d_hist.sum(axis=1))
+                                             0.5 * np.add.reduce(d_hist, axis=1))
             d_hist = d_hist * 0.5 + d_mean[:, None] / ns
             grads.append(grad_r)
         d_feats[:, :ns] += d_hist
@@ -396,6 +572,7 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         nets.append(model.summarizer)
     opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
     opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
+    work = _StageWork()
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
         n_steps = 0
@@ -414,7 +591,7 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                 source.labels[src_idx], target.features[tgt_idx],
                 target.labels[tgt_idx], cfg, loss_spec, align=align,
                 gp_seed=dc.substream(cfg.seed, "gp", stage, epoch, b),
-                where=f"stage {stage} epoch {epoch} batch {b}")
+                where=f"stage {stage} epoch {epoch} batch {b}", work=work)
             loss_sum += ce
             gap_sum += gap
             pen_sum += pen

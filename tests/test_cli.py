@@ -542,6 +542,28 @@ class TestRunExperiment:
         assert artifacts() == serial
         assert not (out / "state").exists()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "+2", " 2"])
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     value):
+        # named and rejected before anything is written
+        monkeypatch.setenv("GRADSHIFT_THREADS", value)
+        assert cli.run_experiment(write_config(tmp_path)) == 2
+        error = f"GRADSHIFT_THREADS must be a positive integer, got {value!r}"
+        assert capsys.readouterr().out.splitlines() == [
+            json.dumps({"error": error})]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value,cap", [(None, None), ("", None),
+                                           ("3", 3), ("007", 7)],
+                             ids=["unset", "empty", "three", "leading_zeros"])
+    def test_thread_count(self, monkeypatch, value, cap):
+        # unset or empty: the core count
+        if value is None:
+            monkeypatch.delenv("GRADSHIFT_THREADS")
+        else:
+            monkeypatch.setenv("GRADSHIFT_THREADS", value)
+        assert cli._thread_cap() == (cap or os.cpu_count() or 1)
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.toml"
         p.write_text("output_dir = \n")

@@ -11,6 +11,7 @@ from gradshift import models as md
 from gradshift import objectives as ob
 from gradshift import transport as tp
 from gradshift.diffcore import Tape, backward, forward
+import critic_oracle
 import tape_oracle
 from critic_training import train_critic
 from tape_oracle import alignment_gap, gradient_penalty, loss_eval
@@ -361,6 +362,111 @@ class TestCriticAscentStep:
             assert np.array_equal(a, b)
 
 
+def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
+    """critic_ascent and the oracle loop, each on its own copy of critic
+    with a fresh optimizer: per side, the returned (gap, pen), or the
+    TrainingDiverged message, and the critic's bytes afterwards."""
+    sides = []
+    for ascent in (ob.critic_ascent, critic_oracle.critic_ascent):
+        c = critic.copy()
+        try:
+            # a diverging case overflows on purpose, on both sides alike
+            with np.errstate(all="ignore"):
+                out = ascent(c, ob._Opt([c.flat], optimizer, lr), fa, fb,
+                             gp_factor, seeds, "test")
+        except ob.TrainingDiverged as e:
+            out = str(e)
+        sides.append((out, c.flat.tobytes()))
+    return sides
+
+
+class TestCriticBitOracle:
+    """critic_ascent, its buffers bound once per call, against the loop
+    that allocated its arrays afresh each step (tests/critic_oracle.py):
+    the same floating-point operations in the same order, so the same
+    (gap, pen) and the same critic bytes after one call."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
+    @pytest.mark.parametrize("n,steps", [(1, 4), (7, 4), (64, 4), (7, 70)],
+                             ids=["n1", "n7", "n64", "n7-70steps"])
+    @pytest.mark.parametrize("head", ["identity", "tanh", "relu"])
+    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
+                             ids=lambda h: "-".join(h) or "linear")
+    def test_random_critics(self, hidden, head, n, steps, gp_factor,
+                            optimizer):
+        seed = dc.substream(79, len(hidden), *hidden, head, n)
+        critic = md.init_mlp(dc.substream(seed, "c"),
+                             [3] + [5] * len(hidden) + [1], hidden + [head])
+        for i, b in enumerate(critic.biases):
+            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
+        fa = dc.rng_normal(dc.substream(seed, "a"), (n, 3))
+        fb = dc.rng_normal(dc.substream(seed, "fb"), (n, 3), 0.5, 1.0)
+        seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
+        got, want = _oracle_pair(critic, optimizer, 1e-2, fa, fb, gp_factor,
+                                 seeds)
+        assert got == want
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
+    def test_moons_critic(self, gp_factor, optimizer):
+        # the training critic's shape, 8 -> 16 -> 16 -> 1 with a zero head,
+        # on a batch of 64 and one batch's k_critic = 5 steps
+        critic = md.init_mlp(dc.substream(81, "c"), [8, 16, 16, 1],
+                             ["tanh", "tanh", "identity"])
+        critic.weights[-1][:] = 0.0
+        fa = dc.rng_normal(dc.substream(81, "a"), (64, 8))
+        fb = dc.rng_normal(dc.substream(81, "b"), (64, 8), 0.5, 1.0)
+        seeds = [dc.substream(81, "gp", kk) for kk in range(5)]
+        got, want = _oracle_pair(critic, optimizer, 5e-4, fa, fb, gp_factor,
+                                 seeds)
+        assert got == want
+        assert isinstance(got[0], tuple)
+
+    def test_width_one_features(self):
+        # one input feature: the chain's input-side products are K = 1
+        critic = md.init_mlp(82, [1, 4, 1], ["tanh", "identity"])
+        fa = dc.rng_normal(dc.substream(82, "a"), (9, 1))
+        fb = dc.rng_normal(dc.substream(82, "b"), (9, 1), 0.5, 1.0)
+        seeds = [dc.substream(82, "gp", kk) for kk in range(6)]
+        got, want = _oracle_pair(critic, "adam", 1e-2, fa, fb, 5.0, seeds)
+        assert got == want
+
+    def test_stage_work_reuses_loops(self):
+        # a training stage keeps one bound loop per batch size: calls that
+        # share it, with other batches and sizes between, match the oracle
+        critic = md.init_mlp(dc.substream(83, "c"), [4, 6, 6, 1],
+                             ["tanh", "relu", "identity"])
+        ref = critic.copy()
+        work = ob._StageWork()
+        opt = ob._Opt([critic.flat], "adam", 1e-2)
+        opt_ref = ob._Opt([ref.flat], "adam", 1e-2)
+        for call, n in enumerate([8, 8, 5, 8, 5]):
+            fa = dc.rng_normal(dc.substream(83, "a", call), (n, 4))
+            fb = dc.rng_normal(dc.substream(83, "b", call), (n, 4), 0.5, 1.0)
+            seeds = [dc.substream(83, "gp", call, kk) for kk in range(3)]
+            got = ob.critic_ascent(critic, opt, fa, fb, 5.0, seeds, "test",
+                                   work=work)
+            want = critic_oracle.critic_ascent(ref, opt_ref, fa, fb, 5.0,
+                                               seeds, "test")
+            assert got == want
+            assert critic.flat.tobytes() == ref.flat.tobytes()
+        assert len(work._critic_loops) == 2
+
+    def test_diverges_mid_loop(self):
+        # plain sgd at lr 1e100 overflows the penalty at the third step;
+        # both loops stop there with the critic of their last update
+        critic = md.MlpParams([np.array([[2.0], [0.5]])], [np.zeros(1)],
+                              ["identity"])
+        fa = dc.rng_normal(74, (6, 2))
+        fb = dc.rng_normal(75, (6, 2))
+        got, want = _oracle_pair(critic, "sgd", 1e100, fa, fb, 5.0,
+                                 [1, 2, 3, 4])
+        assert got[0] == "non-finite critic loss at test, critic step 2"
+        assert got == want
+        assert got[1] != critic.flat.tobytes()
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_flat_update_matches_per_array(self, optimizer):
@@ -423,11 +529,11 @@ class TestModelStep:
         errors = []
 
         def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
-                    loss_spec, *, align, gp_seed, where):
+                    loss_spec, *, align, gp_seed, where, work):
             got = _Recorded()
             ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
                                 loss_spec, align=align, gp_seed=gp_seed,
-                                where=where)
+                                where=where, work=work)
             ce_ref, want = tape_oracle.taped_model_step(
                 model, xs, ys, xt, yt, cfg, loss_spec, align=align,
                 labeled_target=align and labeled,
