@@ -1,7 +1,7 @@
-"""The critic loop as it was before its buffers were bound once per call:
-the bit oracle that `objectives.critic_ascent` is held to. Each step here
-allocates its arrays afresh; the same floating-point operations in the same
-order give the same bits."""
+"""The critic loop as it stood before its views and work buffers were bound
+ahead of its steps: the bit oracle that `objectives.critic_ascent` is held
+to. Each step here allocates its arrays afresh; the same floating-point
+operations in the same order give the same bits."""
 
 from __future__ import annotations
 

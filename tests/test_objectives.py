@@ -381,8 +381,8 @@ def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
 
 
 class TestCriticBitOracle:
-    """critic_ascent, its buffers bound once per call, against the loop
-    that allocated its arrays afresh each step (tests/critic_oracle.py):
+    """critic_ascent, its buffers bound ahead of its steps, against the
+    loop that allocated its arrays afresh each step (tests/critic_oracle.py):
     the same floating-point operations in the same order, so the same
     (gap, pen) and the same critic bytes after one call."""
 
