@@ -1,17 +1,17 @@
 """Record one BENCH_<label>.json: end-to-end benchmark results and
 in-process layer timings of the checkout this script sits in.
 
-    python3 scripts/bench_record.py --label L [--seconds S] [--blocks B]
+    python3 scripts/bench_record.py --label L
 
 The file holds:
   - a header: commit, Python and numpy versions, core count and the line
     count of src/gradshift;
   - end_to_end: for each workload in BENCHMARK.json, the result line of an
-    unchanged `python3 perfbench/run.py --workload W --seed 0` (with
-    `--seconds S` only if given) and the number of rounds it timed;
+    unchanged `python3 perfbench/run.py --workload W --seed 0`, at its own
+    default length, and the number of rounds it timed;
   - layers: one critic step, one model step without its critic, and one
     `gradual` stage epoch at batch 64, each the median (with quartiles) of
-    blocks in process time; the three alternate block by block.
+    15 blocks in process time; the three alternate block by block.
 
 Compare two files only when the same command made both on the same
 machine: to measure another commit, put this script into that checkout
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BATCH = 64
 K_CRITIC = 5
+BLOCKS = 15
 STAGE_ROWS = 375       # a moons benchmark domain's training rows (n = 500,
                        # holdout 0.25): 6 batches per epoch at batch 64
 
@@ -51,15 +52,13 @@ def header() -> dict:
             "cores": os.cpu_count(), "src_gradshift_lines": lines}
 
 
-def end_to_end(seconds: float | None) -> dict:
+def end_to_end() -> dict:
     """One perfbench/run.py subprocess per workload at seed 0."""
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     out = {}
     for w in workloads:
         cmd = [sys.executable, "perfbench/run.py", "--workload", w["name"],
                "--seed", "0"]
-        if seconds is not None:
-            cmd += ["--seconds", str(seconds)]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         rounds = [line.split()[3:-1] for line in proc.stderr.splitlines()
                   if line.startswith("perfbench: round times ")]
@@ -76,7 +75,7 @@ def _quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "blocks": len(xs)}
 
 
-def layers(blocks: int = 15, scale: float = 1.0, batch: int = BATCH,
+def layers(blocks: int = BLOCKS, scale: float = 1.0, batch: int = BATCH,
            rows: int = STAGE_ROWS) -> dict:
     """Layer timings in process time. `scale` shrinks the work per block
     (the tests run a tiny size); each block times a fresh copy of the
@@ -105,9 +104,13 @@ def layers(blocks: int = 15, scale: float = 1.0, batch: int = BATCH,
     def critic_step(reps):
         critic = model.critic.copy()
         opt = ob._Opt([critic.flat], "adam", cfg.lr_critic)
+        # as in a stage, the calls share one bound critic loop; commits
+        # from before the loop was bound take no `work`
+        kw = {"work": ob._StageWork()} if hasattr(ob, "_StageWork") else {}
         t = time.process_time()
         for _ in range(reps):
-            real_ascent(critic, opt, fa, fb, cfg.gp_factor, seeds, "bench")
+            real_ascent(critic, opt, fa, fb, cfg.gp_factor, seeds, "bench",
+                        **kw)
         return (time.process_time() - t) / (reps * K_CRITIC) * 1e6
 
     def stage_epoch(reps):
@@ -147,13 +150,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawTextHelpFormatter)
     p.add_argument("--label", required=True)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="passed to perfbench/run.py (default: its own)")
-    p.add_argument("--blocks", type=int, default=15)
     args = p.parse_args(argv)
-    record = {"label": args.label, "header": header(),
-              "layers": layers(args.blocks),
-              "end_to_end": end_to_end(args.seconds)}
+    record = {"label": args.label, "header": header(), "layers": layers(),
+              "end_to_end": end_to_end()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)

@@ -179,10 +179,9 @@ class _Opt:
             self.step_count = 0
 
     def step(self, grads: list[np.ndarray]):
-        # each ufunc writes into a work buffer, its third argument
         if self.kind == "sgd":
             for p, g, (s, _) in zip(self.params, grads, self.work):
-                p -= np.multiply(g, self.lr, s)
+                p -= np.multiply(g, self.lr, out=s)
             return
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -193,28 +192,27 @@ class _Opt:
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
             # p -= lr (m / c1) / (sqrt(v / c2) + eps)
             m *= b1
-            m += np.multiply(g, 1 - b1, s)
+            m += np.multiply(g, 1 - b1, out=s)
             v *= b2
-            np.multiply(g, 1 - b2, s)
-            v += np.multiply(s, g, s)
-            np.divide(m, c1, s)
+            np.multiply(g, 1 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, c1, out=s)
             s *= self.lr
-            np.divide(v, c2, t)
-            np.sqrt(t, t)
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
             t += eps
-            p -= np.divide(s, t, s)
+            p -= np.divide(s, t, out=s)
 
 
 def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
                   gp_factor: float, gp_seeds, where: str, *,
-                  work: "_StageWork | None" = None):
+                  work: "_StageWork"):
     """One dual update in place per seed in the list gp_seeds: each ascends
     mean c(a) - mean c(b) minus gp_factor times the gradient penalty at
     interpolates drawn from that seed, between the paired rows of the two
     equal-size batches. Returns the last step's (gap, penalty), before its
-    update. The steps run in a _CriticLoop for the critic and the batch
-    size; a training stage passes its `work`, which keeps that loop for the
-    stage's later batches of the same size."""
+    update. The steps run in the _CriticLoop that `work` keeps for the
+    critic and the batch size, bound on its first call with that size."""
     if critic.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
     fa, fb = dc.array(features_a), dc.array(features_b)
@@ -228,9 +226,8 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     if len(fa) != len(fb):
         raise dc.ShapeError(f"critic_ascent pairs its two feature batches, "
                             f"got {len(fa)} and {len(fb)} rows")
-    loop = (_CriticLoop(critic, len(fa)) if work is None
-            else work.critic_loop(critic, len(fa)))
-    return loop.run(opt, fa, fb, gp_factor, gp_seeds, where)
+    return work.critic_loop(critic, len(fa)).run(opt, fa, fb, gp_factor,
+                                                  gp_seeds, where)
 
 
 class _CriticLoop:
@@ -249,8 +246,9 @@ class _CriticLoop:
     arrays afresh each step (tests/critic_oracle.py).
 
     Construction binds every view and work buffer, so a step allocates
-    nothing: each numpy call writes into a bound array (the third argument
-    of a ufunc, out= of a dot). An identity head's products with the ones
+    nothing: each numpy call writes into a bound array through out=, and
+    the forward pass reruns mlp_layers into the bound outputs. An identity
+    head's products with the ones
     row (delta_{L-1} = W_L 1) and with the gap's seed have one term each,
     so they are an exact broadcast copy and an exact broadcast multiply
     instead of gemms.
@@ -258,7 +256,7 @@ class _CriticLoop:
 
     def __init__(self, critic: md.MlpParams, n: int):
         m, k = critic.in_dim, 2 * n
-        self.n = n
+        self.critic, self.n = critic, n
         # columns [a, b] are written once per run; each step's interpolates
         # fill the last n
         x = np.empty((m + 1, k + n))
@@ -297,7 +295,7 @@ class _CriticLoop:
         if identity_head:
             backs[last] = seed_g
         d_deltas = [np.empty_like(deltas[0])]
-        forward, slope_fills, chain, adjoint, primal = [], [], [], [], []
+        slope_fills, chain, adjoint, primal = [], [], [], []
         for l, act in enumerate(acts):
             w, h, s, back = ws[l], outs[l + 1][:-1], slopes[l], backs[l]
             s_i = None if s is None else s[:, k:]
@@ -306,7 +304,6 @@ class _CriticLoop:
             if l < last:
                 d_deltas.append(d_gammas[l] if s is None
                                 else np.empty_like(d_gammas[l]))
-            forward.append((blocks[l].T, outs[l], h, act))
             if s is not None:
                 slope_fills.append((h, s, act == "tanh"))
             if not (identity_head and l == last):
@@ -325,7 +322,7 @@ class _CriticLoop:
                            back[:, k:], outs[l], back.T, d_blocks[l],
                            d_blocks[l][:-1], pen_w, w,
                            backs[l - 1] if l else None))
-        self.forward, self.slope_fills = forward, slope_fills
+        self.outs, self.slope_fills = outs, slope_fills
         self.chain, self.adjoint = chain[::-1], adjoint
         self.primal = primal[::-1]
         self.deltas, self.d_deltas = deltas, d_deltas
@@ -340,7 +337,7 @@ class _CriticLoop:
         n, last, ws, seed_g = self.n, self.last, self.ws, self.seed_g
         xa, xb, xh, x_tmp = self.xa, self.xb, self.xh, self.x_tmp
         xa[...], xb[...] = fa.T, fb.T
-        forward, slope_fills = self.forward, self.slope_fills
+        critic, outs, slope_fills = self.critic, self.outs, self.slope_fills
         chain, adjoint, primal = self.chain, self.adjoint, self.primal
         identity_head, deltas, d_deltas = (self.identity_head, self.deltas,
                                            self.d_deltas)
@@ -356,41 +353,36 @@ class _CriticLoop:
                 u = dc.uniform_rows([dc.substream(s, "gp_u")
                                      for s in gp_seeds[step:step + 64]], n)
                 u_c = np.subtract(1.0, u)
-            np.multiply(xa, u[j], xh)
-            np.multiply(u_c[j], xb, x_tmp)
+            np.multiply(xa, u[j], out=xh)
+            np.multiply(u_c[j], xb, out=x_tmp)
             xh += x_tmp
-            for blk_t, inp, h, act in forward:
-                blk_t.dot(inp, out=h)
-                if act == "relu":
-                    np.maximum(h, 0.0, out=h)
-                elif act == "tanh":
-                    np.tanh(h, h)
+            md.mlp_layers(critic, outs[0], outs)
             for h, s, tanh in slope_fills:
                 if tanh:
-                    np.square(h, s)
-                    np.subtract(1.0, s, s)
+                    np.square(h, out=s)
+                    np.subtract(1.0, s, out=s)
                 else:
-                    np.greater(h, 0.0, s)
+                    np.greater(h, 0.0, out=s)
             if identity_head:
                 np.copyto(deltas[last], ws[last])
             for s_i, above, gamma, w, delta in chain:
                 if s_i is not None:
-                    np.multiply(above, s_i, gamma)
+                    np.multiply(above, s_i, out=gamma)
                 w.dot(gamma, out=delta)
-            np.square(deltas[0], sq0)
-            np.add.reduce(sq0, 0, None, norms)
+            np.square(deltas[0], out=sq0)
+            np.add.reduce(sq0, axis=0, out=norms)
             norms += 1e-24
-            np.sqrt(norms, norms)
-            np.subtract(norms, 1.0, norms_m1)
-            pen = float(np.add.reduce(np.square(norms_m1, work_n))) / n
+            np.sqrt(norms, out=norms)
+            np.subtract(norms, 1.0, out=norms_m1)
+            pen = float(np.add.reduce(np.square(norms_m1, out=work_n))) / n
             gap = float(np.add.reduce(head_a) / n - np.add.reduce(head_b) / n)
             if not math.isfinite(pen * gp_factor - gap):
                 raise TrainingDiverged(
                     f"non-finite critic loss at {where}, critic step {step}")
             # the penalty's adjoint, forward through the input-gradient chain
-            np.divide(norms_m1, norms, work_n)
+            np.divide(norms_m1, norms, out=work_n)
             work_n *= adjoint_scale
-            np.multiply(work_n, deltas[0], d_deltas[0])
+            np.multiply(work_n, deltas[0], out=d_deltas[0])
             for l, (gamma_t, pen_w, w_t, d_gamma, s_i,
                     second) in enumerate(adjoint):
                 d_delta = d_deltas[l]
@@ -400,17 +392,17 @@ class _CriticLoop:
                 w_t.dot(d_delta, out=d_gamma)
                 if second is not None:
                     sec, tmp, above, h_i = second
-                    np.multiply(d_gamma, above, sec)
-                    np.multiply(h_i, -2.0, tmp)
+                    np.multiply(d_gamma, above, out=sec)
+                    np.multiply(h_i, -2.0, out=tmp)
                     tmp *= s_i
                     sec *= tmp
                 if s_i is not None and l < last:
-                    np.multiply(d_gamma, s_i, d_deltas[l + 1])
+                    np.multiply(d_gamma, s_i, out=d_deltas[l + 1])
             # primal backprop over all columns
             for s, g, sec, g_i, inp, g_t, d_blk, d_w, pen_w, w, below in primal:
                 if s is not None:
                     if g is back_last:
-                        np.multiply(seed_g, s, g)
+                        np.multiply(seed_g, s, out=g)
                     else:
                         g *= s
                 if sec is not None:
@@ -420,7 +412,7 @@ class _CriticLoop:
                 if below is None:
                     continue
                 if g is seed_g:
-                    np.multiply(w, seed_g, below)
+                    np.multiply(w, seed_g, out=below)
                 else:
                     w.dot(g, out=below)
             opt.step(grads)
@@ -443,15 +435,14 @@ class _StageWork:
 
     def __init__(self):
         self._outs: dict[tuple[str, int], list[np.ndarray]] = {}
-        self._critic_loops: dict[tuple[int, int], _CriticLoop] = {}
+        self._critic_loops: dict[int, _CriticLoop] = {}
 
     def critic_loop(self, critic: md.MlpParams, n: int) -> _CriticLoop:
-        """The stage critic's _CriticLoop for batches of n rows, bound on
-        the stage's first such batch."""
-        key = (id(critic), n)
-        loop = self._critic_loops.get(key)
+        """The _CriticLoop for batches of n rows of the stage's one critic,
+        bound on the stage's first such batch."""
+        loop = self._critic_loops.get(n)
         if loop is None:
-            loop = self._critic_loops[key] = _CriticLoop(critic, n)
+            loop = self._critic_loops[n] = _CriticLoop(critic, n)
         return loop
 
     def block(self, key: str, width: int, cols: int) -> np.ndarray:

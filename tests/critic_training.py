@@ -30,4 +30,4 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     opt = ob._Opt([critic.flat], optimizer, lr)
     seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
     return ob.critic_ascent(critic, opt, features_a, features_b, gp_factor,
-                            seeds, "critic training")[0]
+                            seeds, "critic training", work=ob._StageWork())[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import statistics
+from functools import partial
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ class TestCriticAscentStep:
                      12)
         closed, taped = _Recorded(), _Recorded()
         gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, [9],
-                                    "test")
+                                    "test", work=ob._StageWork())
         gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, gp_factor, 9)
         assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
@@ -251,7 +252,8 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(78, "a"), (12, 3))
         fb = dc.rng_normal(dc.substream(78, "fb"), (12, 3), 0.5, 1.0)
         closed, taped = _Recorded(), _Recorded()
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, 5.0, [9], "test")
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, 5.0, [9], "test",
+                                    work=ob._StageWork())
         gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, 5.0, 9)
         assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
@@ -279,7 +281,7 @@ class TestCriticAscentStep:
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
         closed = _Tee(ob._Opt([critic.flat], optimizer, 1e-2))
         gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, seeds,
-                                    "test")
+                                    "test", work=ob._StageWork())
         assert len(closed.grads) == len(seeds)
         assert not np.array_equal(closed.before[-1], closed.before[0])
         for s, before, got in zip(seeds, closed.before, closed.grads):
@@ -301,10 +303,11 @@ class TestCriticAscentStep:
         ref = critic.copy()
         seeds = [dc.substream(77, "gp", step) for step in range(70)]
         got = ob.critic_ascent(critic, ob._Opt([critic.flat], "adam", 1e-2),
-                               fa, fb, 5.0, seeds, "test")
+                               fa, fb, 5.0, seeds, "test", work=ob._StageWork())
         opt = ob._Opt([ref.flat], "adam", 1e-2)
         for s in seeds:
-            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, [s], "test")
+            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, [s], "test",
+                                    work=ob._StageWork())
         assert got == want
         assert np.array_equal(critic.flat, ref.flat)
 
@@ -357,7 +360,8 @@ class TestCriticAscentStep:
         # module's error filter, since pytest applies the module's mark last
         with pytest.raises(error, match=f"^{message}$"), \
                 np.errstate(all="ignore"):
-            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, [1], "step 3")
+            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, [1], "step 3",
+                             work=ob._StageWork())
         for a, b in zip(critic.arrays(), before):
             assert np.array_equal(a, b)
 
@@ -367,7 +371,8 @@ def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
     with a fresh optimizer: per side, the returned (gap, pen), or the
     TrainingDiverged message, and the critic's bytes afterwards."""
     sides = []
-    for ascent in (ob.critic_ascent, critic_oracle.critic_ascent):
+    for ascent in (partial(ob.critic_ascent, work=ob._StageWork()),
+                   critic_oracle.critic_ascent):
         c = critic.copy()
         try:
             # a diverging case overflows on purpose, on both sides alike
