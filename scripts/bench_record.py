@@ -1,26 +1,33 @@
 """Record one BENCH_<label>.json: end-to-end benchmark results and
-in-process layer timings of the checkout this script sits in.
+layer timings of the checkout this script sits in and, with --against, of
+the checkout in DIR, measured in the same run.
 
-    python3 scripts/bench_record.py --label L
+    python3 scripts/bench_record.py --label L [--against DIR]
 
-The file holds:
+The file holds, for this checkout and, under "against", for DIR:
   - a header: commit, Python and numpy versions, core count and the line
-    count of src/gradshift;
+    count of src/gradshift, in all and per module;
   - end_to_end: for each workload in BENCHMARK.json, the result line of an
-    unchanged `python3 perfbench/run.py --workload W --seed 0`, at its own
-    default length, and the number of rounds it timed;
-  - layers: one critic step, one model step without its critic, and one
-    `gradual` stage epoch at batch 64, each the median (with quartiles) of
-    15 blocks in process time; the three alternate block by block.
+    unchanged `python3 perfbench/run.py --workload W --seed 0` in that
+    checkout, at its own default length, and the number of rounds it
+    timed; the checkouts take turns, workload by workload;
+  - layers: one critic step, one model step without its critic loop, and
+    one `gradual` stage epoch at batch 64, each the median (with
+    quartiles) of 15 blocks in process time. One worker process per
+    checkout imports that checkout's src and times them; the workers take
+    turns block by block, and the three layers alternate their order.
 
-Compare two files only when the same command made both on the same
-machine: to measure another commit, put this script into that checkout
-and run it there.
+DIR is a checkout whose critic steps run in a bound loop
+(`objectives._CriticLoop`); its `critic_ascent` may take the steps' seeds
+or their draws. Two checkouts timed in one run share the state of the
+machine; two files recorded one after the other do not, so compare commits
+with --against.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -36,37 +43,44 @@ K_CRITIC = 5
 BLOCKS = 15
 STAGE_ROWS = 375       # a moons benchmark domain's training rows (n = 500,
                        # holdout 0.25): 6 batches per epoch at batch 64
+LAYERS = ("critic_step_us", "model_step_us", "stage_epoch_ms")
 
 
-def header() -> dict:
+def header(root: Path) -> dict:
     import numpy as np
-    git = ["git", "-C", str(ROOT)]
+    git = ["git", "-C", str(root)]
     commit = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
                             text=True).stdout.strip()
     dirty = subprocess.run(git + ["status", "--porcelain", "--", "src"],
                            capture_output=True, text=True).stdout.strip()
-    lines = sum(len(p.read_text().splitlines())
-                for p in sorted((ROOT / "src" / "gradshift").glob("*.py")))
+    modules = {p.name: len(p.read_text().splitlines())
+               for p in sorted((root / "src" / "gradshift").glob("*.py"))}
     return {"commit": commit, "src_modified": bool(dirty),
             "python": platform.python_version(), "numpy": np.__version__,
-            "cores": os.cpu_count(), "src_gradshift_lines": lines}
+            "cores": os.cpu_count(),
+            "src_gradshift_lines": sum(modules.values()),
+            "src_gradshift_module_lines": modules}
 
 
-def end_to_end() -> dict:
-    """One perfbench/run.py subprocess per workload at seed 0."""
+def end_to_end(roots: list[Path]) -> list[dict]:
+    """One perfbench/run.py subprocess per workload and checkout at seed 0;
+    the checkouts take turns, the first one first on even workloads."""
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    out = {}
-    for w in workloads:
+    out = [{} for _ in roots]
+    for i, w in enumerate(workloads):
         cmd = [sys.executable, "perfbench/run.py", "--workload", w["name"],
                "--seed", "0"]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-        rounds = [line.split()[3:-1] for line in proc.stderr.splitlines()
-                  if line.startswith("perfbench: round times ")]
-        out[w["name"]] = {
-            "command": " ".join(cmd[1:]), "exit": proc.returncode,
-            "result": (json.loads(proc.stdout.strip().splitlines()[-1])
-                       if proc.returncode == 0 else None),
-            "rounds": len(rounds[-1]) if rounds else 0}
+        turns = range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))
+        for r in turns:
+            proc = subprocess.run(cmd, cwd=roots[r], capture_output=True,
+                                  text=True)
+            rounds = [line.split()[3:-1] for line in proc.stderr.splitlines()
+                      if line.startswith("perfbench: round times ")]
+            out[r][w["name"]] = {
+                "command": " ".join(cmd[1:]), "exit": proc.returncode,
+                "result": (json.loads(proc.stdout.strip().splitlines()[-1])
+                           if proc.returncode == 0 else None),
+                "rounds": len(rounds[-1]) if rounds else 0}
     return out
 
 
@@ -75,84 +89,144 @@ def _quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "blocks": len(xs)}
 
 
-def layers(blocks: int = BLOCKS, scale: float = 1.0, batch: int = BATCH,
-           rows: int = STAGE_ROWS) -> dict:
-    """Layer timings in process time. `scale` shrinks the work per block
-    (the tests run a tiny size); each block times a fresh copy of the
-    same model, so every block does the same arithmetic."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from gradshift import diffcore as dc
-    from gradshift import domains as dom
-    from gradshift import objectives as ob
+class Layers:
+    """The layer timers of the gradshift on the import path, in process
+    time, each on a fresh copy of one model unless given a model to train
+    in place, so every block does the same arithmetic."""
 
-    seq = dom.make_rotating_moons(2, rows, total_degrees=24.0,
-                                  noise_sigma=0.1, seed=0)
-    source, target = seq.domains
-    cfg = ob.TrainConfig(batch_size=batch, epochs_per_domain=1,
-                         k_critic=K_CRITIC)
-    model = ob.build_model(ob.ModelSpec(), seq.d, seq.k, seed=0)
-    fa = dc.rng_normal(dc.substream(0, "fa"), (batch, model.critic.in_dim))
-    fb = dc.rng_normal(dc.substream(0, "fb"), (batch, model.critic.in_dim),
-                       0.5, 1.0)
-    seeds = [dc.substream(0, "gp", kk) for kk in range(K_CRITIC)]
-    n_batches = -(-rows // batch)
-    real_ascent = ob.critic_ascent
+    def __init__(self, batch: int = BATCH, rows: int = STAGE_ROWS):
+        from gradshift import diffcore as dc
+        from gradshift import domains as dom
+        from gradshift import objectives as ob
+        self.ob = ob
+        seq = dom.make_rotating_moons(2, rows, total_degrees=24.0,
+                                      noise_sigma=0.1, seed=0)
+        self.source, self.target = seq.domains
+        self.cfg = ob.TrainConfig(batch_size=batch, epochs_per_domain=1,
+                                  k_critic=K_CRITIC)
+        self.model = ob.build_model(ob.ModelSpec(), seq.d, seq.k, seed=0)
+        width = self.model.critic.in_dim
+        self.fa = dc.rng_normal(dc.substream(0, "fa"), (batch, width))
+        self.fb = dc.rng_normal(dc.substream(0, "fb"), (batch, width), 0.5,
+                                1.0)
+        seeds = [dc.substream(0, "gp", kk) for kk in range(K_CRITIC)]
+        # critic_ascent takes its steps' draws; older commits take the seeds
+        self.gp = seeds
+        if "draws" in inspect.signature(ob.critic_ascent).parameters:
+            self.gp = dc.uniform_rows([dc.substream(s, "gp_u")
+                                       for s in seeds], batch)
+        self.n_batches = -(-rows // batch)
 
-    def no_critic(*args, **kwargs):
-        return 0.0, 0.0
-
-    def critic_step(reps):
-        critic = model.critic.copy()
-        opt = ob._Opt([critic.flat], "adam", cfg.lr_critic)
-        # as in a stage, the calls share one bound critic loop; commits
-        # from before the loop was bound take no `work`
-        kw = {"work": ob._StageWork()} if hasattr(ob, "_StageWork") else {}
+    def critic_step_us(self, reps: int) -> float:
+        ob = self.ob
+        critic = self.model.critic.copy()
+        opt = ob._Opt([critic.flat], "adam", self.cfg.lr_critic)
+        work = ob._StageWork()        # as in a stage, one bound loop
         t = time.process_time()
         for _ in range(reps):
-            real_ascent(critic, opt, fa, fb, cfg.gp_factor, seeds, "bench",
-                        **kw)
+            ob.critic_ascent(critic, opt, self.fa, self.fb,
+                             self.cfg.gp_factor, self.gp, "bench", work=work)
         return (time.process_time() - t) / (reps * K_CRITIC) * 1e6
 
-    def stage_epoch(reps):
-        m = model.copy()
+    def stage_epoch_ms(self, reps: int, model=None) -> float:
+        m = self.model.copy() if model is None else model
         t = time.process_time()
         for _ in range(reps):
-            ob._run_stage(m, source, target, cfg, align=True, stage=0,
-                          loss_spec=ob.LossSpec(), eval_batch=None)
-        return (time.process_time() - t) / reps
+            self.ob._run_stage(m, self.source, self.target, self.cfg,
+                               align=True, stage=0,
+                               loss_spec=self.ob.LossSpec(), eval_batch=None)
+        return (time.process_time() - t) / reps * 1e3
 
-    def model_step(reps):
-        ob.critic_ascent = no_critic
+    def model_step_us(self, reps: int, model=None) -> float:
+        """A stage epoch's time per batch with the critic loop stubbed out
+        (a model step reaches the critic through the bound loop's run)."""
+        loop = self.ob._CriticLoop
+        real = loop.run
+        loop.run = lambda *args, **kwargs: (0.0, 0.0)
         try:
-            return stage_epoch(reps) / n_batches * 1e6
+            return self.stage_epoch_ms(reps, model) / self.n_batches * 1e3
         finally:
-            ob.critic_ascent = real_ascent
+            loop.run = real
 
-    plan = [("critic_step_us", critic_step, max(1, int(200 * scale))),
-            ("model_step_us", model_step, max(1, int(10 * scale))),
-            ("stage_epoch_ms", lambda r: stage_epoch(r) * 1e3,
-             max(1, int(3 * scale)))]
-    for _, fn, _ in plan:                 # warm caches and lazy set-up
-        fn(1)
-    times = {name: [] for name, _, _ in plan}
-    for b in range(blocks):
-        order = plan if b % 2 == 0 else plan[::-1]
-        for name, fn, reps in order:
-            times[name].append(fn(reps))
-    out = {name: _quartiles(xs) for name, xs in times.items()}
-    out["shape"] = {"batch": batch, "stage_rows": rows,
-                    "batches_per_epoch": n_batches, "k_critic": K_CRITIC,
-                    "critic": "8-16-16-1 tanh/tanh/identity, zero head, adam"}
-    return out
+
+def _worker(root: str, batch: int, rows: int) -> int:
+    """Serve timing requests for the checkout at root: each stdin line is a
+    JSON list of [layer, reps], answered with one JSON list of times."""
+    src = Path(root).resolve() / "src"
+    sys.path.insert(0, str(src))
+    timers = Layers(batch, rows)
+    if Path(timers.ob.__file__).resolve().parent.parent != src:
+        raise RuntimeError(f"imported {timers.ob.__file__}, not from {src}")
+    for line in sys.stdin:
+        times = [getattr(timers, name)(reps) for name, reps in json.loads(line)]
+        print(json.dumps(times), flush=True)
+    return 0
+
+
+def layers(roots: list[Path], blocks: int = BLOCKS, scale: float = 1.0,
+           batch: int = BATCH, rows: int = STAGE_ROWS) -> list[dict]:
+    """Each checkout's layer timings, one worker process per checkout.
+    `scale` shrinks the work per block (the tests run a tiny size)."""
+    reps = dict(zip(LAYERS, (max(1, int(200 * scale)), max(1, int(10 * scale)),
+                             max(1, int(3 * scale)))))
+    workers = [subprocess.Popen(
+        [sys.executable, __file__, "--worker", str(root), "--batch",
+         str(batch), "--rows", str(rows)], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True) for root in roots]
+
+    def ask(w, plan):
+        w.stdin.write(json.dumps(plan) + "\n")
+        w.stdin.flush()
+        line = w.stdout.readline()
+        if not line:
+            raise RuntimeError(f"layer worker {w.args[3]} exited")
+        return json.loads(line)
+
+    times = [{name: [] for name in LAYERS} for _ in roots]
+    try:
+        for w in workers:                 # warm caches and lazy set-up
+            ask(w, [[name, 1] for name in LAYERS])
+        for b in range(blocks):
+            order = LAYERS if b % 2 == 0 else LAYERS[::-1]
+            plan = [[name, reps[name]] for name in order]
+            turns = range(len(roots)) if b % 2 == 0 else reversed(range(len(roots)))
+            for r in turns:
+                for name, t in zip(order, ask(workers[r], plan)):
+                    times[r][name].append(t)
+    finally:
+        for w in workers:
+            w.stdin.close()
+            w.wait()
+    n_batches = -(-rows // batch)
+    shape = {"batch": batch, "stage_rows": rows, "batches_per_epoch": n_batches,
+             "k_critic": K_CRITIC,
+             "critic": "8-16-16-1 tanh/tanh/identity, zero head, adam"}
+    return [{**{name: _quartiles(xs) for name, xs in t.items()}, "shape": shape}
+            for t in times]
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawTextHelpFormatter)
-    p.add_argument("--label", required=True)
+    p.add_argument("--label")
+    p.add_argument("--against", type=Path, metavar="DIR",
+                   help="a second checkout, timed in the same run")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    p.add_argument("--batch", type=int, default=BATCH, help=argparse.SUPPRESS)
+    p.add_argument("--rows", type=int, default=STAGE_ROWS,
+                   help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    record = {"label": args.label, "header": header(), "layers": layers(),
-              "end_to_end": end_to_end()}
+    if args.worker:
+        return _worker(args.worker, args.batch, args.rows)
+    if not args.label:
+        p.error("--label is required")
+    roots = [ROOT] + ([args.against.resolve()] if args.against else [])
+    lay, e2e = layers(roots), end_to_end(roots)
+    runs = [{"header": header(r), "layers": l, "end_to_end": e}
+            for r, l, e in zip(roots, lay, e2e)]
+    record = {"label": args.label, **runs[0]}
+    if args.against:
+        record["against"] = runs[1]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)

@@ -307,15 +307,19 @@ def substream(seed: int, *tags) -> int:
     """Derive an independent 64-bit stream id from a seed and hashable tags.
 
     Tags may be ints or strings; the fold is order-sensitive, so
-    substream(s, "a", 1) != substream(s, 1, "a").
+    substream(s, "a", 1) != substream(s, 1, "a"). The seed or an int tag
+    may also be a uint64 array: the ids are then the uint64 array of the
+    broadcast shape, each element the id of the scalar fold.
     """
     s = seed & _MASK
     for t in tags:
         if isinstance(t, str):
             t = _tag_word(t)
-        elif not isinstance(t, (int, np.integer)):
+        elif isinstance(t, (int, np.integer)):
+            t = int(t) & _MASK
+        elif not isinstance(t, np.ndarray):
             raise TypeError(f"substream tags must be int or str, got {type(t)}")
-        s = mix64((s + _GAMMA) ^ (int(t) & _MASK))
+        s = mix64(((s + _GAMMA) & _MASK) ^ t)
     return s
 
 

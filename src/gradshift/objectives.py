@@ -205,16 +205,22 @@ class _Opt:
 
 
 def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
-                  gp_factor: float, gp_seeds, where: str, *,
+                  gp_factor: float, draws, where: str, *,
                   work: "_StageWork"):
-    """One dual update in place per seed in the list gp_seeds: each ascends
-    mean c(a) - mean c(b) minus gp_factor times the gradient penalty at
-    interpolates drawn from that seed, between the paired rows of the two
-    equal-size batches. Returns the last step's (gap, penalty), before its
-    update. The steps run in the _CriticLoop that `work` keeps for the
-    critic and the batch size, bound on its first call with that size."""
+    """One dual update in place per row u of draws, a (steps, n) array of
+    uniforms in [0, 1): each ascends mean c(a) - mean c(b) minus gp_factor
+    times the gradient penalty at the interpolates u a + (1 - u) b between
+    the paired rows of the two equal-size batches of n rows. Returns the
+    last step's (gap, penalty), before its update. The critic is the one
+    build_model makes: tanh hidden layers and an identity head of width 1.
+    The steps run in the _CriticLoop that `work` keeps for the critic and
+    the batch size, bound on its first call with that size."""
     if critic.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
+    acts = list(critic.activations)
+    if acts[-1] != "identity" or any(a != "tanh" for a in acts[:-1]):
+        raise ValueError(f"critic_ascent needs tanh hidden layers and an "
+                         f"identity head, got {acts}")
     fa, fb = dc.array(features_a), dc.array(features_b)
     m = critic.in_dim
     for f in (fa, fb):
@@ -226,32 +232,37 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     if len(fa) != len(fb):
         raise dc.ShapeError(f"critic_ascent pairs its two feature batches, "
                             f"got {len(fa)} and {len(fb)} rows")
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != len(fa):
+        raise dc.ShapeError(f"critic_ascent needs a row of {len(fa)} draws "
+                            f"per step, got shape {draws.shape}")
     return work.critic_loop(critic, len(fa)).run(opt, fa, fb, gp_factor,
-                                                  gp_seeds, where)
+                                                  draws, where)
 
 
 class _CriticLoop:
-    """critic_ascent's closed-form steps for one critic and batch size n.
+    """critic_ascent's closed-form steps for one critic, with tanh hidden
+    layers and an identity head, and batch size n.
 
     Each step's gradient is computed in closed form from one numpy forward
     pass over the columns [a, b, interpolates] of a feature-major block
     (mlp_layers' form). The input gradient at the interpolates is the
-    backward chain delta_L = 1, gamma_l = delta_{l+1} * s_l,
-    delta_l = W_l gamma_l, with s_l each layer's slope. The penalty's
-    adjoint then runs forward through that chain (double backprop), where a
-    tanh layer also sends a second-derivative term to its pre-activation.
-    One primal backprop over all columns, seeded with the gap's -1/n and
-    +1/n, carries those terms to the parameters. The tests hold it to the
-    taped gap and penalty, and to the bits of the loop that allocated its
-    arrays afresh each step (tests/critic_oracle.py).
+    backward chain delta_L = W_L 1 (the identity head), gamma_l =
+    delta_{l+1} * s_l, delta_l = W_l gamma_l, with s_l = 1 - h_l^2 each
+    hidden layer's slope. The penalty's adjoint then runs forward through
+    that chain (double backprop), where each tanh layer also sends a
+    second-derivative term to its pre-activation. One primal backprop over
+    all columns, seeded with the gap's -1/n and +1/n, carries those terms
+    to the parameters. The tests hold it to the taped gap and penalty, and
+    to the bits of the loop that allocated its arrays afresh each step
+    (tests/critic_oracle.py).
 
     Construction binds every view and work buffer, so a step allocates
     nothing: each numpy call writes into a bound array through out=, and
-    the forward pass reruns mlp_layers into the bound outputs. An identity
-    head's products with the ones
-    row (delta_{L-1} = W_L 1) and with the gap's seed have one term each,
-    so they are an exact broadcast copy and an exact broadcast multiply
-    instead of gemms.
+    the forward pass reruns mlp_layers into the bound outputs. The head's
+    products with the ones row (delta_L = W_L 1) and with the gap's seed
+    have one term each, so they are an exact broadcast copy and an exact
+    broadcast multiply instead of gemms.
     """
 
     def __init__(self, critic: md.MlpParams, n: int):
@@ -263,113 +274,85 @@ class _CriticLoop:
         x[m] = 1.0
         self.xa, self.xb, self.xh = x[:m, :n], x[:m, n:k], x[:m, k:]
         self.x_tmp = np.empty((m, n))
-        acts, last = critic.activations, len(critic.activations) - 1
-        self.last = last
-        self.identity_head = identity_head = acts[last] == "identity"
         self.grad = np.empty_like(critic.flat)
         self.seed_g = seed_g = np.zeros((1, k + n))
         seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
         # Layer l, with W_l of shape (fan_in, fan_out), has: its output h
-        # (in outs[l + 1], ones row last) and slope s over all k + n columns
-        # (None for identity, h > 0 for relu, 1 - h^2 for tanh); the
-        # chain's deltas[l] (fan_in, n) and gammas[l] (fan_out, n;
-        # delta_{l+1} itself for identity); the adjoint's d_deltas[l]
-        # (fan_in, n), d_gamma and second-derivative term (fan_out, n) and
-        # pen_w (fan_in, fan_out); the primal backprop's gradient at h,
-        # backs[l] (fan_out, k + n; an identity head's is the gap's seed
-        # itself). The suffix _i marks the columns of the interpolates.
+        # (in outs[l + 1], ones row last); the chain's deltas[l] (fan_in,
+        # n); the adjoint's d_deltas[l] (fan_in, n) and pen_w (fan_in,
+        # fan_out); the primal backprop's gradient at h, backs[l]
+        # (fan_out, k + n; the head's is the gap's seed itself). A hidden
+        # layer also has its slope s over all k + n columns, and the
+        # chain's gamma, the adjoint's d_gamma and second-derivative term
+        # (fan_out, n). The suffix _i marks the columns of the interpolates.
         blocks, d_blocks = critic.blocks(), critic.blocks(self.grad)
-        self.ws = ws = [blk[:-1] for blk in blocks]
-        outs, slopes, deltas, gammas, d_gammas, backs = [x], [], [], [], [], []
-        for w, act in zip(ws, acts):
-            fan_in, fan_out = w.shape
-            outs.append(np.empty((fan_out + 1, k + n)))
-            outs[-1][-1] = 1.0
-            slopes.append(None if act == "identity" else np.empty(
-                (fan_out, k + n), bool if act == "relu" else np.float64))
-            deltas.append(np.empty((fan_in, n)))
-            gammas.append(None if act == "identity" else np.empty((fan_out, n)))
-            d_gammas.append(np.empty((fan_out, n)))
-            backs.append(np.empty((fan_out, k + n)))
-        deltas.append(np.ones((1, n)))
-        if identity_head:
-            backs[last] = seed_g
-        d_deltas = [np.empty_like(deltas[0])]
+        ws = [blk[:-1] for blk in blocks]
+        outs = [x] + [np.empty((w.shape[1] + 1, k + n)) for w in ws]
+        for h in outs[1:]:
+            h[-1] = 1.0
+        deltas = [np.empty((w.shape[0], n)) for w in ws]
+        d_deltas = [np.empty_like(d) for d in deltas]
+        backs = [np.empty((w.shape[1], k + n)) for w in ws[:-1]] + [seed_g]
+        pen_ws = [np.empty(w.shape) for w in ws]
         slope_fills, chain, adjoint, primal = [], [], [], []
-        for l, act in enumerate(acts):
-            w, h, s, back = ws[l], outs[l + 1][:-1], slopes[l], backs[l]
-            s_i = None if s is None else s[:, k:]
-            if gammas[l] is None:
-                gammas[l] = deltas[l + 1]
-            if l < last:
-                d_deltas.append(d_gammas[l] if s is None
-                                else np.empty_like(d_gammas[l]))
-            if s is not None:
-                slope_fills.append((h, s, act == "tanh"))
-            if not (identity_head and l == last):
-                chain.append((s_i, deltas[l + 1], gammas[l], w, deltas[l]))
-            pen_w = np.empty(w.shape)
-            # a tanh layer's second-derivative term; gammas[l] has no reader
-            # after pen_w, so it holds the term's factor -2 h s
-            second = None
-            if act == "tanh":
-                second = (np.empty((w.shape[1], n)), gammas[l], deltas[l + 1],
-                          h[:, k:])
-            # the head's d_gamma has no reader unless the head is tanh
-            d_gamma = d_gammas[l] if l < last or second else None
-            adjoint.append((gammas[l].T, pen_w, w.T, d_gamma, s_i, second))
-            primal.append((s, back, second[0] if second else None,
-                           back[:, k:], outs[l], back.T, d_blocks[l],
-                           d_blocks[l][:-1], pen_w, w,
+        for l, w in enumerate(ws[:-1]):
+            h, above, back = outs[l + 1][:-1], deltas[l + 1], backs[l]
+            s = np.empty(h.shape)
+            # gamma has no reader after pen_w, so it then holds the
+            # second-derivative term's factor -2 h s
+            gamma, d_gamma, sec = (np.empty((w.shape[1], n)) for _ in range(3))
+            slope_fills.append((h, s))
+            chain.append((s[:, k:], above, gamma, w, deltas[l]))
+            adjoint.append((d_deltas[l], gamma.T, pen_ws[l], w.T, d_gamma,
+                            sec, above, gamma, h[:, k:], s[:, k:],
+                            d_deltas[l + 1]))
+            primal.append((back, s, back[:, k:], sec, outs[l], back.T,
+                           d_blocks[l], d_blocks[l][:-1], pen_ws[l], w,
                            backs[l - 1] if l else None))
         self.outs, self.slope_fills = outs, slope_fills
         self.chain, self.adjoint = chain[::-1], adjoint
         self.primal = primal[::-1]
         self.deltas, self.d_deltas = deltas, d_deltas
-        self.back_last = backs[last]
+        self.head = (ws[-1], d_deltas[-1], np.ones((1, n)).T, pen_ws[-1],
+                     outs[-2], seed_g.T, d_blocks[-1], d_blocks[-1][:-1],
+                     backs[-2] if len(ws) > 1 else None)
         self.head_a, self.head_b = outs[-1][0, :n], outs[-1][0, n:k]
         self.norms, self.norms_m1, self.work_n = (np.empty(n), np.empty(n),
                                                   np.empty(n))
 
     def run(self, opt: _Opt, fa: np.ndarray, fb: np.ndarray,
-            gp_factor: float, gp_seeds, where: str):
-        """critic_ascent's steps on the paired (n, width) batches fa, fb."""
-        n, last, ws, seed_g = self.n, self.last, self.ws, self.seed_g
+            gp_factor: float, draws: np.ndarray, where: str):
+        """critic_ascent's steps on the paired (n, width) batches fa, fb,
+        one per row of the (steps, n) draws."""
+        n, seed_g = self.n, self.seed_g
         xa, xb, xh, x_tmp = self.xa, self.xb, self.xh, self.x_tmp
         xa[...], xb[...] = fa.T, fb.T
         critic, outs, slope_fills = self.critic, self.outs, self.slope_fills
         chain, adjoint, primal = self.chain, self.adjoint, self.primal
-        identity_head, deltas, d_deltas = (self.identity_head, self.deltas,
-                                           self.d_deltas)
-        head_a, head_b, back_last = self.head_a, self.head_b, self.back_last
+        (w_head, d_delta_head, ones_t, pen_w_head, inp_head, seed_t,
+         d_blk_head, d_w_head, below_head) = self.head
+        delta_head, delta0, d_delta0 = (self.deltas[-1], self.deltas[0],
+                                        self.d_deltas[0])
+        head_a, head_b = self.head_a, self.head_b
         norms, norms_m1, work_n = self.norms, self.norms_m1, self.work_n
-        sq0 = d_deltas[0]                   # free until the adjoint fills it
+        sq0 = d_delta0                      # free until the adjoint fills it
         grads = [self.grad]
         adjoint_scale = gp_factor * 2.0 / n
+        u_c = np.subtract(1.0, draws)
         gap, pen = 0.0, 0.0
-        for step in range(len(gp_seeds)):
-            j = step % 64
-            if j == 0:              # the next 64 steps' draws in one pass
-                u = dc.uniform_rows([dc.substream(s, "gp_u")
-                                     for s in gp_seeds[step:step + 64]], n)
-                u_c = np.subtract(1.0, u)
-            np.multiply(xa, u[j], out=xh)
-            np.multiply(u_c[j], xb, out=x_tmp)
+        for step, u in enumerate(draws):
+            np.multiply(xa, u, out=xh)
+            np.multiply(u_c[step], xb, out=x_tmp)
             xh += x_tmp
             md.mlp_layers(critic, outs[0], outs)
-            for h, s, tanh in slope_fills:
-                if tanh:
-                    np.square(h, out=s)
-                    np.subtract(1.0, s, out=s)
-                else:
-                    np.greater(h, 0.0, out=s)
-            if identity_head:
-                np.copyto(deltas[last], ws[last])
+            for h, s in slope_fills:
+                np.square(h, out=s)
+                np.subtract(1.0, s, out=s)
+            np.copyto(delta_head, w_head)
             for s_i, above, gamma, w, delta in chain:
-                if s_i is not None:
-                    np.multiply(above, s_i, out=gamma)
+                np.multiply(above, s_i, out=gamma)
                 w.dot(gamma, out=delta)
-            np.square(deltas[0], out=sq0)
+            np.square(delta0, out=sq0)
             np.add.reduce(sq0, axis=0, out=norms)
             norms += 1e-24
             np.sqrt(norms, out=norms)
@@ -382,38 +365,28 @@ class _CriticLoop:
             # the penalty's adjoint, forward through the input-gradient chain
             np.divide(norms_m1, norms, out=work_n)
             work_n *= adjoint_scale
-            np.multiply(work_n, deltas[0], out=d_deltas[0])
-            for l, (gamma_t, pen_w, w_t, d_gamma, s_i,
-                    second) in enumerate(adjoint):
-                d_delta = d_deltas[l]
+            np.multiply(work_n, delta0, out=d_delta0)
+            for (d_delta, gamma_t, pen_w, w_t, d_gamma, sec, above, tmp, h_i,
+                 s_i, d_next) in adjoint:
                 d_delta.dot(gamma_t, out=pen_w)
-                if d_gamma is None:
-                    break
                 w_t.dot(d_delta, out=d_gamma)
-                if second is not None:
-                    sec, tmp, above, h_i = second
-                    np.multiply(d_gamma, above, out=sec)
-                    np.multiply(h_i, -2.0, out=tmp)
-                    tmp *= s_i
-                    sec *= tmp
-                if s_i is not None and l < last:
-                    np.multiply(d_gamma, s_i, out=d_deltas[l + 1])
-            # primal backprop over all columns
-            for s, g, sec, g_i, inp, g_t, d_blk, d_w, pen_w, w, below in primal:
-                if s is not None:
-                    if g is back_last:
-                        np.multiply(seed_g, s, out=g)
-                    else:
-                        g *= s
-                if sec is not None:
-                    g_i += sec
+                np.multiply(d_gamma, above, out=sec)
+                np.multiply(h_i, -2.0, out=tmp)
+                tmp *= s_i
+                sec *= tmp
+                np.multiply(d_gamma, s_i, out=d_next)
+            d_delta_head.dot(ones_t, out=pen_w_head)
+            # primal backprop over all columns, from the head down
+            inp_head.dot(seed_t, out=d_blk_head)
+            d_w_head += pen_w_head
+            if below_head is not None:
+                np.multiply(w_head, seed_g, out=below_head)
+            for g, s, g_i, sec, inp, g_t, d_blk, d_w, pen_w, w, below in primal:
+                g *= s
+                g_i += sec
                 inp.dot(g_t, out=d_blk)
                 d_w += pen_w
-                if below is None:
-                    continue
-                if g is seed_g:
-                    np.multiply(w, seed_g, out=below)
-                else:
+                if below is not None:
                     w.dot(g, out=below)
             opt.step(grads)
         return gap, pen
@@ -467,13 +440,14 @@ class _StageWork:
 
 def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                       opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
-                      loss_spec: LossSpec, *, align: bool, gp_seed: int,
-                      where: str, work: _StageWork):
+                      loss_spec: LossSpec, *, align: bool, draws, where: str,
+                      work: _StageWork):
     """One batch's primal-dual step in place. Returns (class loss, gap,
     penalty); the last two come from the final critic step, 0 without
     alignment. An aligning step trains on the target's labels when
     cfg.labeled_target is set, and on the temporal history when the model
-    has a summarizer. `work` holds the arrays the stage's steps reuse.
+    has a summarizer; `draws` holds its critic steps' interpolation draws,
+    (k_critic, batch rows). `work` holds the arrays the stage's steps reuse.
 
     The labeled rows run forward through g and h. When aligning, the critic
     ascends k_critic times on the target features and the source history,
@@ -518,10 +492,10 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
             _, readout, cache = md.gru_step(model.summarizer, model.summary_state,
                                             np.add.reduce(f_s, axis=1) / ns)
             hist = f_s * 0.5 + readout[:, None] * 0.5
-        gap, pen = critic_ascent(model.critic, opt_critic, f_t.T, hist.T,
-                                 cfg.gp_factor, [dc.substream(gp_seed, kk)
-                                                 for kk in range(cfg.k_critic)],
-                                 where, work=work)
+            _check_finite(hist, "history features", where)
+        # the features are checked, so they skip critic_ascent's validation
+        gap, pen = work.critic_loop(model.critic, ns).run(
+            opt_critic, f_t.T, hist.T, cfg.gp_factor, draws, where)
         # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)
         nt, nh = f_t.shape[1], hist.shape[1]
         x_c = work.block("critic", len(f_t), nt + nh)
@@ -564,6 +538,10 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
     opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
     opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
     work = _StageWork()
+    # the [batch, critic step] tags of an aligning epoch's interpolation draws
+    batches = np.arange(len(range(0, source.n, cfg.batch_size)),
+                        dtype=np.uint64)[:, None]
+    steps = np.arange(cfg.k_critic, dtype=np.uint64)
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
         n_steps = 0
@@ -572,6 +550,11 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                                    source.n)
         torder = dc.rng_permutation(dc.substream(cfg.seed, "torder", stage, epoch),
                                     target.n)
+        if align:
+            ids = dc.substream(cfg.seed, "gp", stage, epoch, batches, steps,
+                               "gp_u")
+            draws = dc.uniform_rows(ids.ravel(), cfg.batch_size).reshape(
+                *ids.shape, cfg.batch_size)
         for b, start in enumerate(range(0, source.n, cfg.batch_size)):
             src_idx = order[start:start + cfg.batch_size]
             ns = len(src_idx)
@@ -581,7 +564,7 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                 model, opt_model, opt_critic, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
                 target.labels[tgt_idx], cfg, loss_spec, align=align,
-                gp_seed=dc.substream(cfg.seed, "gp", stage, epoch, b),
+                draws=draws[b, :, :ns] if align else None,
                 where=f"stage {stage} epoch {epoch} batch {b}", work=work)
             loss_sum += ce
             gap_sum += gap

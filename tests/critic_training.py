@@ -1,5 +1,6 @@
 """Critic-only dual training for the tests that hold the trained critic's gap
-to the exact W1 (acceptance criterion 11 among them)."""
+to the exact W1 (acceptance criterion 11 among them), and the interpolation
+draws that critic_ascent takes for a list of critic-step seeds."""
 
 from __future__ import annotations
 
@@ -28,6 +29,14 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     TrainConfig.lr_critic instead.
     """
     opt = ob._Opt([critic.flat], optimizer, lr)
-    seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
+    draws = gp_draws([dc.substream(seed, "gp", step) for step in range(steps)],
+                     len(features_a))
     return ob.critic_ascent(critic, opt, features_a, features_b, gp_factor,
-                            seeds, "critic training", work=ob._StageWork())[0]
+                            draws, "critic training", work=ob._StageWork())[0]
+
+
+def gp_draws(seeds, n: int) -> np.ndarray:
+    """critic_ascent's (len(seeds), n) interpolation draws for the critic
+    steps with stream ids `seeds`, the rows a training stage draws: row i
+    is stream substream(seeds[i], "gp_u"), as in tests/critic_oracle.py."""
+    return dc.uniform_rows([dc.substream(s, "gp_u") for s in seeds], n)

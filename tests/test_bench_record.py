@@ -1,11 +1,12 @@
-"""Smoke test of scripts/bench_record.py's in-process layer timings."""
+"""Smoke test of scripts/bench_record.py's layer timings."""
 
 import importlib.util
 from pathlib import Path
 
 from gradshift import objectives as ob
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_record.py"
 
 
 def _load():
@@ -16,11 +17,27 @@ def _load():
 
 
 def test_layer_timings_tiny():
-    real = ob.critic_ascent
-    got = _load().layers(blocks=3, scale=0.01, batch=8, rows=20)
-    assert ob.critic_ascent is real        # the model-step stub is undone
-    for name in ("critic_step_us", "model_step_us", "stage_epoch_ms"):
-        t = got[name]
-        assert t["blocks"] == 3
-        assert 0.0 <= t["q1"] <= t["median"] <= t["q3"]
-    assert got["shape"]["batches_per_epoch"] == 3
+    # two workers on this checkout stand in for a checkout and the one
+    # given by --against
+    got = _load().layers([ROOT, ROOT], blocks=3, scale=0.01, batch=8, rows=20)
+    assert len(got) == 2
+    for timings in got:
+        for name in ("critic_step_us", "model_step_us", "stage_epoch_ms"):
+            t = timings[name]
+            assert t["blocks"] == 3
+            assert 0.0 <= t["q1"] <= t["median"] <= t["q3"]
+        assert timings["shape"]["batches_per_epoch"] == 3
+
+
+def test_model_step_leaves_the_critic():
+    # the model step's stub holds off the critic loop: the critic's bytes
+    # do not change across it, and a stage epoch with the loop moves them
+    real = ob._CriticLoop.run
+    timers = _load().Layers(batch=8, rows=20)
+    model = timers.model.copy()
+    before = model.critic.flat.tobytes()
+    timers.model_step_us(1, model)
+    assert ob._CriticLoop.run is real      # the stub is undone
+    assert model.critic.flat.tobytes() == before
+    timers.stage_epoch_ms(1, model)
+    assert model.critic.flat.tobytes() != before

@@ -383,6 +383,28 @@ class TestRng:
                    dc.substream(seed, 2 ** 64 - 1, "w", -1), dc.substream(seed)]
             assert got == want
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 63 + 5, 2 ** 64 - 1,
+                                      -3])
+    def test_substream_array_form(self, seed):
+        # a training stage folds an epoch's (batch, critic step) ids at once:
+        # a uint64 array as an int tag, or as the seed, gives each element
+        # the scalar fold's id, and so the scalar ids' draws bit for bit
+        batches = np.arange(30, dtype=np.uint64)[:, None]
+        steps = np.arange(5, dtype=np.uint64)
+        for stage, epoch in [(0, 0), (3, 4)]:
+            got = dc.substream(seed, "gp", stage, epoch, batches, steps, "gp_u")
+            want = [[dc.substream(seed, "gp", stage, epoch, b, kk, "gp_u")
+                     for kk in range(5)] for b in range(30)]
+            assert got.dtype == np.uint64 and got.tolist() == want
+            assert dc.uniform_rows(got.ravel(), 7).tobytes() == \
+                dc.uniform_rows([w for row in want for w in row], 7).tobytes()
+        masked = np.array([seed & (2 ** 64 - 1)], dtype=np.uint64)
+        assert dc.substream(masked, 2 ** 64 - 1, "w", -1).tolist() == \
+            [dc.substream(seed, 2 ** 64 - 1, "w", -1)]
+        # scalar calls still give Python ints
+        assert type(dc.substream(seed, "data", 3)) is int
+        assert type(dc.substream(seed, np.int64(3))) is int
+
     def test_uniform_rows_match_per_seed_draws(self):
         seeds = [0, 2 ** 64 - 1] + [dc.substream(s, "gp_u")
                                     for s in (0, 1, 2 ** 64 - 1,

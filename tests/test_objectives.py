@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import statistics
 from functools import partial
 
@@ -14,7 +15,7 @@ from gradshift import transport as tp
 from gradshift.diffcore import Tape, backward, forward
 import critic_oracle
 import tape_oracle
-from critic_training import train_critic
+from critic_training import gp_draws, train_critic
 from tape_oracle import alignment_gap, gradient_penalty, loss_eval
 
 
@@ -214,9 +215,28 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
     return pool[np.arange(n) % len(pool)]
 
 
-# hidden activations of random critics, depths 1-3 (the head is identity)
+# hidden activations of random critics, depths 0-3 under an identity head
 CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
-                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"]]
+                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
+                 ["tanh", "tanh", "tanh"]]
+
+
+def _supported(activations) -> bool:
+    """critic_ascent takes tanh hidden layers under an identity head."""
+    return (activations[-1] == "identity"
+            and all(a == "tanh" for a in activations[:-1]))
+
+
+def _assert_rejected(critic, fa, fb):
+    """critic_ascent rejects the critic's shape, naming its activations,
+    and leaves the critic's bytes untouched."""
+    before = critic.flat.tobytes()
+    message = (f"critic_ascent needs tanh hidden layers and an identity "
+               f"head, got {critic.activations}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0,
+                         gp_draws([9], len(fa)), "test", work=ob._StageWork())
+    assert critic.flat.tobytes() == before
 
 
 class TestCriticAscentStep:
@@ -233,9 +253,12 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, fa, fb)
         closed, taped = _Recorded(), _Recorded()
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, [9],
-                                    "test", work=ob._StageWork())
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor,
+                                    gp_draws([9], 12), "test",
+                                    work=ob._StageWork())
         gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, gp_factor, 9)
         assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
@@ -244,21 +267,12 @@ class TestCriticAscentStep:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("head", ["tanh", "relu"])
-    def test_nonlinear_head_matches_tape(self, head):
-        # a tanh head sends a second-derivative term of its own
+    def test_nonlinear_head_rejected(self, head):
+        # the trainer's critic has an identity head: any other is rejected
         critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
-        for i, b in enumerate(critic.biases):
-            b[:] = dc.rng_normal(dc.substream(78, "b", i), b.shape, 0.0, 0.5)
         fa = dc.rng_normal(dc.substream(78, "a"), (12, 3))
         fb = dc.rng_normal(dc.substream(78, "fb"), (12, 3), 0.5, 1.0)
-        closed, taped = _Recorded(), _Recorded()
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, 5.0, [9], "test",
-                                    work=ob._StageWork())
-        gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, 5.0, 9)
-        assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
-        assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
-        want = np.concatenate([g.ravel() for g in taped.grads])
-        assert np.linalg.norm(closed.grads[0] - want) <= 1e-10 * np.linalg.norm(want)
+        _assert_rejected(critic, fa, fb)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
@@ -278,10 +292,13 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, fa, fb)
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
         closed = _Tee(ob._Opt([critic.flat], optimizer, 1e-2))
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor, seeds,
-                                    "test", work=ob._StageWork())
+        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor,
+                                    gp_draws(seeds, 12), "test",
+                                    work=ob._StageWork())
         assert len(closed.grads) == len(seeds)
         assert not np.array_equal(closed.before[-1], closed.before[0])
         for s, before, got in zip(seeds, closed.before, closed.grads):
@@ -295,18 +312,17 @@ class TestCriticAscentStep:
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
 
     def test_draws_span_blocks(self):
-        # the loop draws its interpolation points 64 steps at a time; 70
-        # steps in one call equal 70 one-step calls bit for bit
+        # one call with 70 rows of draws equals 70 one-row calls bit for bit
         fa = dc.rng_normal(dc.substream(77, "a"), (9, 3))
         fb = dc.rng_normal(dc.substream(77, "b"), (9, 3), 0.5, 1.0)
         critic = md.init_mlp(77, [3, 6, 1], ["tanh", "identity"])
         ref = critic.copy()
-        seeds = [dc.substream(77, "gp", step) for step in range(70)]
+        draws = gp_draws([dc.substream(77, "gp", step) for step in range(70)], 9)
         got = ob.critic_ascent(critic, ob._Opt([critic.flat], "adam", 1e-2),
-                               fa, fb, 5.0, seeds, "test", work=ob._StageWork())
+                               fa, fb, 5.0, draws, "test", work=ob._StageWork())
         opt = ob._Opt([ref.flat], "adam", 1e-2)
-        for s in seeds:
-            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, [s], "test",
+        for row in draws:
+            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, row[None], "test",
                                     work=ob._StageWork())
         assert got == want
         assert np.array_equal(critic.flat, ref.flat)
@@ -334,6 +350,14 @@ class TestCriticAscentStep:
         ("unequal", dc.ShapeError,
          "critic_ascent pairs its two feature batches, got 6 and 5 rows"),
         ("out_dim", ValueError, "critic output layer must have size 1, got 2"),
+        ("relu_hidden", ValueError, "critic_ascent needs tanh hidden layers "
+         r"and an identity head, got \['relu', 'identity'\]"),
+        ("identity_hidden", ValueError, "critic_ascent needs tanh hidden "
+         r"layers and an identity head, got \['identity', 'identity'\]"),
+        ("tanh_head", ValueError, "critic_ascent needs tanh hidden layers "
+         r"and an identity head, got \['tanh', 'tanh'\]"),
+        ("draws", dc.ShapeError, r"critic_ascent needs a row of 6 draws per "
+         r"step, got shape \(1, 5\)"),
         ("non_finite", ValueError,
          r"array values must be finite \(NaN/Inf rejected\)"),
         ("overflow", ob.TrainingDiverged,
@@ -343,12 +367,19 @@ class TestCriticAscentStep:
         critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
         fa = dc.rng_normal(74, (6, 2))
         fb = dc.rng_normal(75, (6, 2))
+        draws = gp_draws([1], 6)
         if case == "empty":
             fb = np.zeros((0, 2))
         elif case == "unequal":
             fb = fb[:5]
         elif case == "out_dim":
             critic = md.init_mlp(73, [2, 4, 2], ["tanh", "identity"])
+        elif case.endswith(("_hidden", "_head")):
+            act = case.split("_")[0]
+            critic = md.init_mlp(73, [2, 4, 1], [act, "identity"] if
+                                 case.endswith("_hidden") else ["tanh", act])
+        elif case == "draws":
+            draws = draws[:, :5]
         elif case == "non_finite":
             fb[2, 1] = np.nan
         else:
@@ -360,25 +391,27 @@ class TestCriticAscentStep:
         # module's error filter, since pytest applies the module's mark last
         with pytest.raises(error, match=f"^{message}$"), \
                 np.errstate(all="ignore"):
-            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, [1], "step 3",
+            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, draws, "step 3",
                              work=ob._StageWork())
         for a, b in zip(critic.arrays(), before):
             assert np.array_equal(a, b)
 
 
 def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
-    """critic_ascent and the oracle loop, each on its own copy of critic
-    with a fresh optimizer: per side, the returned (gap, pen), or the
-    TrainingDiverged message, and the critic's bytes afterwards."""
+    """critic_ascent, given the draws of `seeds`, and the oracle loop, given
+    the seeds, each on its own copy of critic with a fresh optimizer: per
+    side, the returned (gap, pen), or the TrainingDiverged message, and the
+    critic's bytes afterwards."""
     sides = []
-    for ascent in (partial(ob.critic_ascent, work=ob._StageWork()),
-                   critic_oracle.critic_ascent):
+    for ascent, gp in ((partial(ob.critic_ascent, work=ob._StageWork()),
+                        gp_draws(seeds, len(fa))),
+                       (critic_oracle.critic_ascent, seeds)):
         c = critic.copy()
         try:
             # a diverging case overflows on purpose, on both sides alike
             with np.errstate(all="ignore"):
                 out = ascent(c, ob._Opt([c.flat], optimizer, lr), fa, fb,
-                             gp_factor, seeds, "test")
+                             gp_factor, gp, "test")
         except ob.TrainingDiverged as e:
             out = str(e)
         sides.append((out, c.flat.tobytes()))
@@ -389,7 +422,9 @@ class TestCriticBitOracle:
     """critic_ascent, its buffers bound ahead of its steps, against the
     loop that allocated its arrays afresh each step (tests/critic_oracle.py):
     the same floating-point operations in the same order, so the same
-    (gap, pen) and the same critic bytes after one call."""
+    (gap, pen) and the same critic bytes after one call. A critic of
+    another shape than tanh hidden layers under an identity head is
+    rejected."""
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
@@ -407,6 +442,8 @@ class TestCriticBitOracle:
             b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
         fa = dc.rng_normal(dc.substream(seed, "a"), (n, 3))
         fb = dc.rng_normal(dc.substream(seed, "fb"), (n, 3), 0.5, 1.0)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, fa, fb)
         seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
         got, want = _oracle_pair(critic, optimizer, 1e-2, fa, fb, gp_factor,
                                  seeds)
@@ -441,7 +478,7 @@ class TestCriticBitOracle:
         # a training stage keeps one bound loop per batch size: calls that
         # share it, with other batches and sizes between, match the oracle
         critic = md.init_mlp(dc.substream(83, "c"), [4, 6, 6, 1],
-                             ["tanh", "relu", "identity"])
+                             ["tanh", "tanh", "identity"])
         ref = critic.copy()
         work = ob._StageWork()
         opt = ob._Opt([critic.flat], "adam", 1e-2)
@@ -450,8 +487,8 @@ class TestCriticBitOracle:
             fa = dc.rng_normal(dc.substream(83, "a", call), (n, 4))
             fb = dc.rng_normal(dc.substream(83, "b", call), (n, 4), 0.5, 1.0)
             seeds = [dc.substream(83, "gp", call, kk) for kk in range(3)]
-            got = ob.critic_ascent(critic, opt, fa, fb, 5.0, seeds, "test",
-                                   work=work)
+            got = ob.critic_ascent(critic, opt, fa, fb, 5.0,
+                                   gp_draws(seeds, n), "test", work=work)
             want = critic_oracle.critic_ascent(ref, opt_ref, fa, fb, 5.0,
                                                seeds, "test")
             assert got == want
@@ -459,13 +496,14 @@ class TestCriticBitOracle:
         assert len(work._critic_loops) == 2
 
     def test_diverges_mid_loop(self):
-        # plain sgd at lr 1e100 overflows the penalty at the third step;
-        # both loops stop there with the critic of their last update
-        critic = md.MlpParams([np.array([[2.0], [0.5]])], [np.zeros(1)],
-                              ["identity"])
+        # plain sgd at lr 1e307 saturates both tanh layers and grows the
+        # head by about lr a step, until the gap's sum overflows at the
+        # third step; both loops stop there with the critic of their last
+        # update
+        critic = md.init_mlp(85, [2, 3, 3, 1], ["tanh", "tanh", "identity"])
         fa = dc.rng_normal(74, (6, 2))
         fb = dc.rng_normal(75, (6, 2))
-        got, want = _oracle_pair(critic, "sgd", 1e100, fa, fb, 5.0,
+        got, want = _oracle_pair(critic, "sgd", 1e307, fa, fb, 5.0,
                                  [1, 2, 3, 4])
         assert got[0] == "non-finite critic loss at test, critic step 2"
         assert got == want
@@ -534,10 +572,10 @@ class TestModelStep:
         errors = []
 
         def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
-                    loss_spec, *, align, gp_seed, where, work):
+                    loss_spec, *, align, draws, where, work):
             got = _Recorded()
             ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
-                                loss_spec, align=align, gp_seed=gp_seed,
+                                loss_spec, align=align, draws=draws,
                                 where=where, work=work)
             ce_ref, want = tape_oracle.taped_model_step(
                 model, xs, ys, xt, yt, cfg, loss_spec, align=align,
@@ -652,6 +690,18 @@ class TestAdaptPair:
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8)
         model = ob.build_model(spec, seq.d, seq.k, seed=10)
         with pytest.raises(ob.TrainingDiverged), np.errstate(all="ignore"):
+            adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
+
+    def test_non_finite_history_diverges(self):
+        # a temporal stage's history features are checked where they are
+        # made, so a non-finite summary is a located divergence
+        seq, cfg = small_task(4)
+        model = ob.initial_model("gradual_temporal", seq,
+                                 ob.ModelSpec(feature_dim=4, hidden=8), 10)
+        model.summarizer.b_out[:] = np.inf
+        with pytest.raises(ob.TrainingDiverged, match="^non-finite history "
+                           "features at stage 0 epoch 0 batch 0$"), \
+                np.errstate(all="ignore"):
             adapt_pair(model, seq.domains[0], seq.domains[1], cfg)
 
 

@@ -567,6 +567,51 @@ class TestMetricProperties:
         ac, bc = tp.w1_exact(a, c).distance, tp.w1_exact(b, c).distance
         assert ac <= ab + bc + 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12),
+           shift=st.floats(-5.0, 5.0))
+    def test_w1_exact_translation(self, seed, n, shift):
+        # one vector added to both sets moves each cost by rounding only
+        a, b = _clouds(seed, n, 2)
+        v = np.array([shift, -0.5 * shift])
+        base = tp.w1_exact(a, b).distance
+        assert abs(tp.w1_exact(a + v, b + v).distance - base) \
+            <= 1e-12 * (max(base, 1.0) + abs(shift))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10),
+           shift=st.floats(-5.0, 5.0))
+    def test_sinkhorn_translation(self, seed, n, shift):
+        # the entropic problem is the same after a translation, so the
+        # converged costs differ by the convergence tolerance only
+        a, b = _clouds(seed, n, 2)
+        v = np.array([shift, -0.5 * shift])
+
+        def s(x, y):
+            res = tp.sinkhorn(x, y, 0.5, max_iters=20000, tol=1e-10)
+            assert res.converged
+            return res.distance
+
+        base = s(a, b)
+        assert abs(s(a + v, b + v) - base) <= 1e-7 * max(base, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 30),
+           m=st.integers(1, 30), k=st.integers(1, 30),
+           p=st.sampled_from([1, 2, 3]))
+    def test_sorted_1d_symmetric_and_triangle(self, seed, n, m, k, p):
+        # W_p is a metric on measures of any sizes
+        a, = _clouds(seed, n, 1, d=1)
+        b = dc.rng_normal(dc.substream(seed, "b"), (m,), 0.4, 1.3)
+        c = dc.rng_normal(dc.substream(seed, "c"), (k,), -0.6, 0.8)
+
+        def w(x, y):
+            return tp.wp_sorted_1d(x, y, p).distance
+
+        ab = w(a, b)
+        assert abs(ab - w(b, a)) <= 1e-12 * max(ab, 1.0)
+        assert w(a, c) <= ab + w(b, c) + 1e-12
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10))
     def test_sinkhorn_symmetric_and_triangle(self, seed, n):
