@@ -205,15 +205,14 @@ class _Opt:
 
 
 def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
-                  gp_factor: float, draws, where: str, *,
-                  work: "_StageWork"):
+                  gp_factor: float, draws, where: str, *, work: "_StageWork"):
     """One dual update in place per row u of draws, a (steps, n) array of
     uniforms in [0, 1): each ascends mean c(a) - mean c(b) minus gp_factor
     times the gradient penalty at the interpolates u a + (1 - u) b between
     the paired rows of the two equal-size batches of n rows. Returns the
-    last step's (gap, penalty), before its update. The critic is the one
-    build_model makes: tanh hidden layers and an identity head of width 1.
-    The steps run in the _CriticLoop that `work` keeps for the critic and
+    last step's (gap, penalty), before its update. The critic has the shape
+    build_model gives it: tanh hidden layers, if any, and an identity head
+    of width 1. The steps run in the _CriticLoop that `work` keeps for the critic and
     the batch size, bound on its first call with that size."""
     if critic.out_dim != 1:
         raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")

@@ -223,8 +223,8 @@ def alignment_gap(critic: md.MlpParams, features_a, features_b, tape: Tape,
 
 def interpolates(fa: np.ndarray, fb: np.ndarray, seed: int) -> np.ndarray:
     """Per-row random points between two paired feature batches, one scalar
-    draw per seed: the penalty's points as critic_ascent draws them in one
-    pass."""
+    draw per row from stream substream(seed, "gp_u"): the penalty's points
+    at the draws a training stage makes for a critic step with that seed."""
     u = dc.rng_uniform(dc.substream(seed, "gp_u"), (fa.shape[0], 1))
     return u * fa + (1.0 - u) * fb
 
