@@ -17,11 +17,12 @@ The file holds, for this checkout and, under "against", for DIR:
     checkout imports that checkout's src and times them; the workers take
     turns block by block, and the three layers alternate their order.
 
-DIR is a checkout whose critic steps run in a bound loop
-(`objectives._CriticLoop`); its `critic_ascent` may take the steps' seeds
-or their draws. Two checkouts timed in one run share the state of the
-machine; two files recorded one after the other do not, so compare commits
-with --against.
+The critic step is timed through its one entry,
+`objectives._StageWork().critic_loop(critic, 64).run(...)`, so DIR is a
+checkout whose stage keeps a bound critic loop; the loop's `run` may take
+the steps' seeds or their draws, as its signature says. Two checkouts timed
+in one run share the state of the machine; two files recorded one after
+the other do not, so compare commits with --against.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class Layers:
         self.fb = dc.rng_normal(dc.substream(0, "fb"), (batch, width), 0.5,
                                 1.0)
         seeds = [dc.substream(0, "gp", kk) for kk in range(K_CRITIC)]
-        # critic_ascent takes its steps' draws; older commits take the seeds
+        # the critic loop takes its steps' draws; older commits take the seeds
         self.gp = seeds
-        if "draws" in inspect.signature(ob.critic_ascent).parameters:
+        if "draws" in inspect.signature(ob._CriticLoop.run).parameters:
             self.gp = dc.uniform_rows([dc.substream(s, "gp_u")
                                        for s in seeds], batch)
         self.n_batches = -(-rows // batch)
@@ -121,11 +122,12 @@ class Layers:
         ob = self.ob
         critic = self.model.critic.copy()
         opt = ob._Opt([critic.flat], "adam", self.cfg.lr_critic)
-        work = ob._StageWork()        # as in a stage, one bound loop
+        # as in a stage, one bound loop for every call
+        loop = ob._StageWork().critic_loop(critic, len(self.fa))
         t = time.process_time()
         for _ in range(reps):
-            ob.critic_ascent(critic, opt, self.fa, self.fb,
-                             self.cfg.gp_factor, self.gp, "bench", work=work)
+            loop.run(opt, self.fa, self.fb, self.cfg.gp_factor, self.gp,
+                     "bench")
         return (time.process_time() - t) / (reps * K_CRITIC) * 1e6
 
     def stage_epoch_ms(self, reps: int, model=None) -> float:

@@ -586,7 +586,8 @@ def _bound_echo(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    res = th.sweep_horizon(_bound_inputs(args, args.T_min), range(args.T_min, args.T_max + 1, args.T_step))
+    res = th.sweep_horizon(_bound_inputs(args, args.T_min),
+                           range(args.T_min, args.T_max + 1, args.T_step))
     return {"inputs": {**_bound_echo(args), "T_min": args.T_min,
                        "T_max": args.T_max, "T_step": args.T_step},
             "argmin_T": res.argmin_T,
@@ -656,6 +657,17 @@ def _emit(command, *args) -> int:
     return code
 
 
+def _int_from(low: int):
+    """An argparse type: an integer flag value of at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"          # argparse: "invalid int value: 'x'"
+    return parse
+
+
 class _JsonArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"error": message}, sort_keys=True))
@@ -669,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment config")
     run.add_argument("config")
-    run.add_argument("--halt-after", type=int, default=None,
+    run.add_argument("--halt-after", type=_int_from(0), default=None,
                      help="stop each run after this stage index, or after "
                           "its last stage if it has fewer (state is saved; "
                           "rerun to resume)")
@@ -703,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_bound_flags(sweep, with_T=False)
     sweep.add_argument("--T-min", type=int, default=2)
     sweep.add_argument("--T-max", type=int, required=True)
-    sweep.add_argument("--T-step", type=int, default=1)
+    sweep.add_argument("--T-step", type=_int_from(1), default=1)
     sweep.set_defaults(handler=cmd_sweep)
 
     disc = sub.add_parser("disc", help="discrepancy estimate on drifting "
@@ -713,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--shift", type=float, default=0.3)
     disc.add_argument("--sigma", type=float, default=0.5)
     disc.add_argument("--seed", type=int, default=0)
-    disc.add_argument("--pool-random", type=int, default=64)
-    disc.add_argument("--pool-snapshots", type=int, default=8)
+    disc.add_argument("--pool-random", type=_int_from(0), default=64)
+    disc.add_argument("--pool-snapshots", type=_int_from(0), default=8)
     disc.add_argument("--M", type=float, default=5.0)
     disc.add_argument("--rho", type=float, default=1.0)
     disc.add_argument("--feature-dim", type=int, default=4)

@@ -204,44 +204,10 @@ class _Opt:
             p -= np.divide(s, t, out=s)
 
 
-def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
-                  gp_factor: float, draws, where: str, *, work: "_StageWork"):
-    """One dual update in place per row u of draws, a (steps, n) array of
-    uniforms in [0, 1): each ascends mean c(a) - mean c(b) minus gp_factor
-    times the gradient penalty at the interpolates u a + (1 - u) b between
-    the paired rows of the two equal-size batches of n rows. Returns the
-    last step's (gap, penalty), before its update. The critic has the shape
-    build_model gives it: tanh hidden layers, if any, and an identity head
-    of width 1. The steps run in the _CriticLoop that `work` keeps for the critic and
-    the batch size, bound on its first call with that size."""
-    if critic.out_dim != 1:
-        raise ValueError(f"critic output layer must have size 1, got {critic.out_dim}")
-    acts = list(critic.activations)
-    if acts[-1] != "identity" or any(a != "tanh" for a in acts[:-1]):
-        raise ValueError(f"critic_ascent needs tanh hidden layers and an "
-                         f"identity head, got {acts}")
-    fa, fb = dc.array(features_a), dc.array(features_b)
-    m = critic.in_dim
-    for f in (fa, fb):
-        if f.ndim != 2 or f.shape[1] != m:
-            raise dc.ShapeError(f"critic input width {m} does not "
-                                f"match features of shape {f.shape}")
-        if len(f) == 0:
-            raise ValueError("critic_ascent: empty feature batch")
-    if len(fa) != len(fb):
-        raise dc.ShapeError(f"critic_ascent pairs its two feature batches, "
-                            f"got {len(fa)} and {len(fb)} rows")
-    draws = np.asarray(draws, dtype=np.float64)
-    if draws.ndim != 2 or draws.shape[1] != len(fa):
-        raise dc.ShapeError(f"critic_ascent needs a row of {len(fa)} draws "
-                            f"per step, got shape {draws.shape}")
-    return work.critic_loop(critic, len(fa)).run(opt, fa, fb, gp_factor,
-                                                  draws, where)
-
-
 class _CriticLoop:
-    """critic_ascent's closed-form steps for one critic, with tanh hidden
-    layers and an identity head, and batch size n.
+    """The critic's closed-form ascent steps on batches of n rows, kept per
+    batch size by _StageWork.critic_loop. The constructor rejects any critic
+    but build_model's, tanh hidden layers under an identity head of width 1.
 
     Each step's gradient is computed in closed form from one numpy forward
     pass over the columns [a, b, interpolates] of a feature-major block
@@ -265,6 +231,12 @@ class _CriticLoop:
     """
 
     def __init__(self, critic: md.MlpParams, n: int):
+        acts = list(critic.activations)
+        if (critic.out_dim != 1 or acts[-1] != "identity"
+                or any(a != "tanh" for a in acts[:-1])):
+            raise ValueError(f"the critic loop needs tanh hidden layers and "
+                             f"an identity head of width 1, got {acts} and "
+                             f"width {critic.out_dim}")
         m, k = critic.in_dim, 2 * n
         self.critic, self.n = critic, n
         # columns [a, b] are written once per run; each step's interpolates
@@ -321,8 +293,11 @@ class _CriticLoop:
 
     def run(self, opt: _Opt, fa: np.ndarray, fb: np.ndarray,
             gp_factor: float, draws: np.ndarray, where: str):
-        """critic_ascent's steps on the paired (n, width) batches fa, fb,
-        one per row of the (steps, n) draws."""
+        """One dual update in place per row u of the (steps, n) uniforms
+        `draws`: each ascends mean c(a) - mean c(b) minus gp_factor times
+        the gradient penalty at the interpolates u a + (1 - u) b between
+        the paired rows of the finite (n, width) batches fa, fb. Returns
+        the last step's (gap, penalty), before its update."""
         n, seed_g = self.n, self.seed_g
         xa, xb, xh, x_tmp = self.xa, self.xb, self.xh, self.x_tmp
         xa[...], xb[...] = fa.T, fb.T
@@ -411,7 +386,8 @@ class _StageWork:
 
     def critic_loop(self, critic: md.MlpParams, n: int) -> _CriticLoop:
         """The _CriticLoop for batches of n rows of the stage's one critic,
-        bound on the stage's first such batch."""
+        bound on the stage's first such batch: the one entry to the critic
+        step. A critic the loop rejects leaves no loop kept."""
         loop = self._critic_loops.get(n)
         if loop is None:
             loop = self._critic_loops[n] = _CriticLoop(critic, n)
@@ -492,7 +468,6 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                                             np.add.reduce(f_s, axis=1) / ns)
             hist = f_s * 0.5 + readout[:, None] * 0.5
             _check_finite(hist, "history features", where)
-        # the features are checked, so they skip critic_ascent's validation
         gap, pen = work.critic_loop(model.critic, ns).run(
             opt_critic, f_t.T, hist.T, cfg.gp_factor, draws, where)
         # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)

@@ -249,6 +249,8 @@ def sinkhorn(A, B, epsilon: float, max_iters: int = 5000,
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A, B = _points(A), _points(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError(

@@ -1,6 +1,7 @@
 """Critic-only dual training for the tests that hold the trained critic's gap
-to the exact W1 (acceptance criterion 11 among them), and the interpolation
-draws that critic_ascent takes for a list of critic-step seeds."""
+to the exact W1 (acceptance criterion 11 among them), one batch's critic
+steps through their one entry, and the interpolation draws that the critic
+loop takes for a list of critic-step seeds."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     """Critic-only dual training on two fixed, equal-size feature batches
     (in place).
 
-    The steps run as one critic_ascent, the inner update of every training
+    The steps run as one `ascend`, the inner update of every training
     stage. Returns the final gap.
 
     The default lr is deliberately slow (the large-scale configs in this
@@ -31,12 +32,22 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     opt = ob._Opt([critic.flat], optimizer, lr)
     draws = gp_draws([dc.substream(seed, "gp", step) for step in range(steps)],
                      len(features_a))
-    return ob.critic_ascent(critic, opt, features_a, features_b, gp_factor,
-                            draws, "critic training", work=ob._StageWork())[0]
+    return ascend(critic, opt, features_a, features_b, gp_factor, draws,
+                  "critic training")[0]
+
+
+def ascend(critic: md.MlpParams, opt, features_a: np.ndarray,
+           features_b: np.ndarray, gp_factor: float, draws: np.ndarray,
+           where: str):
+    """One batch's critic steps, one per row of draws, as a training stage
+    takes them: through a fresh stage's critic loop
+    (`_StageWork.critic_loop`). Returns the last step's (gap, penalty)."""
+    loop = ob._StageWork().critic_loop(critic, len(features_a))
+    return loop.run(opt, features_a, features_b, gp_factor, draws, where)
 
 
 def gp_draws(seeds, n: int) -> np.ndarray:
-    """critic_ascent's (len(seeds), n) interpolation draws for the critic
+    """The critic loop's (len(seeds), n) interpolation draws for the critic
     steps with stream ids `seeds`, the rows a training stage draws: row i
     is stream substream(seeds[i], "gp_u"), as in tests/critic_oracle.py."""
     return dc.uniform_rows([dc.substream(s, "gp_u") for s in seeds], n)

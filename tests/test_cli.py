@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -780,6 +781,50 @@ class TestSubcommands:
         # these once printed Infinity or NaN terms, which are not JSON
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == json.dumps({"error": error}) + "\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_w1_sinkhorn_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        # tol nan ran all 5,000 iterations and exited 0 unconverged
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,0\n1,1\n")
+        b.write_text("1,0\n2,2\n")
+        assert cli.main(["w1", str(a), str(b), "--method", "sinkhorn",
+                         "--tol", tol]) == 2
+        assert capsys.readouterr().out.splitlines() == [json.dumps(
+            {"error": f"tol must be positive and finite, got {float(tol)}"})]
+
+    def test_sweep_wide_range_exit_2_unbuilt(self, capsys):
+        # the guard once ran after sorting a set of every horizon in range
+        tracemalloc.start()
+        try:
+            code = cli.main(["sweep", "--n", "10", "--T-max", "2000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [json.dumps(
+            {"error": "horizon range must lie within [2, 1e6]"})]
+        assert peak < 2 ** 20
+
+    def test_sweep_zero_step_exit_2(self, capsys):
+        # it printed {"error": "range() arg 3 must not be zero"}
+        assert cli.main(["sweep", "--n", "10", "--T-max", "5",
+                         "--T-step", "0"]) == 2
+        assert capsys.readouterr().out.splitlines() == [json.dumps(
+            {"error": "argument --T-step: must be >= 1, got 0"})]
+
+    @pytest.mark.parametrize("flag", ["--halt-after", "--pool-random",
+                                      "--pool-snapshots"])
+    def test_negative_count_exit_2(self, tmp_path, capsys, flag):
+        # --halt-after -1 halted after stage 0 and saved state, and
+        # --pool-snapshots -3 echoed -3 beside a pool without snapshots
+        argv = (["run", str(write_config(tmp_path))] if flag == "--halt-after"
+                else ["disc", "--T", "2", "--n", "20"])
+        assert cli.main(argv + [flag, "-1"]) == 2
+        assert capsys.readouterr().out.splitlines() == [json.dumps(
+            {"error": f"argument {flag}: must be >= 0, got -1"})]
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_result_exit_2(self, capsys):
         # a NaN or inf that reaches the printed line is an error, not JSON

@@ -1,8 +1,6 @@
 import dataclasses
 import math
-import re
 import statistics
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from gradshift import transport as tp
 from gradshift.diffcore import Tape, backward, forward
 import critic_oracle
 import tape_oracle
-from critic_training import gp_draws, train_critic
+from critic_training import ascend, gp_draws, train_critic
 from tape_oracle import alignment_gap, gradient_penalty, loss_eval
 
 
@@ -196,7 +194,8 @@ class _Tee:
 
 def taped_ascent_step(critic, opt, fa, fb, gp_factor, gp_seed):
     """The critic step on one tape: alignment_gap, gradient_penalty and
-    backward, the reference for each step of critic_ascent's closed form."""
+    backward, the reference for each step of the critic loop's closed
+    form."""
     t = Tape()
     b = md.BoundMlp(t, critic)
     gap = alignment_gap(critic, fa, fb, t, bound=b)
@@ -215,28 +214,9 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
     return pool[np.arange(n) % len(pool)]
 
 
-# hidden activations of random critics, depths 0-3 under an identity head
-CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
-                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
-                 ["tanh", "tanh", "tanh"]]
-
-
-def _supported(activations) -> bool:
-    """critic_ascent takes tanh hidden layers under an identity head."""
-    return (activations[-1] == "identity"
-            and all(a == "tanh" for a in activations[:-1]))
-
-
-def _assert_rejected(critic, fa, fb):
-    """critic_ascent rejects the critic's shape, naming its activations,
-    and leaves the critic's bytes untouched."""
-    before = critic.flat.tobytes()
-    message = (f"critic_ascent needs tanh hidden layers and an identity "
-               f"head, got {critic.activations}")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0,
-                         gp_draws([9], len(fa)), "test", work=ob._StageWork())
-    assert critic.flat.tobytes() == before
+# hidden activations of random critics, the shapes the critic loop takes:
+# depths 0-3 of tanh layers under an identity head
+CRITIC_LAYERS = [[], ["tanh"], ["tanh", "tanh"], ["tanh", "tanh", "tanh"]]
 
 
 class TestCriticAscentStep:
@@ -253,12 +233,9 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, fa, fb)
         closed, taped = _Recorded(), _Recorded()
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor,
-                                    gp_draws([9], 12), "test",
-                                    work=ob._StageWork())
+        gap, pen = ascend(critic, closed, fa, fb, gp_factor, gp_draws([9], 12),
+                          "test")
         gap_ref, pen_ref = taped_ascent_step(critic, taped, fa, fb, gp_factor, 9)
         assert abs(gap - gap_ref) <= 1e-12 * abs(gap_ref)
         assert abs(pen - pen_ref) <= 1e-12 * abs(pen_ref)
@@ -266,21 +243,13 @@ class TestCriticAscentStep:
         want = np.concatenate([g.ravel() for g in taped.grads])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("head", ["tanh", "relu"])
-    def test_nonlinear_head_rejected(self, head):
-        # the trainer's critic has an identity head: any other is rejected
-        critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
-        fa = dc.rng_normal(dc.substream(78, "a"), (12, 3))
-        fb = dc.rng_normal(dc.substream(78, "fb"), (12, 3), 0.5, 1.0)
-        _assert_rejected(critic, fa, fb)
-
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
     @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
                              ids=lambda h: "-".join(h) or "linear")
     def test_loop_matches_taped_steps(self, hidden, nb, gp_factor, optimizer):
-        # k steps in one critic_ascent against k taped steps, each taken at
+        # k steps in one critic loop call against k taped steps, each taken at
         # the loop's own iterate (Adam turns rounding noise in a gradient
         # that is zero in exact arithmetic, such as the head bias's, into
         # steps of up to lr, so two separately updated critics drift apart)
@@ -292,13 +261,10 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, fa, fb)
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
         closed = _Tee(ob._Opt([critic.flat], optimizer, 1e-2))
-        gap, pen = ob.critic_ascent(critic, closed, fa, fb, gp_factor,
-                                    gp_draws(seeds, 12), "test",
-                                    work=ob._StageWork())
+        gap, pen = ascend(critic, closed, fa, fb, gp_factor,
+                          gp_draws(seeds, 12), "test")
         assert len(closed.grads) == len(seeds)
         assert not np.array_equal(closed.before[-1], closed.before[0])
         for s, before, got in zip(seeds, closed.before, closed.grads):
@@ -318,12 +284,11 @@ class TestCriticAscentStep:
         critic = md.init_mlp(77, [3, 6, 1], ["tanh", "identity"])
         ref = critic.copy()
         draws = gp_draws([dc.substream(77, "gp", step) for step in range(70)], 9)
-        got = ob.critic_ascent(critic, ob._Opt([critic.flat], "adam", 1e-2),
-                               fa, fb, 5.0, draws, "test", work=ob._StageWork())
+        got = ascend(critic, ob._Opt([critic.flat], "adam", 1e-2), fa, fb,
+                     5.0, draws, "test")
         opt = ob._Opt([ref.flat], "adam", 1e-2)
         for row in draws:
-            want = ob.critic_ascent(ref, opt, fa, fb, 5.0, row[None], "test",
-                                    work=ob._StageWork())
+            want = ascend(ref, opt, fa, fb, 5.0, row[None], "test")
         assert got == want
         assert np.array_equal(critic.flat, ref.flat)
 
@@ -345,66 +310,60 @@ class TestCriticAscentStep:
         for a, b in zip(critic.arrays(), ref.arrays()):
             assert np.max(np.abs(a - b)) <= 1e-9
 
-    @pytest.mark.parametrize("case,error,message", [
-        ("empty", ValueError, "critic_ascent: empty feature batch"),
-        ("unequal", dc.ShapeError,
-         "critic_ascent pairs its two feature batches, got 6 and 5 rows"),
-        ("out_dim", ValueError, "critic output layer must have size 1, got 2"),
-        ("relu_hidden", ValueError, "critic_ascent needs tanh hidden layers "
-         r"and an identity head, got \['relu', 'identity'\]"),
-        ("identity_hidden", ValueError, "critic_ascent needs tanh hidden "
-         r"layers and an identity head, got \['identity', 'identity'\]"),
-        ("tanh_head", ValueError, "critic_ascent needs tanh hidden layers "
-         r"and an identity head, got \['tanh', 'tanh'\]"),
-        ("draws", dc.ShapeError, r"critic_ascent needs a row of 6 draws per "
-         r"step, got shape \(1, 5\)"),
-        ("non_finite", ValueError,
-         r"array values must be finite \(NaN/Inf rejected\)"),
-        ("overflow", ob.TrainingDiverged,
-         "non-finite critic loss at step 3, critic step 0"),
-    ])
-    def test_errors(self, case, error, message):
+    # case -> the error and the text it raises with
+    ERRORS = {
+        "out_dim": (ValueError, r"\['tanh', 'identity'\] and width 2"),
+        "relu_hidden": (ValueError, r"\['relu', 'identity'\] and width 1"),
+        "identity_hidden": (ValueError,
+                            r"\['identity', 'identity'\] and width 1"),
+        "tanh_head": (ValueError, r"\['tanh', 'tanh'\] and width 1"),
+        "relu_head": (ValueError, r"\['tanh', 'relu'\] and width 1"),
+        "overflow": (ob.TrainingDiverged,
+                     "non-finite critic loss at step 3, critic step 0"),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_errors(self, case):
+        # through the stage's one entry: a critic of another shape than
+        # tanh hidden layers under an identity head of width 1 is rejected
+        # before a loop is bound or kept, and neither error updates the
+        # critic
         critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
         fa = dc.rng_normal(74, (6, 2))
         fb = dc.rng_normal(75, (6, 2))
-        draws = gp_draws([1], 6)
-        if case == "empty":
-            fb = np.zeros((0, 2))
-        elif case == "unequal":
-            fb = fb[:5]
-        elif case == "out_dim":
+        if case == "out_dim":
             critic = md.init_mlp(73, [2, 4, 2], ["tanh", "identity"])
         elif case.endswith(("_hidden", "_head")):
             act = case.split("_")[0]
             critic = md.init_mlp(73, [2, 4, 1], [act, "identity"] if
                                  case.endswith("_hidden") else ["tanh", act])
-        elif case == "draws":
-            draws = draws[:, :5]
-        elif case == "non_finite":
-            fb[2, 1] = np.nan
         else:
             critic = md.MlpParams([np.full((2, 1), 1e300)], [np.zeros(1)],
                                   ["identity"])
             fa = fa * 1e10
-        before = [a.copy() for a in critic.arrays()]
-        # the overflow case overflows on purpose; a mark cannot lift the
-        # module's error filter, since pytest applies the module's mark last
+        error, message = self.ERRORS[case]
+        if error is ValueError:
+            message = ("the critic loop needs tanh hidden layers and an "
+                       "identity head of width 1, got " + message)
+        before = critic.flat.tobytes()
+        work = ob._StageWork()
+        # the overflow case overflows on purpose
         with pytest.raises(error, match=f"^{message}$"), \
                 np.errstate(all="ignore"):
-            ob.critic_ascent(critic, _Recorded(), fa, fb, 5.0, draws, "step 3",
-                             work=ob._StageWork())
-        for a, b in zip(critic.arrays(), before):
-            assert np.array_equal(a, b)
+            work.critic_loop(critic, 6).run(_Recorded(), fa, fb, 5.0,
+                                            gp_draws([1], 6), "step 3")
+        assert critic.flat.tobytes() == before
+        assert len(work._critic_loops) == (case == "overflow")
 
 
 def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
-    """critic_ascent, given the draws of `seeds`, and the oracle loop, given
+    """The stage's critic loop, given the draws of `seeds`, and the oracle
+    loop, given
     the seeds, each on its own copy of critic with a fresh optimizer: per
     side, the returned (gap, pen), or the TrainingDiverged message, and the
     critic's bytes afterwards."""
     sides = []
-    for ascent, gp in ((partial(ob.critic_ascent, work=ob._StageWork()),
-                        gp_draws(seeds, len(fa))),
+    for ascent, gp in ((ascend, gp_draws(seeds, len(fa))),
                        (critic_oracle.critic_ascent, seeds)):
         c = critic.copy()
         try:
@@ -419,18 +378,17 @@ def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
 
 
 class TestCriticBitOracle:
-    """critic_ascent, its buffers bound ahead of its steps, against the
-    loop that allocated its arrays afresh each step (tests/critic_oracle.py):
-    the same floating-point operations in the same order, so the same
-    (gap, pen) and the same critic bytes after one call. A critic of
-    another shape than tanh hidden layers under an identity head is
-    rejected."""
+    """The stage's critic loop, its buffers bound ahead of its steps,
+    against the loop that allocated its arrays afresh each step
+    (tests/critic_oracle.py): the same floating-point operations in the same
+    order, so the same (gap, pen) and the same critic bytes after one
+    call."""
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("n,steps", [(1, 4), (7, 4), (64, 4), (7, 70)],
                              ids=["n1", "n7", "n64", "n7-70steps"])
-    @pytest.mark.parametrize("head", ["identity", "tanh", "relu"])
+    @pytest.mark.parametrize("head", ["identity"])
     @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
                              ids=lambda h: "-".join(h) or "linear")
     def test_random_critics(self, hidden, head, n, steps, gp_factor,
@@ -442,8 +400,6 @@ class TestCriticBitOracle:
             b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
         fa = dc.rng_normal(dc.substream(seed, "a"), (n, 3))
         fb = dc.rng_normal(dc.substream(seed, "fb"), (n, 3), 0.5, 1.0)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, fa, fb)
         seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
         got, want = _oracle_pair(critic, optimizer, 1e-2, fa, fb, gp_factor,
                                  seeds)
@@ -487,8 +443,8 @@ class TestCriticBitOracle:
             fa = dc.rng_normal(dc.substream(83, "a", call), (n, 4))
             fb = dc.rng_normal(dc.substream(83, "b", call), (n, 4), 0.5, 1.0)
             seeds = [dc.substream(83, "gp", call, kk) for kk in range(3)]
-            got = ob.critic_ascent(critic, opt, fa, fb, 5.0,
-                                   gp_draws(seeds, n), "test", work=work)
+            got = work.critic_loop(critic, n).run(opt, fa, fb, 5.0,
+                                                  gp_draws(seeds, n), "test")
             want = critic_oracle.critic_ascent(ref, opt_ref, fa, fb, 5.0,
                                                seeds, "test")
             assert got == want

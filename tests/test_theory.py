@@ -266,6 +266,12 @@ class TestSweep:
         res = th.sweep_horizon(inp, [5, 5, 5])
         assert res.argmin_T == 5
 
+    def test_descending_range(self):
+        # a range is evaluated in ascending order whichever way it steps
+        inp = th.BoundInputs(T=2, n=100, drift=0.02)
+        assert th.sweep_horizon(inp, range(29, 1, -3)) == \
+            th.sweep_horizon(inp, range(2, 30, 3))
+
 
 class TestSeqRademacher:
     def test_singleton_exactly_zero(self):
