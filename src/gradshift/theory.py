@@ -220,11 +220,9 @@ class SweepResult:
 
 def sweep_horizon(inp: BoundInputs, T_values) -> SweepResult:
     """Evaluate the bound across horizons, re-resolving the rseq rule per T.
-    Ties break toward smaller T. A range is checked by its ends before a
-    horizon is evaluated, and never built."""
-    if isinstance(T_values, range):       # distinct already; ascending
-        T_values = T_values if T_values.step > 0 else T_values[::-1]
-    else:
+    Ties break toward smaller T. An ascending range is checked by its ends
+    and never built."""
+    if not (isinstance(T_values, range) and T_values.step > 0):
         T_values = sorted(set(int(t) for t in T_values))
     if not T_values:
         raise ValueError("empty horizon range")

@@ -1,5 +1,5 @@
 """The critic loop as it stood before its views and work buffers were bound
-ahead of its steps: the bit oracle that `objectives.critic_ascent` is held
+ahead of its steps: the bit oracle that `objectives._CriticLoop` is held
 to. Each step here allocates its arrays afresh; the same floating-point
 operations in the same order give the same bits."""
 

@@ -807,23 +807,20 @@ class TestSubcommands:
             {"error": "horizon range must lie within [2, 1e6]"})]
         assert peak < 2 ** 20
 
-    def test_sweep_zero_step_exit_2(self, capsys):
-        # it printed {"error": "range() arg 3 must not be zero"}
-        assert cli.main(["sweep", "--n", "10", "--T-max", "5",
-                         "--T-step", "0"]) == 2
+    @pytest.mark.parametrize("flag,value,low", [
+        ("--halt-after", "-1", 0), ("--pool-random", "-1", 0),
+        ("--pool-snapshots", "-1", 0), ("--T-step", "0", 1)])
+    def test_count_below_minimum_exit_2(self, tmp_path, capsys, flag, value,
+                                        low):
+        # --halt-after -1 halted after stage 0 and saved state,
+        # --pool-snapshots -3 echoed -3 beside a pool without snapshots, and
+        # --T-step 0 printed {"error": "range() arg 3 must not be zero"}
+        argv = {"--halt-after": ["run", str(write_config(tmp_path))],
+                "--T-step": ["sweep", "--n", "10", "--T-max", "5"]}.get(
+                    flag, ["disc", "--T", "2", "--n", "20"])
+        assert cli.main(argv + [flag, value]) == 2
         assert capsys.readouterr().out.splitlines() == [json.dumps(
-            {"error": "argument --T-step: must be >= 1, got 0"})]
-
-    @pytest.mark.parametrize("flag", ["--halt-after", "--pool-random",
-                                      "--pool-snapshots"])
-    def test_negative_count_exit_2(self, tmp_path, capsys, flag):
-        # --halt-after -1 halted after stage 0 and saved state, and
-        # --pool-snapshots -3 echoed -3 beside a pool without snapshots
-        argv = (["run", str(write_config(tmp_path))] if flag == "--halt-after"
-                else ["disc", "--T", "2", "--n", "20"])
-        assert cli.main(argv + [flag, "-1"]) == 2
-        assert capsys.readouterr().out.splitlines() == [json.dumps(
-            {"error": f"argument {flag}: must be >= 0, got -1"})]
+            {"error": f"argument {flag}: must be >= {low}, got {value}"})]
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_result_exit_2(self, capsys):

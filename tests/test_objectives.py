@@ -358,10 +358,9 @@ class TestCriticAscentStep:
 
 def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
     """The stage's critic loop, given the draws of `seeds`, and the oracle
-    loop, given
-    the seeds, each on its own copy of critic with a fresh optimizer: per
-    side, the returned (gap, pen), or the TrainingDiverged message, and the
-    critic's bytes afterwards."""
+    loop, given the seeds, each on its own copy of critic with a fresh
+    optimizer: per side, the returned (gap, pen), or the TrainingDiverged
+    message, and the critic's bytes afterwards."""
     sides = []
     for ascent, gp in ((ascend, gp_draws(seeds, len(fa))),
                        (critic_oracle.critic_ascent, seeds)):

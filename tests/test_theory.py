@@ -267,7 +267,7 @@ class TestSweep:
         assert res.argmin_T == 5
 
     def test_descending_range(self):
-        # a range is evaluated in ascending order whichever way it steps
+        # only an ascending range is taken as it stands
         inp = th.BoundInputs(T=2, n=100, drift=0.02)
         assert th.sweep_horizon(inp, range(29, 1, -3)) == \
             th.sweep_horizon(inp, range(2, 30, 3))
