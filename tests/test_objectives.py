@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import statistics
 
 import numpy as np
@@ -214,9 +215,31 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
     return pool[np.arange(n) % len(pool)]
 
 
-# hidden activations of random critics, the shapes the critic loop takes:
-# depths 0-3 of tanh layers under an identity head
-CRITIC_LAYERS = [[], ["tanh"], ["tanh", "tanh"], ["tanh", "tanh", "tanh"]]
+# hidden activations of random critics, depths 0-3 under an identity head
+CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
+                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
+                 ["tanh", "tanh", "tanh"]]
+
+
+def _supported(activations) -> bool:
+    """The critic loop takes tanh hidden layers under an identity head."""
+    return (activations[-1] == "identity"
+            and all(a == "tanh" for a in activations[:-1]))
+
+
+def _assert_rejected(critic, n):
+    """The stage's one entry to the critic step rejects the critic's shape,
+    naming its activations and head width, before it keeps a loop for
+    batches of n rows, and leaves the critic's bytes untouched."""
+    before = critic.flat.tobytes()
+    message = (f"the critic loop needs tanh hidden layers and an identity "
+               f"head of width 1, got {list(critic.activations)} and width "
+               f"{critic.out_dim}")
+    work = ob._StageWork()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        work.critic_loop(critic, n)
+    assert critic.flat.tobytes() == before
+    assert not work._critic_loops
 
 
 class TestCriticAscentStep:
@@ -233,6 +256,8 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, 12)
         closed, taped = _Recorded(), _Recorded()
         gap, pen = ascend(critic, closed, fa, fb, gp_factor, gp_draws([9], 12),
                           "test")
@@ -242,6 +267,12 @@ class TestCriticAscentStep:
         got = np.concatenate([g.ravel() for g in closed.grads])
         want = np.concatenate([g.ravel() for g in taped.grads])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("head", ["tanh", "relu"])
+    def test_nonlinear_head_rejected(self, head):
+        # the trainer's critic has an identity head: any other is rejected
+        critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
+        _assert_rejected(critic, 12)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
@@ -261,6 +292,8 @@ class TestCriticAscentStep:
         fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
         fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
                      12)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, 12)
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
         closed = _Tee(ob._Opt([critic.flat], optimizer, 1e-2))
         gap, pen = ascend(critic, closed, fa, fb, gp_factor,
@@ -381,13 +414,14 @@ class TestCriticBitOracle:
     against the loop that allocated its arrays afresh each step
     (tests/critic_oracle.py): the same floating-point operations in the same
     order, so the same (gap, pen) and the same critic bytes after one
-    call."""
+    call. A critic of another shape than tanh hidden layers under an
+    identity head is rejected."""
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("n,steps", [(1, 4), (7, 4), (64, 4), (7, 70)],
                              ids=["n1", "n7", "n64", "n7-70steps"])
-    @pytest.mark.parametrize("head", ["identity"])
+    @pytest.mark.parametrize("head", ["identity", "tanh", "relu"])
     @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
                              ids=lambda h: "-".join(h) or "linear")
     def test_random_critics(self, hidden, head, n, steps, gp_factor,
@@ -399,6 +433,8 @@ class TestCriticBitOracle:
             b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
         fa = dc.rng_normal(dc.substream(seed, "a"), (n, 3))
         fb = dc.rng_normal(dc.substream(seed, "fb"), (n, 3), 0.5, 1.0)
+        if not _supported(critic.activations):
+            return _assert_rejected(critic, n)
         seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
         got, want = _oracle_pair(critic, optimizer, 1e-2, fa, fb, gp_factor,
                                  seeds)
