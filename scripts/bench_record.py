@@ -18,17 +18,16 @@ The file holds, for this checkout and, under "against", for DIR:
     turns block by block, and the three layers alternate their order.
 
 The critic step is timed through its one entry,
-`objectives._StageWork().critic_loop(critic, 64).run(...)`, so DIR is a
-checkout whose stage keeps a bound critic loop; the loop's `run` may take
-the steps' seeds or their draws, as its signature says. Two checkouts timed
-in one run share the state of the machine; two files recorded one after
-the other do not, so compare commits with --against.
+`objectives._CriticLoop(critic, 64).run(...)`, bound once before the timer
+as a stage binds it, so DIR is a checkout whose critic loop takes the
+steps' interpolation draws. Two checkouts timed in one run share the state
+of the machine; two files recorded one after the other do not, so compare
+commits with --against.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -110,12 +109,9 @@ class Layers:
         self.fa = dc.rng_normal(dc.substream(0, "fa"), (batch, width))
         self.fb = dc.rng_normal(dc.substream(0, "fb"), (batch, width), 0.5,
                                 1.0)
-        seeds = [dc.substream(0, "gp", kk) for kk in range(K_CRITIC)]
-        # the critic loop takes its steps' draws; older commits take the seeds
-        self.gp = seeds
-        if "draws" in inspect.signature(ob._CriticLoop.run).parameters:
-            self.gp = dc.uniform_rows([dc.substream(s, "gp_u")
-                                       for s in seeds], batch)
+        self.draws = dc.uniform_rows(
+            [dc.substream(dc.substream(0, "gp", kk), "gp_u")
+             for kk in range(K_CRITIC)], batch)
         self.n_batches = -(-rows // batch)
 
     def critic_step_us(self, reps: int) -> float:
@@ -123,10 +119,10 @@ class Layers:
         critic = self.model.critic.copy()
         opt = ob._Opt([critic.flat], "adam", self.cfg.lr_critic)
         # as in a stage, one bound loop for every call
-        loop = ob._StageWork().critic_loop(critic, len(self.fa))
+        loop = ob._CriticLoop(critic, len(self.fa))
         t = time.process_time()
         for _ in range(reps):
-            loop.run(opt, self.fa, self.fb, self.cfg.gp_factor, self.gp,
+            loop.run(opt, self.fa, self.fb, self.cfg.gp_factor, self.draws,
                      "bench")
         return (time.process_time() - t) / (reps * K_CRITIC) * 1e6
 

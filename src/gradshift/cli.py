@@ -450,10 +450,6 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
     return rows
 
 
-def _pool_worker(args):
-    return _run_one(*args)
-
-
 def run_experiment(config_path, halt_after: int | None = None) -> int:
     """Execute every (schedule, seed) combination and write artifacts.
 
@@ -485,8 +481,7 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
                                                  halt_after)
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            futs = {pool.submit(_pool_worker,
-                                (cfg, schedule, seed, halt_after)):
+            futs = {pool.submit(_run_one, cfg, schedule, seed, halt_after):
                     (schedule, seed) for schedule, seed in runs}
             for fut in concurrent.futures.as_completed(futs):
                 if fut.exception() is not None:
@@ -720,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     disc = sub.add_parser("disc", help="discrepancy estimate on drifting "
                                        "gaussians")
-    disc.add_argument("--T", type=int, default=5)
-    disc.add_argument("--n", type=int, default=2000)
+    disc.add_argument("--T", type=_int_from(2), default=5)
+    disc.add_argument("--n", type=_int_from(1), default=2000)
     disc.add_argument("--shift", type=float, default=0.3)
     disc.add_argument("--sigma", type=float, default=0.5)
     disc.add_argument("--seed", type=int, default=0)
@@ -736,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     seqrad = sub.add_parser("seqrad", help="exact sequential complexity on a "
                                            "finite instance")
     seqrad.add_argument("--T", type=int, default=2)
-    seqrad.add_argument("--zsize", type=int, default=2)
-    seqrad.add_argument("--fsize", type=int, default=3)
+    seqrad.add_argument("--zsize", type=_int_from(1), default=2)
+    seqrad.add_argument("--fsize", type=_int_from(1), default=3)
     seqrad.add_argument("--seed", type=int, default=0)
     seqrad.add_argument("--preset", choices=["two_constants"], default=None)
     seqrad.set_defaults(handler=cmd_seqrad)

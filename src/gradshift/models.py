@@ -83,8 +83,14 @@ class MlpParams:
         return out
 
 
+def _glorot(seed: int, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) Glorot-uniform draw in +-sqrt(6/(fan_in+fan_out))."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return dc.rng_uniform(seed, (fan_in, fan_out), -bound, bound)
+
+
 def init_mlp(seed: int, layer_sizes, activations=None) -> MlpParams:
-    """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
+    """Glorot-uniform weights (_glorot), zero biases."""
     if len(layer_sizes) < 2:
         raise ValueError("layer_sizes needs an input and at least one output size")
     if any(s <= 0 for s in layer_sizes):
@@ -97,8 +103,7 @@ def init_mlp(seed: int, layer_sizes, activations=None) -> MlpParams:
     ws, bs = [], []
     for i in range(n_layers):
         fi, fo = layer_sizes[i], layer_sizes[i + 1]
-        bound = np.sqrt(6.0 / (fi + fo))
-        ws.append(dc.rng_uniform(dc.substream(seed, "w", i), (fi, fo), -bound, bound))
+        ws.append(_glorot(dc.substream(seed, "w", i), fi, fo))
         bs.append(np.zeros(fo))
     return MlpParams(ws, bs, list(activations))
 
@@ -151,10 +156,13 @@ def mlp_layers(params: MlpParams, a: np.ndarray,
     feature_block): one gemm per layer with its [W; b] block. Returns `a`
     and every layer's output in the same form, ones row last; matches
     BoundMlp's recorded pass. Given `outs`, an earlier result for the same
-    block `a` since refilled in place, it recomputes into those arrays."""
+    block `a` since refilled in place, it recomputes into those arrays; new
+    outputs get only their ones row written, the gemms fill the rest."""
     if outs is None:
-        outs = [a] + [np.ones((blk.shape[1] + 1, a.shape[1]))
+        outs = [a] + [np.empty((blk.shape[1] + 1, a.shape[1]))
                       for blk in params.blocks()]
+        for h in outs[1:]:
+            h[-1] = 1.0
     for blk, act, inp, h in zip(params.blocks(), params.activations, outs,
                                 outs[1:]):
         z = h[:-1]
@@ -272,18 +280,15 @@ def init_recurrent(seed: int, input_size: int, hidden: int, layers: int,
                    out_dim: int) -> RecurrentParams:
     if layers < 1:
         raise ValueError("layer count must be >= 1")
-    def glorot(s, fi, fo):
-        bound = np.sqrt(6.0 / (fi + fo))
-        return dc.rng_uniform(s, (fi, fo), -bound, bound)
     lays = []
     for li in range(layers):
         in_size = input_size if li == 0 else hidden
         lays.append(GruLayer(
-            glorot(dc.substream(seed, "wz", li), in_size + hidden, hidden),
-            glorot(dc.substream(seed, "wr", li), in_size + hidden, hidden),
-            glorot(dc.substream(seed, "wh", li), in_size + hidden, hidden),
+            _glorot(dc.substream(seed, "wz", li), in_size + hidden, hidden),
+            _glorot(dc.substream(seed, "wr", li), in_size + hidden, hidden),
+            _glorot(dc.substream(seed, "wh", li), in_size + hidden, hidden),
             np.zeros(hidden), np.zeros(hidden), np.zeros(hidden)))
-    return RecurrentParams(lays, glorot(dc.substream(seed, "wo"), hidden, out_dim),
+    return RecurrentParams(lays, _glorot(dc.substream(seed, "wo"), hidden, out_dim),
                            np.zeros(out_dim), hidden, input_size)
 
 

@@ -205,9 +205,10 @@ class _Opt:
 
 
 class _CriticLoop:
-    """The critic's closed-form ascent steps on batches of n rows, kept per
-    batch size by _StageWork.critic_loop. The constructor rejects any critic
-    but build_model's, tanh hidden layers under an identity head of width 1.
+    """The critic's closed-form ascent steps on batches of n rows, bound by
+    _run_stage once per batch size: the constructor is the one entry to the
+    critic step, and it rejects any critic but build_model's, tanh hidden
+    layers under an identity head of width 1.
 
     Each step's gradient is computed in closed form from one numpy forward
     pass over the columns [a, b, interpolates] of a feature-major block
@@ -374,55 +375,17 @@ def _check_finite(value, what: str, where: str):
         raise TrainingDiverged(f"non-finite {what} at {where}")
 
 
-class _StageWork:
-    """The arrays that one stage's primal-dual steps reuse: for each forward
-    pass (a network over one role's rows) and column count, mlp_layers'
-    input block and outputs, and for each batch size the critic's
-    _CriticLoop. Only a stage's first batch of each size allocates them."""
-
-    def __init__(self):
-        self._outs: dict[tuple[str, int], list[np.ndarray]] = {}
-        self._critic_loops: dict[int, _CriticLoop] = {}
-
-    def critic_loop(self, critic: md.MlpParams, n: int) -> _CriticLoop:
-        """The _CriticLoop for batches of n rows of the stage's one critic,
-        bound on the stage's first such batch: the one entry to the critic
-        step. A critic the loop rejects leaves no loop kept."""
-        loop = self._critic_loops.get(n)
-        if loop is None:
-            loop = self._critic_loops[n] = _CriticLoop(critic, n)
-        return loop
-
-    def block(self, key: str, width: int, cols: int) -> np.ndarray:
-        """The feature-major input block (width + 1, cols) of forward pass
-        `key`, ones row last; the caller writes the other rows."""
-        outs = self._outs.get((key, cols))
-        if outs is not None:
-            return outs[0]
-        a = np.empty((width + 1, cols))
-        a[-1] = 1.0
-        return a
-
-    def forward(self, key: str, params: md.MlpParams, a: np.ndarray):
-        """mlp_layers(params, a), into the arrays of the stage's last pass
-        `key` over as many columns."""
-        outs = self._outs.get((key, a.shape[1]))
-        if outs is not None:
-            outs[0] = a
-        outs = self._outs[(key, a.shape[1])] = md.mlp_layers(params, a, outs)
-        return outs
-
-
 def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                       opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
-                      loss_spec: LossSpec, *, align: bool, draws, where: str,
-                      work: _StageWork):
+                      loss_spec: LossSpec, *, loop: _CriticLoop | None, draws,
+                      where: str):
     """One batch's primal-dual step in place. Returns (class loss, gap,
     penalty); the last two come from the final critic step, 0 without
-    alignment. An aligning step trains on the target's labels when
-    cfg.labeled_target is set, and on the temporal history when the model
-    has a summarizer; `draws` holds its critic steps' interpolation draws,
-    (k_critic, batch rows). `work` holds the arrays the stage's steps reuse.
+    alignment. `loop` is the stage's _CriticLoop for batches of this size,
+    or None when the stage does not align. An aligning step trains on the
+    target's labels when cfg.labeled_target is set, and on the temporal
+    history when the model has a summarizer; `draws` holds its critic
+    steps' interpolation draws, (k_critic, batch rows).
 
     The labeled rows run forward through g and h. When aligning, the critic
     ascends k_critic times on the target features and the source history,
@@ -432,18 +395,16 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
     both back through g and, for the temporal history, through the
     summarizer's one gated step from the committed state.
     """
+    align = loop is not None
     labeled_target = align and cfg.labeled_target
     temporal = align and model.summarizer is not None
     ns = len(xs)
     y_lab = np.concatenate([ys, yt]) if labeled_target else ys
     # feature-major blocks throughout (see models.mlp_layers): a row of a
     # batch is a column here
-    x_lab = work.block("g", xs.shape[1], len(y_lab))
-    x_lab[:-1, :ns] = xs.T
-    if labeled_target:
-        x_lab[:-1, ns:] = xt.T
-    g_outs = work.forward("g", model.g, x_lab)
-    h_outs = work.forward("h", model.h, g_outs[-1])
+    g_outs = md.mlp_layers(model.g, md.feature_block(
+        np.concatenate([xs, xt]) if labeled_target else xs))
+    h_outs = md.mlp_layers(model.h, g_outs[-1])
     logits = h_outs[-1][:-1].T
     _check_finite(logits, "logits", where)
     losses, d_logits = _loss_and_grad(loss_spec, logits, y_lab)
@@ -456,9 +417,7 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
         if labeled_target:
             f_t = g_outs[-1][:-1, ns:]
         else:
-            x_t = work.block("t", xt.shape[1], len(xt))
-            x_t[:-1] = xt.T
-            t_outs = work.forward("t", model.g, x_t)
+            t_outs = md.mlp_layers(model.g, md.feature_block(xt))
             f_t = t_outs[-1][:-1]
         _check_finite(f_s, "source features", where)
         _check_finite(f_t, "target features", where)
@@ -468,13 +427,13 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
                                             np.add.reduce(f_s, axis=1) / ns)
             hist = f_s * 0.5 + readout[:, None] * 0.5
             _check_finite(hist, "history features", where)
-        gap, pen = work.critic_loop(model.critic, ns).run(
-            opt_critic, f_t.T, hist.T, cfg.gp_factor, draws, where)
+        gap, pen = loop.run(opt_critic, f_t.T, hist.T, cfg.gp_factor, draws,
+                            where)
         # lam times the gap under the updated critic: mean c(f_t) - mean c(hist)
         nt, nh = f_t.shape[1], hist.shape[1]
-        x_c = work.block("critic", len(f_t), nt + nh)
-        x_c[:-1, :nt], x_c[:-1, nt:] = f_t, hist
-        c_outs = work.forward("critic", model.critic, x_c)
+        x_c = np.empty((len(f_t) + 1, nt + nh))
+        x_c[:-1, :nt], x_c[:-1, nt:], x_c[-1] = f_t, hist, 1.0
+        c_outs = md.mlp_layers(model.critic, x_c)
         c = c_outs[-1][0]
         loss = ce + cfg.lam * (np.add.reduce(c[:nt]) / nt
                                - np.add.reduce(c[nt:]) / nh)
@@ -502,8 +461,9 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
                cfg: TrainConfig, *, align: bool, stage: int,
                loss_spec: LossSpec, eval_batch: DomainBatch | None):
     """Train one adaptation stage in place, one _primal_dual_step per batch;
-    returns EpochMetrics. An aligning stage also trains the model's
-    summarizer, if it has one."""
+    returns EpochMetrics of the last epoch. An aligning stage binds one
+    _CriticLoop per batch size, on its first batch of that size, and also
+    trains the model's summarizer, if it has one."""
     if source.d != target.d or source.k != target.k:
         raise ValueError("source/target dimension mismatch")
     nets = [model.g, model.h]
@@ -511,14 +471,13 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         nets.append(model.summarizer)
     opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
     opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
-    work = _StageWork()
+    loops: dict[int, _CriticLoop] = {}
     # the [batch, critic step] tags of an aligning epoch's interpolation draws
     batches = np.arange(len(range(0, source.n, cfg.batch_size)),
                         dtype=np.uint64)[:, None]
     steps = np.arange(cfg.k_critic, dtype=np.uint64)
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
-        n_steps = 0
         tpos = 0
         order = dc.rng_permutation(dc.substream(cfg.seed, "order", stage, epoch),
                                    source.n)
@@ -534,22 +493,24 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
             ns = len(src_idx)
             tgt_idx = torder[(tpos + np.arange(ns)) % target.n]
             tpos += ns
+            if align and ns not in loops:
+                loops[ns] = _CriticLoop(model.critic, ns)
             ce, gap, pen = _primal_dual_step(
                 model, opt_model, opt_critic, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
-                target.labels[tgt_idx], cfg, loss_spec, align=align,
+                target.labels[tgt_idx], cfg, loss_spec, loop=loops.get(ns),
                 draws=draws[b, :, :ns] if align else None,
-                where=f"stage {stage} epoch {epoch} batch {b}", work=work)
+                where=f"stage {stage} epoch {epoch} batch {b}")
             loss_sum += ce
             gap_sum += gap
             pen_sum += pen
-            n_steps += 1
     acc = 0.0
     if eval_batch is not None:
         acc = md.accuracy(model.g, model.h, eval_batch.features, eval_batch.labels)
-    return EpochMetrics(t=target.t, class_loss=loss_sum / max(n_steps, 1),
-                        alignment=gap_sum / max(n_steps, 1),
-                        gp=pen_sum / max(n_steps, 1), target_acc=acc)
+    # every epoch runs len(batches) >= 1 steps
+    return EpochMetrics(t=target.t, class_loss=loss_sum / len(batches),
+                        alignment=gap_sum / len(batches),
+                        gp=pen_sum / len(batches), target_acc=acc)
 
 
 def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,

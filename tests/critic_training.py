@@ -39,11 +39,11 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
 def ascend(critic: md.MlpParams, opt, features_a: np.ndarray,
            features_b: np.ndarray, gp_factor: float, draws: np.ndarray,
            where: str):
-    """One batch's critic steps, one per row of draws, as a training stage
-    takes them: through a fresh stage's critic loop
-    (`_StageWork.critic_loop`). Returns the last step's (gap, penalty)."""
-    loop = ob._StageWork().critic_loop(critic, len(features_a))
-    return loop.run(opt, features_a, features_b, gp_factor, draws, where)
+    """One batch's critic steps, one per row of draws, through a critic
+    loop bound for the batch (`_CriticLoop(critic, n)`, as a training stage
+    binds one). Returns the last step's (gap, penalty)."""
+    return ob._CriticLoop(critic, len(features_a)).run(
+        opt, features_a, features_b, gp_factor, draws, where)
 
 
 def gp_draws(seeds, n: int) -> np.ndarray:

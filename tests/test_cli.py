@@ -6,6 +6,7 @@ import os
 import shutil
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +434,16 @@ gradual_temporal-s2,2,gradual_temporal,2,1,0.653824083,0.00330494704,0.941814177
 }
 
 
+def _diverging_run_one(cfg, schedule, seed, halt_after):
+    """A stand-in for cli._run_one in pool workers, at module level so the
+    pool can pickle it: marks its run started, and seed 1 diverges."""
+    (Path(cfg.output_dir).parent / "started" / str(seed)).touch()
+    if seed == 1:
+        raise ob.TrainingDiverged("injected")
+    time.sleep(0.5)
+    return []
+
+
 @pytest.fixture(autouse=True)
 def serial_runs(monkeypatch):
     monkeypatch.setenv("GRADSHIFT_THREADS", "1")
@@ -607,16 +618,7 @@ class TestRunExperiment:
     def test_parallel_divergence_stops_early(self, tmp_path, monkeypatch):
         started = tmp_path / "started"
         started.mkdir()
-
-        def run_one(cfg, schedule, seed, halt_after):
-            (started / str(seed)).touch()
-            if seed == 1:
-                raise ob.TrainingDiverged("injected")
-            time.sleep(0.5)
-            return []
-
-        # forked workers inherit the patched module
-        monkeypatch.setattr(cli, "_run_one", run_one)
+        monkeypatch.setattr(cli, "_run_one", _diverging_run_one)
         monkeypatch.setenv("GRADSHIFT_THREADS", "2")
         text = SMALL_CONFIG.format(out=tmp_path / "out").replace(
             "seeds = [1, 2]", "seeds = [1, 2, 3, 4, 5, 6, 7, 8]").replace(
@@ -809,14 +811,18 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flag,value,low", [
         ("--halt-after", "-1", 0), ("--pool-random", "-1", 0),
-        ("--pool-snapshots", "-1", 0), ("--T-step", "0", 1)])
+        ("--pool-snapshots", "-1", 0), ("--T-step", "0", 1),
+        ("--n", "0", 1), ("--T", "1", 2), ("--zsize", "0", 1),
+        ("--fsize", "0", 1)])
     def test_count_below_minimum_exit_2(self, tmp_path, capsys, flag, value,
                                         low):
         # --halt-after -1 halted after stage 0 and saved state,
-        # --pool-snapshots -3 echoed -3 beside a pool without snapshots, and
-        # --T-step 0 printed {"error": "range() arg 3 must not be zero"}
+        # --pool-snapshots -3 echoed -3 beside a pool without snapshots,
+        # --T-step 0 printed {"error": "range() arg 3 must not be zero"},
+        # and disc --n 0 named neither the flag nor the command's input
         argv = {"--halt-after": ["run", str(write_config(tmp_path))],
-                "--T-step": ["sweep", "--n", "10", "--T-max", "5"]}.get(
+                "--T-step": ["sweep", "--n", "10", "--T-max", "5"],
+                "--zsize": ["seqrad"], "--fsize": ["seqrad"]}.get(
                     flag, ["disc", "--T", "2", "--n", "20"])
         assert cli.main(argv + [flag, value]) == 2
         assert capsys.readouterr().out.splitlines() == [json.dumps(
@@ -925,7 +931,7 @@ class TestSubcommands:
         # a complexity over no trees printed as -Infinity, which is not JSON
         assert cli.main(["seqrad", "--zsize", "0", *preset]) == 2
         out = json.loads(capsys.readouterr().out)
-        assert out["error"] == "f_table must be (|F|, |Z|) with |F|, |Z| >= 1"
+        assert out["error"] == "argument --zsize: must be >= 1, got 0"
 
     @pytest.mark.parametrize("flag", ["--n", "--trials"])
     def test_lemma1_empty_exit_2(self, capsys, flag):

@@ -66,6 +66,24 @@ class TestLayerBlocks:
         assert all(np.array_equal(o[-1], np.ones(4)) for o in outs)
         assert np.array_equal(md.mlp_eval(p, x), outs[-1][:-1].T)
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_rerun_into_outs(self, act):
+        # a pass allocates its outputs empty and writes only their ones
+        # rows; a rerun into them gives the same bits, and after the block is
+        # refilled, the bits of a fresh pass over the new rows
+        p = md.init_mlp(21, [3, 6, 5, 2], [act, act, "identity"])
+        x, y = dc.rng_normal(22, (7, 3)), dc.rng_normal(23, (7, 3))
+        a = md.feature_block(x)
+        outs = md.mlp_layers(p, a)
+        assert all(np.array_equal(o[-1], np.ones(7)) for o in outs)
+        first = [o.tobytes() for o in outs]
+        assert md.mlp_layers(p, a, outs) is outs
+        assert [o.tobytes() for o in outs] == first
+        want = [o.tobytes() for o in md.mlp_layers(p, md.feature_block(y))]
+        a[:-1] = y.T
+        md.mlp_layers(p, a, outs)
+        assert [o.tobytes() for o in outs] == want
+
 
 class TestForwards:
     def test_identity_map(self):

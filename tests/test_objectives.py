@@ -228,18 +228,16 @@ def _supported(activations) -> bool:
 
 
 def _assert_rejected(critic, n):
-    """The stage's one entry to the critic step rejects the critic's shape,
-    naming its activations and head width, before it keeps a loop for
-    batches of n rows, and leaves the critic's bytes untouched."""
+    """The one entry to the critic step, binding a loop for batches of n
+    rows, rejects the critic's shape, naming its activations and head
+    width, and leaves the critic's bytes untouched."""
     before = critic.flat.tobytes()
     message = (f"the critic loop needs tanh hidden layers and an identity "
                f"head of width 1, got {list(critic.activations)} and width "
                f"{critic.out_dim}")
-    work = ob._StageWork()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        work.critic_loop(critic, n)
+        ob._CriticLoop(critic, n)
     assert critic.flat.tobytes() == before
-    assert not work._critic_loops
 
 
 class TestCriticAscentStep:
@@ -357,10 +355,9 @@ class TestCriticAscentStep:
 
     @pytest.mark.parametrize("case", list(ERRORS))
     def test_errors(self, case):
-        # through the stage's one entry: a critic of another shape than
-        # tanh hidden layers under an identity head of width 1 is rejected
-        # before a loop is bound or kept, and neither error updates the
-        # critic
+        # through the one entry: a critic of another shape than tanh hidden
+        # layers under an identity head of width 1 is rejected before a
+        # loop is bound, and neither error updates the critic
         critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
         fa = dc.rng_normal(74, (6, 2))
         fb = dc.rng_normal(75, (6, 2))
@@ -379,14 +376,12 @@ class TestCriticAscentStep:
             message = ("the critic loop needs tanh hidden layers and an "
                        "identity head of width 1, got " + message)
         before = critic.flat.tobytes()
-        work = ob._StageWork()
         # the overflow case overflows on purpose
         with pytest.raises(error, match=f"^{message}$"), \
                 np.errstate(all="ignore"):
-            work.critic_loop(critic, 6).run(_Recorded(), fa, fb, 5.0,
-                                            gp_draws([1], 6), "step 3")
+            ob._CriticLoop(critic, 6).run(_Recorded(), fa, fb, 5.0,
+                                          gp_draws([1], 6), "step 3")
         assert critic.flat.tobytes() == before
-        assert len(work._critic_loops) == (case == "overflow")
 
 
 def _oracle_pair(critic, optimizer, lr, fa, fb, gp_factor, seeds):
@@ -465,26 +460,24 @@ class TestCriticBitOracle:
         got, want = _oracle_pair(critic, "adam", 1e-2, fa, fb, 5.0, seeds)
         assert got == want
 
-    def test_stage_work_reuses_loops(self):
-        # a training stage keeps one bound loop per batch size: calls that
-        # share it, with other batches and sizes between, match the oracle
+    def test_bound_loops_reused(self):
+        # a training stage binds one loop per batch size: two loops of 8 and
+        # 5 rows, each rerun with the other's calls between, match the oracle
         critic = md.init_mlp(dc.substream(83, "c"), [4, 6, 6, 1],
                              ["tanh", "tanh", "identity"])
         ref = critic.copy()
-        work = ob._StageWork()
+        loops = {n: ob._CriticLoop(critic, n) for n in (8, 5)}
         opt = ob._Opt([critic.flat], "adam", 1e-2)
         opt_ref = ob._Opt([ref.flat], "adam", 1e-2)
         for call, n in enumerate([8, 8, 5, 8, 5]):
             fa = dc.rng_normal(dc.substream(83, "a", call), (n, 4))
             fb = dc.rng_normal(dc.substream(83, "b", call), (n, 4), 0.5, 1.0)
             seeds = [dc.substream(83, "gp", call, kk) for kk in range(3)]
-            got = work.critic_loop(critic, n).run(opt, fa, fb, 5.0,
-                                                  gp_draws(seeds, n), "test")
+            got = loops[n].run(opt, fa, fb, 5.0, gp_draws(seeds, n), "test")
             want = critic_oracle.critic_ascent(ref, opt_ref, fa, fb, 5.0,
                                                seeds, "test")
             assert got == want
             assert critic.flat.tobytes() == ref.flat.tobytes()
-        assert len(work._critic_loops) == 2
 
     def test_diverges_mid_loop(self):
         # plain sgd at lr 1e307 saturates both tanh layers and grows the
@@ -563,11 +556,12 @@ class TestModelStep:
         errors = []
 
         def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
-                    loss_spec, *, align, draws, where, work):
+                    loss_spec, *, loop, draws, where):
             got = _Recorded()
             ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
-                                loss_spec, align=align, draws=draws,
-                                where=where, work=work)
+                                loss_spec, loop=loop, draws=draws,
+                                where=where)
+            align = loop is not None
             ce_ref, want = tape_oracle.taped_model_step(
                 model, xs, ys, xt, yt, cfg, loss_spec, align=align,
                 labeled_target=align and labeled,
@@ -621,6 +615,27 @@ def adapt_pair(model, source, target, cfg, labeled_target=True, *, stage=0):
 
 
 class TestAdaptPair:
+    def test_stage_binds_one_loop_per_batch_size(self, monkeypatch):
+        # 375 rows at batch 64 are five batches of 64 and one of 55: over
+        # three epochs an aligning stage binds two critic loops, each on
+        # its size's first batch, and a non-aligning stage binds none
+        sizes = []
+        init = ob._CriticLoop.__init__
+
+        def counting(self, critic, n):
+            sizes.append(n)
+            init(self, critic, n)
+
+        monkeypatch.setattr(ob._CriticLoop, "__init__", counting)
+        seq = dom.make_rotating_moons(2, 375, total_degrees=24.0,
+                                      noise_sigma=0.1, seed=14)
+        cfg = ob.TrainConfig(seed=14, epochs_per_domain=3, batch_size=64)
+        model = ob.build_model(ob.ModelSpec(), seq.d, seq.k, seed=14)
+        adapt_pair(model, *seq.domains, cfg)
+        assert sizes == [64, 55]
+        ob.train_erm(model, seq.domains[0], cfg)
+        assert sizes == [64, 55]
+
     def test_lambda_zero_matches_erm_bitwise(self):
         seq, cfg = small_task(1)
         cfg.lam = 0.0
