@@ -388,66 +388,70 @@ class _Halted(Exception):
     pass
 
 
-def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
-             halt_after: int | None):
-    """Execute one (schedule, seed) run with stage-boundary state saving.
+def _run_id(schedule: str, seed: int) -> str:
+    return f"{schedule}-s{seed}"
 
-    With halt_after set, the run saves its state and halts after that stage,
-    or after its last stage if it has fewer. Returns the run's metrics-CSV
-    rows, as field tuples.
+
+def _load_state(path: Path, template: ob.AdaptationModel, digest: bytes):
+    """A run's stage-boundary state: its model and its stage records."""
+    ck = load_checkpoint(path, expect_digest=digest)
+    try:
+        model = arrays_to_model(template, ck.arrays[:-1])
+        table = ck.arrays[-1]
+        if table.shape != (ck.domain_index + 1, 5):
+            raise ShapeMismatch(f"metrics table shape {table.shape} is not "
+                                f"{(ck.domain_index + 1, 5)}")
+    except ShapeMismatch as e:
+        raise ShapeMismatch(f"{path}: {e}") from None
+    return model, [ob.EpochMetrics(int(r[0]), *map(float, r[1:]))
+                   for r in table]
+
+
+def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
+             halt_after: int | None) -> list[ob.EpochMetrics]:
+    """Execute one (schedule, seed) run; returns its per-stage records.
+
+    Every finished stage saves the run's state, its model's arrays and then
+    a (stages, 5) table of `[t, class_loss, alignment, gp, target_acc]`, to
+    `state/<run_id>.ckpt`; a rerun resumes after the last saved stage. With
+    halt_after set, the run stops after that stage, or after its last stage
+    if it has fewer, and writes no final checkpoint.
     """
-    run_id = f"{schedule}-s{seed}"
+    run_id = _run_id(schedule, seed)
     outdir = Path(cfg.output_dir)
-    state_ckpt = outdir / "state" / f"{run_id}.ckpt"
-    state_rows = outdir / "state" / f"{run_id}.rows.csv"
+    state = outdir / "state" / f"{run_id}.ckpt"
     seq = cfg.sequence_for(seed)
     tcfg = replace(cfg.train, seed=seed)
 
     start_model = None
-    start_stage = 0
-    rows: list[tuple] = []
-    if state_ckpt.exists():
-        ck = load_checkpoint(state_ckpt, expect_digest=cfg.digest)
-        start_model = arrays_to_model(
-            ob.initial_model(schedule, seq, cfg.model, seed), ck.arrays)
-        start_stage = ck.domain_index + 1
-        with open(state_rows, newline="", encoding="utf-8") as fh:
-            rows = [tuple(r) for r in csv.reader(fh)]
+    records: list[ob.EpochMetrics] = []
+    if state.exists():
+        start_model, records = _load_state(
+            state, ob.initial_model(schedule, seq, cfg.model, seed), cfg.digest)
 
     def on_stage(idx, model, metrics):
-        rows.append((run_id, str(seed), schedule, str(metrics.t),
-                     str(tcfg.epochs_per_domain - 1), _fmt(metrics.class_loss),
-                     _fmt(metrics.alignment), _fmt(metrics.gp),
-                     _fmt(metrics.target_acc), "0"))
+        records.append(metrics)
+        table = np.array([[m.t, m.class_loss, m.alignment, m.gp, m.target_acc]
+                          for m in records])
+        save_checkpoint(state, Checkpoint(
+            model_to_arrays(model) + [table], idx, tcfg.epochs_per_domain,
+            cfg.digest))
         if halt_after is not None and idx >= halt_after:
-            raise _Halted(idx, model)
+            raise _Halted
 
     try:
-        model, trace = ob.train_schedule(
+        model, _ = ob.train_schedule(
             schedule, seq, tcfg, cfg.model, holdout=cfg.holdout,
             loss_spec=cfg.loss_spec, start_model=start_model,
-            start_stage=start_stage, stage_callback=on_stage)
-        last_stage = start_stage + len(trace) - 1
-    except _Halted as e:
-        last_stage, model = e.args
+            start_stage=len(records), stage_callback=on_stage)
+    except _Halted:
+        return records
     except ob.TrainingDiverged as e:
         raise ob.TrainingDiverged(f"run {run_id}: {e}") from e
-    if halt_after is not None:
-        # a run with fewer stages halts after its last one
-        save_checkpoint(state_ckpt, Checkpoint(
-            model_to_arrays(model), last_stage, tcfg.epochs_per_domain,
-            cfg.digest))
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        _atomic_write_text(state_rows, buf.getvalue())
-        return rows
-    ckpt = Checkpoint(model_to_arrays(model), seq.T - 1, 0, cfg.digest)
-    save_checkpoint(outdir / "checkpoints" / f"{run_id}.ckpt", ckpt)
-    for p in (state_ckpt, state_rows):
-        p.unlink(missing_ok=True)
-    with contextlib.suppress(OSError):     # the state directory, once empty
-        state_ckpt.parent.rmdir()
-    return rows
+    if halt_after is None:
+        ckpt = Checkpoint(model_to_arrays(model), seq.T - 1, 0, cfg.digest)
+        save_checkpoint(outdir / "checkpoints" / f"{run_id}.ckpt", ckpt)
+    return records
 
 
 def run_experiment(config_path, halt_after: int | None = None) -> int:
@@ -495,15 +499,17 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(METRICS_HEADER.split(","))
     for schedule, seed in runs:
-        w.writerows(results[(schedule, seed)])
+        w.writerows((_run_id(schedule, seed), seed, schedule, m.t,
+                     cfg.train.epochs_per_domain - 1, _fmt(m.class_loss),
+                     _fmt(m.alignment), _fmt(m.gp), _fmt(m.target_acc), 0)
+                    for m in results[(schedule, seed)])
     _atomic_write_text(outdir / "metrics.csv", buf.getvalue())
 
     report: dict = {"config_digest": cfg.digest.hex(), "schedules": {}}
     for schedule in cfg.schedules:
-        finals = []
-        for seed in cfg.seeds:
-            rows = results[(schedule, seed)]
-            finals.append(float(rows[-1][8]))
+        # the accuracies as metrics.csv prints them
+        finals = [float(_fmt(results[(schedule, seed)][-1].target_acc))
+                  for seed in cfg.seeds]
         report["schedules"][schedule] = {
             "mean_target_acc": float(np.mean(finals)),
             "std_target_acc": float(np.std(finals)),
@@ -512,6 +518,13 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
         }
     _atomic_write_text(outdir / "report.json",
                        json.dumps(report, sort_keys=True, indent=1) + "\n")
+    # every run's state stays until here, so that a rerun after an
+    # interrupt skips the finished runs
+    for schedule, seed in runs:
+        (outdir / "state" / f"{_run_id(schedule, seed)}.ckpt").unlink(
+            missing_ok=True)
+    with contextlib.suppress(OSError):     # the state directory, once empty
+        (outdir / "state").rmdir()
     return {"output_dir": str(outdir), "runs": len(runs)}
 
 
@@ -569,23 +582,14 @@ def _bound_inputs(args, T: int) -> th.BoundInputs:
 
 def cmd_bound(args) -> dict:
     rep = th.evaluate_bound(_bound_inputs(args, args.T))
-    return {"inputs": _bound_echo(args), "e1": rep.e1, "e2": rep.e2,
-            "e3": rep.e3, "total": rep.total, "parts": rep.parts}
-
-
-def _bound_echo(args) -> dict:
-    out = {"n": args.n, **{dest: getattr(args, dest) for dest in _BOUND_FLAGS}}
-    if hasattr(args, "T"):
-        out["T"] = args.T
-    return out
+    return {"e1": rep.e1, "e2": rep.e2, "e3": rep.e3, "total": rep.total,
+            "parts": rep.parts}
 
 
 def cmd_sweep(args) -> dict:
     res = th.sweep_horizon(_bound_inputs(args, args.T_min),
                            range(args.T_min, args.T_max + 1, args.T_step))
-    return {"inputs": {**_bound_echo(args), "T_min": args.T_min,
-                       "T_max": args.T_max, "T_step": args.T_step},
-            "argmin_T": res.argmin_T,
+    return {"argmin_T": res.argmin_T,
             "rows": [{"T": t, "e1": e1, "e2": e2, "e3": e3, "total": tot}
                      for t, e1, e2, e3, tot in res.rows]}
 
@@ -599,12 +603,7 @@ def cmd_disc(args) -> dict:
                                    seed=args.seed, spec=spec)
     loss = ob.LossSpec("cross_entropy_bounded", bound=args.M)
     disc = th.estimate_discrepancy(seq, pool, loss)
-    return {"inputs": {"T": args.T, "n": args.n, "shift": args.shift,
-                       "sigma": args.sigma, "seed": args.seed,
-                       "pool_random": args.pool_random,
-                       "pool_snapshots": args.pool_snapshots,
-                       "M": args.M, "rho": args.rho},
-            "disc": disc, "pool_size": len(pool),
+    return {"disc": disc, "pool_size": len(pool),
             "t_rho_delta": args.T * args.rho * args.shift}
 
 
@@ -615,10 +614,7 @@ def cmd_seqrad(args) -> dict:
         table = dc.rng_normal(args.seed, (args.fsize, args.zsize))
     inst = th.FiniteInstance(table, args.T)
     value = th.seq_rademacher_exact(inst)
-    return {"inputs": {"fsize": int(table.shape[0]), "zsize": args.zsize,
-                       "T": args.T, "seed": args.seed,
-                       "preset": args.preset},
-            "tree_count": inst.tree_count(), "value": value}
+    return {"tree_count": inst.tree_count(), "value": value}
 
 
 def cmd_lemma1(args) -> dict:
@@ -626,10 +622,7 @@ def cmd_lemma1(args) -> dict:
         th.gaussian_sampler(0.0, args.sigma), args.shift,
         loss=th.clamp_loss(-args.clamp, args.clamp),
         rho=args.rho, trials=args.trials, n=args.n, seed=args.seed)
-    return {"inputs": {"shift": args.shift, "sigma": args.sigma,
-                       "trials": args.trials, "n": args.n, "seed": args.seed,
-                       "rho": args.rho, "clamp": args.clamp},
-            "bound": rep.bound, "max_gap": rep.max_gap,
+    return {"bound": rep.bound, "max_gap": rep.max_gap,
             "violations": rep.violations, "violation_rate": rep.violation_rate}
 
 
@@ -644,7 +637,7 @@ def _emit(command, *args) -> int:
         line = json.dumps(command(*args), sort_keys=True, allow_nan=False)
     except ob.TrainingDiverged as e:
         error, code = f"training diverged: {e}", EXIT_DIVERGED
-    except (ConfigError, CheckpointError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, CheckpointError, ValueError, OSError) as e:
         error, code = str(e), EXIT_CONFIG
     if code != EXIT_OK:
         line = json.dumps({"error": error}, sort_keys=True)
@@ -757,7 +750,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     if args.command == "run":
         return run_experiment(args.config, halt_after=args.halt_after)
-    return _emit(args.handler, args)
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "handler")}
+    return _emit(lambda: {**args.handler(args), "inputs": inputs})
 
 
 if __name__ == "__main__":

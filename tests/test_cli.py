@@ -54,7 +54,8 @@ def write_config(tmp_path, text=None, name="exp.toml"):
 # data rows of a valid two-domain, two-class sequence file
 TWO_DOMAINS = "0,0,0.5\n0,1,1.5\n1,0,0.5\n1,1,1.5\n"
 
-# `gradshift w1` output for test_w1_json_pinned's generated point files
+# `gradshift w1` output for test_w1_json_pinned's generated point files,
+# without the echo of its inputs
 W1_LINES = {
     ("exact", (12, 12)):
         '{"converged": true, "distance": 0.7490556486630826, "iterations": 0, '
@@ -554,6 +555,98 @@ class TestRunExperiment:
         assert artifacts() == serial
         assert not (out / "state").exists()
 
+    def test_interrupt_resumes_unfinished_stages(self, tmp_path, monkeypatch):
+        # 16 stages in all; an interrupt inside the 7th (gradual-s1's third)
+        # leaves the state of the 6 finished ones, and the rerun trains the
+        # other 10
+        text = SMALL_CONFIG.replace(
+            '"gradual"]', '"direct", "gradual", "gradual_temporal"]').replace(
+            "T = 3", "T = 4")
+        p = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        out = tmp_path / "out"
+        calls = []
+        run_stage = ob._run_stage
+
+        def interrupted_on(n):
+            def stand_in(*args, **kwargs):
+                calls.append(kwargs["stage"])
+                if len(calls) == n:
+                    raise KeyboardInterrupt
+                return run_stage(*args, **kwargs)
+            return stand_in
+
+        def artifacts():
+            return {str(f.relative_to(out)): f.read_bytes()
+                    for f in sorted(out.rglob("*")) if f.is_file()}
+
+        monkeypatch.setattr(ob, "_run_stage", interrupted_on(None))
+        assert cli.run_experiment(p) == 0
+        uninterrupted = artifacts()
+        assert len(calls) == 16
+        shutil.rmtree(out)
+        calls.clear()
+        monkeypatch.setattr(ob, "_run_stage", interrupted_on(7))
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_experiment(p)
+        assert len(list((out / "state").glob("*.ckpt"))) == 5
+        calls.clear()
+        monkeypatch.setattr(ob, "_run_stage", interrupted_on(None))
+        assert cli.run_experiment(p) == 0
+        assert len(calls) == 10 and calls[0] == 2
+        assert artifacts() == uninterrupted
+        assert not (out / "state").exists()
+
+    def test_divergence_resumes_at_diverged_stage(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # gradual-s1 diverges in stage 2: its state stays at stage 1, and a
+        # rerun trains from stage 2
+        text = SMALL_CONFIG.replace('"no_adaptation", ', "").replace(
+            "T = 3", "T = 4")
+        p = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        calls = []
+        run_stage = ob._run_stage
+
+        def diverging(*args, **kwargs):
+            calls.append(kwargs["stage"])
+            if kwargs["stage"] == 2:
+                raise ob.TrainingDiverged("injected")
+            return run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(ob, "_run_stage", diverging)
+        lines = []
+        for stages in ([0, 1, 2], [2]):
+            assert cli.run_experiment(p) == 3
+            lines.append(capsys.readouterr().out)
+            assert calls == stages
+            calls.clear()
+            state = tmp_path / "out" / "state" / "gradual-s1.ckpt"
+            assert cli.load_checkpoint(state).domain_index == 1
+        assert lines[0] == lines[1]
+        assert "run gradual-s1: injected" in lines[0]
+
+    @pytest.mark.parametrize("table,stage", [(None, 0), (np.zeros((1, 5)), 1)],
+                             ids=["no_table", "table_rows_not_stages"])
+    def test_malformed_state_exit_2(self, tmp_path, monkeypatch, capsys,
+                                    table, stage):
+        # a state file of the model's arrays alone, or whose table does not
+        # hold a row per saved stage, is named in the error before any stage
+        # trains or any artifact is written
+        p = write_config(tmp_path, SMALL_CONFIG.replace(
+            '"no_adaptation", ', "").format(out=tmp_path / "out"))
+        cfg = cli.load_config(p)
+        model = ob.initial_model("gradual", cfg.sequence_for(1), cfg.model, 1)
+        state = tmp_path / "out" / "state" / "gradual-s1.ckpt"
+        arrays = cli.model_to_arrays(model) + ([] if table is None else [table])
+        cli.save_checkpoint(state, cli.Checkpoint(arrays, stage, 3, cfg.digest))
+        calls = []
+        monkeypatch.setattr(ob, "_run_stage", lambda *a, **k: calls.append(k))
+        assert cli.run_experiment(p) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"{state}: ")
+        assert calls == []
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "+2", " 2"])
     def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch,
                                      value):
@@ -678,6 +771,33 @@ class TestSubcommands:
             assert lines[0] == json.dumps(out, sort_keys=True)
             assert ("error" in out) == (code == 2)
 
+    @pytest.mark.parametrize("case", ["config_dir", "points_dir",
+                                      "output_below_file"])
+    def test_os_error_exit_2(self, tmp_path, capsys, case):
+        # each once ended in an OSError traceback and exit 1, with no line
+        (tmp_path / "file").write_text("")
+        below_file = SMALL_CONFIG.format(out=tmp_path / "file" / "out")
+        argv = {"config_dir": ["run", str(tmp_path)],
+                "points_dir": ["w1", str(tmp_path), str(tmp_path)],
+                "output_below_file": [
+                    "run", str(write_config(tmp_path, below_file))]}[case]
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
+
+    def test_disc_inputs_echo_every_flag(self, capsys):
+        # --hidden changes the estimate, and once left the echo unchanged
+        outs = []
+        for hidden in ("4", "8"):
+            assert cli.main(["disc", "--T", "3", "--n", "200", "--pool-random",
+                             "4", "--pool-snapshots", "0", "--hidden",
+                             hidden]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0]["disc"] != outs[1]["disc"]
+        assert outs[0]["inputs"] != outs[1]["inputs"]
+        assert [o["inputs"]["hidden"] for o in outs] == [4, 8]
+
     def test_w1_identical_files(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         pts.write_text("0.0,0.0\n1.0,2.0\n")
@@ -736,7 +856,11 @@ class TestSubcommands:
             files[-1].write_text("".join(",".join(repr(v) for v in r) + "\n"
                                          for r in x.tolist()))
         assert cli.main(["w1", *map(str, files), "--method", method]) == 0
-        assert capsys.readouterr().out == W1_LINES[method, sizes] + "\n"
+        line = json.loads(W1_LINES[method, sizes])
+        line["inputs"] = {"file_a": str(files[0]), "file_b": str(files[1]),
+                          "method": method, "epsilon": None,
+                          "max_iters": 5000, "tol": 1e-6, "seed": 0}
+        assert capsys.readouterr().out == json.dumps(line, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("method", ["exact", "sinkhorn"])
     def test_w1_overflow_exit_2(self, tmp_path, capsys, method):
