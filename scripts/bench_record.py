@@ -20,9 +20,10 @@ The file holds, for this checkout and, under "against", for DIR:
 The critic step is timed through its one entry,
 `objectives._CriticLoop(critic, 64).run(...)`, bound once before the timer
 as a stage binds it, so DIR is a checkout whose critic loop takes the
-steps' interpolation draws. Two checkouts timed in one run share the state
-of the machine; two files recorded one after the other do not, so compare
-commits with --against.
+steps' interpolation draws, whose `_Opt(params, lr)` is Adam alone and
+whose `_run_stage` aligns exactly when it is given a target. Two checkouts
+timed in one run share the state of the machine; two files recorded one
+after the other do not, so compare commits with --against.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class Layers:
     def critic_step_us(self, reps: int) -> float:
         ob = self.ob
         critic = self.model.critic.copy()
-        opt = ob._Opt([critic.flat], "adam", self.cfg.lr_critic)
+        opt = ob._Opt([critic.flat], self.cfg.lr_critic)
         # as in a stage, one bound loop for every call
         loop = ob._CriticLoop(critic, len(self.fa))
         t = time.process_time()
@@ -131,8 +132,8 @@ class Layers:
         t = time.process_time()
         for _ in range(reps):
             self.ob._run_stage(m, self.source, self.target, self.cfg,
-                               align=True, stage=0,
-                               loss_spec=self.ob.LossSpec(), eval_batch=None)
+                               stage=0, loss_spec=self.ob.LossSpec(),
+                               eval_batch=None)
         return (time.process_time() - t) / reps * 1e3
 
     def model_step_us(self, reps: int, model=None) -> float:

@@ -73,9 +73,12 @@ def _integer(value):
 
 
 def _real(value):
-    """A float from a TOML integer or float (a boolean is not a number)."""
+    """A finite float from a TOML integer or float (a boolean is not a
+    number)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"could not convert {value!r} to a float")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -345,9 +348,7 @@ def load_checkpoint(path, expect_digest: bytes | None = None) -> Checkpoint:
 def model_to_arrays(model: ob.AdaptationModel) -> list[np.ndarray]:
     arrays = model.g.arrays() + model.h.arrays() + model.critic.arrays()
     if model.summarizer is not None:
-        arrays += model.summarizer.arrays()
-        arrays += list(model.summary_state.hidden)
-        arrays.append(np.array([float(model.summary_state.count)]))
+        arrays += model.summarizer.arrays() + [model.summary_state]
     return arrays
 
 
@@ -361,8 +362,6 @@ def arrays_to_model(template: ob.AdaptationModel, arrays: list[np.ndarray]):
             raise ShapeMismatch(f"array shape {a.shape} does not match "
                                 f"model slot {slot.shape}")
         slot[...] = a
-    if template.summarizer is not None:
-        template.summary_state.count = int(arrays[-1][0])
     return template
 
 
@@ -392,6 +391,12 @@ def _run_id(schedule: str, seed: int) -> str:
     return f"{schedule}-s{seed}"
 
 
+def _state_dir(cfg: ExperimentConfig) -> Path:
+    """Where the runs of this exact config keep their stage-boundary state:
+    an edited config starts afresh beside the state of the old one."""
+    return Path(cfg.output_dir) / "state" / cfg.digest.hex()[:16]
+
+
 def _load_state(path: Path, template: ob.AdaptationModel, digest: bytes):
     """A run's stage-boundary state: its model and its stage records."""
     ck = load_checkpoint(path, expect_digest=digest)
@@ -413,13 +418,14 @@ def _run_one(cfg: ExperimentConfig, schedule: str, seed: int,
 
     Every finished stage saves the run's state, its model's arrays and then
     a (stages, 5) table of `[t, class_loss, alignment, gp, target_acc]`, to
-    `state/<run_id>.ckpt`; a rerun resumes after the last saved stage. With
-    halt_after set, the run stops after that stage, or after its last stage
-    if it has fewer, and writes no final checkpoint.
+    `state/<digest prefix>/<run_id>.ckpt` (_state_dir); a rerun of the same
+    config resumes after the last saved stage. With halt_after set, the run
+    stops after that stage, or after its last stage if it has fewer, and
+    writes no final checkpoint.
     """
     run_id = _run_id(schedule, seed)
     outdir = Path(cfg.output_dir)
-    state = outdir / "state" / f"{run_id}.ckpt"
+    state = _state_dir(cfg) / f"{run_id}.ckpt"
     seq = cfg.sequence_for(seed)
     tcfg = replace(cfg.train, seed=seed)
 
@@ -520,11 +526,12 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
                        json.dumps(report, sort_keys=True, indent=1) + "\n")
     # every run's state stays until here, so that a rerun after an
     # interrupt skips the finished runs
+    state = _state_dir(cfg)
     for schedule, seed in runs:
-        (outdir / "state" / f"{_run_id(schedule, seed)}.ckpt").unlink(
-            missing_ok=True)
-    with contextlib.suppress(OSError):     # the state directory, once empty
-        (outdir / "state").rmdir()
+        (state / f"{_run_id(schedule, seed)}.ckpt").unlink(missing_ok=True)
+    for folder in (state, state.parent):
+        with contextlib.suppress(OSError):     # each once it is empty
+            folder.rmdir()
     return {"output_dir": str(outdir), "runs": len(runs)}
 
 
@@ -532,23 +539,26 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
 # subcommands
 
 def _load_points(path) -> np.ndarray:
+    """The rows of a point file, read line by line: comma-separated finite
+    coordinates, one point a line, blank lines skipped."""
     coords, widths = array("d"), set()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as f:
+            for ln, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = [float(v) for v in line.split(",")]
+                except ValueError:
+                    raise ConfigError(f"{path}:{ln}: cannot parse point "
+                                      "row") from None
+                if not all(map(math.isfinite, row)):
+                    raise ConfigError(f"{path}:{ln}: non-finite coordinate")
+                widths.add(len(row))
+                coords.extend(row)
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: {e}") from None
-    for ln, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            raise ConfigError(f"{path}:{ln}: cannot parse point row") from None
-        if not all(map(math.isfinite, row)):
-            raise ConfigError(f"{path}:{ln}: non-finite coordinate")
-        widths.add(len(row))
-        coords.extend(row)
     if not coords:
         raise ConfigError(f"{path}: no points")
     if len(widths) != 1:

@@ -9,6 +9,7 @@ sequence metadata as delta_true.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from array import array
@@ -189,55 +190,64 @@ class SequenceFormatError(ValueError):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def load_sequence(path) -> DomainSequence:
-    """Read what save_sequence writes. The sidecar is optional; it must be a
-    JSON object, and its `k` an int above every label id. Malformed content
-    raises SequenceFormatError."""
-    path = Path(path)
+def _lines(path):
+    """The lines of a UTF-8 file as str.splitlines gives them, read one at a
+    time. Bytes that are not UTF-8 raise SequenceFormatError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            for raw in f:
+                yield from raw.splitlines()
     except UnicodeDecodeError as e:
         raise SequenceFormatError(f"{path}: {e}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise SequenceFormatError(f"{path}: empty file")
-    header = lines[0].strip().split(",")
-    if header[:2] != ["t", "y"] or any(h != f"x{i}" for i, h in enumerate(header[2:])):
-        raise SequenceFormatError(f"{path}:1: bad header {lines[0]!r}")
-    d = len(header) - 2
-    if d < 1:
-        raise SequenceFormatError(f"{path}:1: no feature columns")
+
+
+def load_sequence(path) -> DomainSequence:
+    """Read what save_sequence writes, one line at a time. The sidecar is
+    optional; it must be a JSON object, and its `k` an int above every label
+    id. Malformed content raises SequenceFormatError."""
+    path = Path(path)
     ts: list[int] = []               # each domain's t, in file order
     starts: list[int] = []           # the row where each domain starts
     labels, feats = array("q"), array("d")
     top = last_t = -1
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 2:
-            raise SequenceFormatError(
-                f"{path}:{ln}: expected {d + 2} fields, got {len(parts)}")
-        try:
-            t = int(parts[0])
-            y = int(parts[1])
-            row = [float(v) for v in parts[2:]]
-        except ValueError as e:
-            raise SequenceFormatError(f"{path}:{ln}: {e}") from None
-        if not all(map(math.isfinite, row)):
-            raise SequenceFormatError(f"{path}:{ln}: non-finite feature value")
-        if t < 0 or y < 0:
-            raise SequenceFormatError(f"{path}:{ln}: t and y must be non-negative")
-        if t < last_t:
-            raise SequenceFormatError(f"{path}:{ln}: rows not sorted by t")
-        if t != last_t:
-            ts.append(t)
-            starts.append(len(labels))
-        last_t = t
-        if y > top:
-            top = y
-        labels.append(min(y, _INT64_MAX))   # a larger y fails the k check
-        feats.extend(row)
+    with contextlib.closing(_lines(path)) as lines:
+        first = next(lines, None)
+        if first is None:
+            raise SequenceFormatError(f"{path}: empty file")
+        header = first.strip().split(",")
+        if header[:2] != ["t", "y"] or any(h != f"x{i}"
+                                           for i, h in enumerate(header[2:])):
+            raise SequenceFormatError(f"{path}:1: bad header {first!r}")
+        d = len(header) - 2
+        if d < 1:
+            raise SequenceFormatError(f"{path}:1: no feature columns")
+        for ln, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != d + 2:
+                raise SequenceFormatError(
+                    f"{path}:{ln}: expected {d + 2} fields, got {len(parts)}")
+            try:
+                t = int(parts[0])
+                y = int(parts[1])
+                row = [float(v) for v in parts[2:]]
+            except ValueError as e:
+                raise SequenceFormatError(f"{path}:{ln}: {e}") from None
+            if not all(map(math.isfinite, row)):
+                raise SequenceFormatError(f"{path}:{ln}: non-finite feature value")
+            if t < 0 or y < 0:
+                raise SequenceFormatError(f"{path}:{ln}: t and y must be non-negative")
+            if t < last_t:
+                raise SequenceFormatError(f"{path}:{ln}: rows not sorted by t")
+            if t != last_t:
+                ts.append(t)
+                starts.append(len(labels))
+            last_t = t
+            if y > top:
+                top = y
+            labels.append(min(y, _INT64_MAX))   # a larger y fails the k check
+            feats.extend(row)
     if not labels:
         raise SequenceFormatError(f"{path}: no data rows")
     meta = {}

@@ -215,109 +215,80 @@ def accuracy(g: MlpParams, h: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
 # gated recurrent summarizer
 
 @dataclass
-class GruLayer:
-    w_z: np.ndarray    # (in+hidden, hidden)
+class RecurrentParams:
+    """One gated recurrent layer with a linear readout. Construction copies
+    the arrays into `flat`, one float64 vector in arrays() order, and holds
+    views of it."""
+    w_z: np.ndarray    # (input_size + hidden, hidden)
     w_r: np.ndarray
     w_h: np.ndarray
     b_z: np.ndarray    # (hidden,)
     b_r: np.ndarray
     b_h: np.ndarray
-
-
-@dataclass
-class RecurrentParams:
-    """A stacked GRU with a linear readout. Construction copies the arrays
-    into `flat`, one float64 vector in arrays() order, and holds views of it
-    in fresh GruLayer objects, w_out and b_out."""
-    layers: list[GruLayer]
-    w_out: np.ndarray                  # (hidden, out_dim) linear readout
+    w_out: np.ndarray  # (hidden, out_dim) linear readout
     b_out: np.ndarray
-    hidden: int
-    input_size: int
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("summarizer needs at least one layer")
-        for i, lay in enumerate(self.layers):
-            in_size = self.input_size if i == 0 else self.hidden
-            want = (in_size + self.hidden, self.hidden)
-            for name in ("w_z", "w_r", "w_h"):
-                if getattr(lay, name).shape != want:
-                    raise ValueError(f"layer {i} {name}: expected {want}, "
-                                     f"got {getattr(lay, name).shape}")
+        hid = self.hidden
+        for name in ("w_z", "w_r", "w_h"):
+            shape = getattr(self, name).shape
+            if shape != (self.w_z.shape[0], hid) or shape[0] <= hid:
+                raise ValueError(f"{name}: shape {shape} is not (input + "
+                                 f"{hid}, {hid}) with an input of at least 1")
         self.flat, views = _pack(self.arrays())
-        self.layers = [GruLayer(*views[i:i + 6])
-                       for i in range(0, 6 * len(self.layers), 6)]
-        self.w_out, self.b_out = views[-2:]
+        (self.w_z, self.w_r, self.w_h, self.b_z, self.b_r, self.b_h,
+         self.w_out, self.b_out) = views
+
+    @property
+    def hidden(self) -> int:
+        return self.w_out.shape[0]
+
+    @property
+    def input_size(self) -> int:
+        return self.w_z.shape[0] - self.hidden
 
     @property
     def out_dim(self) -> int:
         return self.w_out.shape[1]
 
     def copy(self) -> "RecurrentParams":
-        return RecurrentParams(self.layers, self.w_out, self.b_out,
-                               self.hidden, self.input_size)
+        return RecurrentParams(*self.arrays())
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for l in self.layers:
-            out += [l.w_z, l.w_r, l.w_h, l.b_z, l.b_r, l.b_h]
-        out += [self.w_out, self.b_out]
-        return out
+        return [self.w_z, self.w_r, self.w_h, self.b_z, self.b_r, self.b_h,
+                self.w_out, self.b_out]
 
 
-@dataclass
-class SummaryState:
-    hidden: list[np.ndarray]           # one (hidden,) vector per layer
-    count: int = 0
-
-    def copy(self) -> "SummaryState":
-        return SummaryState([h.copy() for h in self.hidden], self.count)
-
-
-def init_recurrent(seed: int, input_size: int, hidden: int, layers: int,
+def init_recurrent(seed: int, input_size: int, hidden: int,
                    out_dim: int) -> RecurrentParams:
-    if layers < 1:
-        raise ValueError("layer count must be >= 1")
-    lays = []
-    for li in range(layers):
-        in_size = input_size if li == 0 else hidden
-        lays.append(GruLayer(
-            _glorot(dc.substream(seed, "wz", li), in_size + hidden, hidden),
-            _glorot(dc.substream(seed, "wr", li), in_size + hidden, hidden),
-            _glorot(dc.substream(seed, "wh", li), in_size + hidden, hidden),
-            np.zeros(hidden), np.zeros(hidden), np.zeros(hidden)))
-    return RecurrentParams(lays, _glorot(dc.substream(seed, "wo"), hidden, out_dim),
-                           np.zeros(out_dim), hidden, input_size)
+    """Glorot-uniform gate and readout weights (_glorot), zero biases."""
+    gates = [_glorot(dc.substream(seed, tag, 0), input_size + hidden, hidden)
+             for tag in ("wz", "wr", "wh")]
+    return RecurrentParams(*gates, np.zeros(hidden), np.zeros(hidden),
+                           np.zeros(hidden),
+                           _glorot(dc.substream(seed, "wo"), hidden, out_dim),
+                           np.zeros(out_dim))
 
 
-def fresh_state(r: RecurrentParams) -> SummaryState:
-    return SummaryState([np.zeros(r.hidden) for _ in r.layers], 0)
-
-
-def gru_step(r: RecurrentParams, state: SummaryState, x: np.ndarray):
+def gru_step(r: RecurrentParams, state: np.ndarray, x: np.ndarray):
     """Absorb one domain's (input_size,) mean feature vector x into the
-    recurrent state: one gated update per layer (Cho et al. 2014), then the
-    linear readout. Returns (new SummaryState, (out_dim,) readout, cache for
+    (hidden,) recurrent state: one gated update (Cho et al. 2014), then the
+    linear readout. Returns (new state, (out_dim,) readout, cache for
     gru_backward)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (r.input_size,):
         raise ValueError(f"summary vector shape {x.shape} does not "
                          f"match summarizer input size {r.input_size}")
-    inp = x
-    cache = []
-    for lay, s in zip(r.layers, state.hidden):
-        sx = np.concatenate([s, inp])
-        z = dc.sigmoid(sx @ lay.w_z + lay.b_z)
-        rr = dc.sigmoid(sx @ lay.w_r + lay.b_r)
-        rsx = np.concatenate([rr * s, inp])
-        cand = np.tanh(rsx @ lay.w_h + lay.b_h)
-        new = (1.0 - z) * s + z * cand
-        cache.append((s, sx, z, rr, rsx, cand, new))
-        inp = new
-    readout = inp @ r.w_out + r.b_out
-    return SummaryState([c[-1] for c in cache], state.count + 1), readout, cache
+    s = state
+    sx = np.concatenate([s, x])
+    z = dc.sigmoid(sx @ r.w_z + r.b_z)
+    rr = dc.sigmoid(sx @ r.w_r + r.b_r)
+    rsx = np.concatenate([rr * s, x])
+    cand = np.tanh(rsx @ r.w_h + r.b_h)
+    new = (1.0 - z) * s + z * cand
+    readout = new @ r.w_out + r.b_out
+    return new, readout, (s, sx, z, rr, rsx, cand, new)
 
 
 def gru_backward(r: RecurrentParams, cache, d_readout: np.ndarray):
@@ -326,16 +297,13 @@ def gru_backward(r: RecurrentParams, cache, d_readout: np.ndarray):
     back through time. Returns the flat parameter gradient (the layout of
     r.flat) and the gradient w.r.t. x."""
     hid = r.hidden
+    s, sx, z, rr, rsx, cand, new = cache
     d_new = r.w_out @ d_readout
-    grads = [np.outer(cache[-1][-1], d_readout), d_readout]
-    for lay, (s, sx, z, rr, rsx, cand, _) in zip(reversed(r.layers),
-                                                 reversed(cache)):
-        d_az = d_new * (cand - s) * z * (1.0 - z)
-        d_ah = d_new * z * (1.0 - np.square(cand))
-        d_rsx = lay.w_h @ d_ah
-        d_ar = d_rsx[:hid] * s * rr * (1.0 - rr)
-        d_sx = lay.w_z @ d_az + lay.w_r @ d_ar
-        grads = [np.outer(sx, d_az), np.outer(sx, d_ar), np.outer(rsx, d_ah),
-                 d_az, d_ar, d_ah] + grads
-        d_new = d_sx[hid:] + d_rsx[hid:]
-    return np.concatenate([a.ravel() for a in grads]), d_new
+    d_az = d_new * (cand - s) * z * (1.0 - z)
+    d_ah = d_new * z * (1.0 - np.square(cand))
+    d_rsx = r.w_h @ d_ah
+    d_ar = d_rsx[:hid] * s * rr * (1.0 - rr)
+    d_sx = r.w_z @ d_az + r.w_r @ d_ar
+    grads = [np.outer(sx, d_az), np.outer(sx, d_ar), np.outer(rsx, d_ah),
+             d_az, d_ar, d_ah, np.outer(new, d_readout), d_readout]
+    return np.concatenate([a.ravel() for a in grads]), d_sx[hid:] + d_rsx[hid:]

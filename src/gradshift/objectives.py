@@ -47,7 +47,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs_per_domain: int = 40
     seed: int = 0
-    optimizer: str = "adam"               # or "sgd"
     labeled_target: bool = True           # adapting schedules train on
                                           # the target's labels too
 
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.batch_size < 1 or self.epochs_per_domain < 1:
             raise ValueError("batch_size and epochs_per_domain must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -70,11 +67,10 @@ class ModelSpec:
     hidden: int = 16
     critic_hidden: int = 16
     summarizer_hidden: int = 32
-    summarizer_layers: int = 1
 
     def __post_init__(self):
         if min(self.feature_dim, self.hidden, self.critic_hidden,
-               self.summarizer_hidden, self.summarizer_layers) < 1:
+               self.summarizer_hidden) < 1:
             raise ValueError("model sizes must be >= 1")
 
 
@@ -84,7 +80,7 @@ class AdaptationModel:
     h: md.MlpParams
     critic: md.MlpParams
     summarizer: md.RecurrentParams | None = None
-    summary_state: md.SummaryState | None = None
+    summary_state: np.ndarray | None = None   # (summarizer hidden,)
 
     def __post_init__(self):
         m = self.g.out_dim
@@ -98,8 +94,9 @@ class AdaptationModel:
     def copy(self) -> "AdaptationModel":
         return AdaptationModel(
             self.g.copy(), self.h.copy(), self.critic.copy(),
-            self.summarizer.copy() if self.summarizer else None,
-            self.summary_state.copy() if self.summary_state else None)
+            self.summarizer.copy() if self.summarizer is not None else None,
+            self.summary_state.copy() if self.summary_state is not None
+            else None)
 
 
 @dataclass
@@ -164,25 +161,19 @@ def _loss_and_grad(spec: LossSpec, logits, labels):
 # optimizers
 
 class _Opt:
-    """Adam-style adaptive or plain sgd over a fixed list of arrays. Training
-    passes each network's flat parameter vector, so a step is a few
-    whole-vector operations per network, in place on two work buffers."""
+    """Adam (Kingma and Ba 2014) over a fixed list of arrays. Training passes
+    each network's flat parameter vector, so a step is a few whole-vector
+    operations per network, in place on two work buffers."""
 
-    def __init__(self, params: list[np.ndarray], kind: str, lr: float):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
-        self.kind = kind
         self.lr = lr
         self.work = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        if kind == "adam":
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-            self.step_count = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.step_count = 0
 
     def step(self, grads: list[np.ndarray]):
-        if self.kind == "sgd":
-            for p, g, (s, _) in zip(self.params, grads, self.work):
-                p -= np.multiply(g, self.lr, out=s)
-            return
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.step_count
@@ -376,16 +367,17 @@ def _check_finite(value, what: str, where: str):
 
 
 def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
-                      opt_critic: _Opt, xs, ys, xt, yt, cfg: TrainConfig,
-                      loss_spec: LossSpec, *, loop: _CriticLoop | None, draws,
-                      where: str):
+                      opt_critic: _Opt | None, xs, ys, xt, yt,
+                      cfg: TrainConfig, loss_spec: LossSpec, *,
+                      loop: _CriticLoop | None, draws, where: str):
     """One batch's primal-dual step in place. Returns (class loss, gap,
     penalty); the last two come from the final critic step, 0 without
     alignment. `loop` is the stage's _CriticLoop for batches of this size,
-    or None when the stage does not align. An aligning step trains on the
-    target's labels when cfg.labeled_target is set, and on the temporal
-    history when the model has a summarizer; `draws` holds its critic
-    steps' interpolation draws, (k_critic, batch rows).
+    or None when the stage does not align; then xt, yt and opt_critic are
+    None too. An aligning step trains on the target's labels when
+    cfg.labeled_target is set, and on the temporal history when the model
+    has a summarizer; `draws` holds its critic steps' interpolation draws,
+    (k_critic, batch rows).
 
     The labeled rows run forward through g and h. When aligning, the critic
     ascends k_critic times on the target features and the source history,
@@ -457,33 +449,37 @@ def _primal_dual_step(model: AdaptationModel, opt_model: _Opt,
     return ce, gap, pen
 
 
-def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
-               cfg: TrainConfig, *, align: bool, stage: int,
+def _run_stage(model: AdaptationModel, source: DomainBatch,
+               target: DomainBatch | None, cfg: TrainConfig, *, stage: int,
                loss_spec: LossSpec, eval_batch: DomainBatch | None):
     """Train one adaptation stage in place, one _primal_dual_step per batch;
-    returns EpochMetrics of the last epoch. An aligning stage binds one
-    _CriticLoop per batch size, on its first batch of that size, and also
-    trains the model's summarizer, if it has one."""
-    if source.d != target.d or source.k != target.k:
+    returns EpochMetrics of the last epoch. A stage with a target aligns: it
+    pairs each source batch with target rows, binds one _CriticLoop per
+    batch size, on its first batch of that size, and also trains the
+    model's summarizer, if it has one. Without a target the stage fits the
+    source alone and draws nothing for a target."""
+    align = target is not None
+    if align and (source.d != target.d or source.k != target.k):
         raise ValueError("source/target dimension mismatch")
     nets = [model.g, model.h]
     if align and model.summarizer is not None:
         nets.append(model.summarizer)
-    opt_model = _Opt([n.flat for n in nets], cfg.optimizer, cfg.lr_model)
-    opt_critic = _Opt([model.critic.flat], cfg.optimizer, cfg.lr_critic)
+    opt_model = _Opt([n.flat for n in nets], cfg.lr_model)
+    opt_critic = _Opt([model.critic.flat], cfg.lr_critic) if align else None
     loops: dict[int, _CriticLoop] = {}
     # the [batch, critic step] tags of an aligning epoch's interpolation draws
     batches = np.arange(len(range(0, source.n, cfg.batch_size)),
                         dtype=np.uint64)[:, None]
     steps = np.arange(cfg.k_critic, dtype=np.uint64)
+    xt = yt = loop = step_draws = None
     for epoch in range(cfg.epochs_per_domain):
         loss_sum = gap_sum = pen_sum = 0.0
-        tpos = 0
         order = dc.rng_permutation(dc.substream(cfg.seed, "order", stage, epoch),
                                    source.n)
-        torder = dc.rng_permutation(dc.substream(cfg.seed, "torder", stage, epoch),
-                                    target.n)
         if align:
+            tpos = 0
+            torder = dc.rng_permutation(
+                dc.substream(cfg.seed, "torder", stage, epoch), target.n)
             ids = dc.substream(cfg.seed, "gp", stage, epoch, batches, steps,
                                "gp_u")
             draws = dc.uniform_rows(ids.ravel(), cfg.batch_size).reshape(
@@ -491,16 +487,17 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
         for b, start in enumerate(range(0, source.n, cfg.batch_size)):
             src_idx = order[start:start + cfg.batch_size]
             ns = len(src_idx)
-            tgt_idx = torder[(tpos + np.arange(ns)) % target.n]
-            tpos += ns
-            if align and ns not in loops:
-                loops[ns] = _CriticLoop(model.critic, ns)
+            if align:
+                tgt_idx = torder[(tpos + np.arange(ns)) % target.n]
+                tpos += ns
+                xt, yt = target.features[tgt_idx], target.labels[tgt_idx]
+                if ns not in loops:
+                    loops[ns] = _CriticLoop(model.critic, ns)
+                loop, step_draws = loops[ns], draws[b, :, :ns]
             ce, gap, pen = _primal_dual_step(
                 model, opt_model, opt_critic, source.features[src_idx],
-                source.labels[src_idx], target.features[tgt_idx],
-                target.labels[tgt_idx], cfg, loss_spec, loop=loops.get(ns),
-                draws=draws[b, :, :ns] if align else None,
-                where=f"stage {stage} epoch {epoch} batch {b}")
+                source.labels[src_idx], xt, yt, cfg, loss_spec, loop=loop,
+                draws=step_draws, where=f"stage {stage} epoch {epoch} batch {b}")
             loss_sum += ce
             gap_sum += gap
             pen_sum += pen
@@ -508,7 +505,8 @@ def _run_stage(model: AdaptationModel, source: DomainBatch, target: DomainBatch,
     if eval_batch is not None:
         acc = md.accuracy(model.g, model.h, eval_batch.features, eval_batch.labels)
     # every epoch runs len(batches) >= 1 steps
-    return EpochMetrics(t=target.t, class_loss=loss_sum / len(batches),
+    return EpochMetrics(t=(target or source).t,
+                        class_loss=loss_sum / len(batches),
                         alignment=gap_sum / len(batches),
                         gp=pen_sum / len(batches), target_acc=acc)
 
@@ -519,7 +517,7 @@ def train_erm(model: AdaptationModel, batch: DomainBatch, cfg: TrainConfig, *,
     """Plain empirical risk minimization sharing an adaptation stage's seed
     and batch order (the lambda=0 degenerate case without the critic loop)."""
     out = model.copy()
-    metrics = _run_stage(out, batch, batch, cfg, align=False, stage=stage,
+    metrics = _run_stage(out, batch, None, cfg, stage=stage,
                          loss_spec=loss_spec, eval_batch=eval_batch)
     return out, metrics
 
@@ -535,8 +533,9 @@ def initial_model(kind: str, seq: DomainSequence, spec: ModelSpec,
         return model
     m = spec.feature_dim
     summ = md.init_recurrent(dc.substream(init, "summ"), m,
-                             spec.summarizer_hidden, spec.summarizer_layers, m)
-    return replace(model, summarizer=summ, summary_state=md.fresh_state(summ))
+                             spec.summarizer_hidden, m)
+    return replace(model, summarizer=summ,
+                   summary_state=np.zeros(spec.summarizer_hidden))
 
 
 def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
@@ -546,7 +545,8 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
                    start_stage: int = 0, stage_callback=None):
     """Run one adaptation schedule; returns (final model, per-stage metrics).
 
-    Every schedule is a list of (source, target) stages, trained in order.
+    Every schedule is a list of (source, target) stages, trained in order;
+    no_adaptation's one stage has no target, so it does not align.
     Evaluation is always on the held-out split of the final domain.
     `start_model`/`start_stage` resume any schedule from a stage boundary
     (past its last stage nothing is trained); `stage_callback(stage_index,
@@ -565,7 +565,7 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         model = initial_model(kind, seq, model_spec or ModelSpec(), cfg.seed)
     domains = train_seq.domains
     if kind == "no_adaptation":
-        stages = [(domains[0], domains[0])]
+        stages = [(domains[0], None)]
     elif kind == "direct":
         pooled = DomainBatch(0, np.concatenate([d.features for d in domains[:-1]]),
                              np.concatenate([d.labels for d in domains[:-1]]),
@@ -573,13 +573,11 @@ def train_schedule(kind: str, seq: DomainSequence, cfg: TrainConfig,
         stages = [(pooled, domains[-1])]
     else:
         stages = list(zip(domains[:-1], domains[1:]))
-    align = kind != "no_adaptation"
     trace: list[EpochMetrics] = []
     for t in range(start_stage, len(stages)):
         source, target = stages[t]
-        metrics = _run_stage(model, source, target, cfg, align=align,
-                             stage=t, loss_spec=loss_spec,
-                             eval_batch=eval_batch)
+        metrics = _run_stage(model, source, target, cfg, stage=t,
+                             loss_spec=loss_spec, eval_batch=eval_batch)
         if model.summarizer is not None:
             # commit the finished domain into the recurrent state under the
             # final feature map

@@ -14,8 +14,7 @@ from gradshift import objectives as ob
 
 def train_critic(critic: md.MlpParams, features_a: np.ndarray,
                  features_b: np.ndarray, *, steps: int, lr: float = 4e-5,
-                 gp_factor: float = 5.0, seed: int = 0,
-                 optimizer: str = "adam") -> float:
+                 gp_factor: float = 5.0, seed: int = 0) -> float:
     """Critic-only dual training on two fixed, equal-size feature batches
     (in place).
 
@@ -29,7 +28,7 @@ def train_critic(critic: md.MlpParams, features_a: np.ndarray,
     slow-lr snapshot tracks W1 from below. Training stages use the faster
     TrainConfig.lr_critic instead.
     """
-    opt = ob._Opt([critic.flat], optimizer, lr)
+    opt = ob._Opt([critic.flat], lr)
     draws = gp_draws([dc.substream(seed, "gp", step) for step in range(steps)],
                      len(features_a))
     return ascend(critic, opt, features_a, features_b, gp_factor, draws,

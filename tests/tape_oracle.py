@@ -260,67 +260,49 @@ class BoundRecurrent:
     def __init__(self, tape: Tape, params: md.RecurrentParams):
         self.tape = tape
         self.params = params
-        self.layer_ids = [[tape.input(a) for a in (l.w_z, l.w_r, l.w_h,
-                                                   l.b_z, l.b_r, l.b_h)]
-                          for l in params.layers]
-        self.w_out_id = tape.input(params.w_out)
-        self.b_out_id = tape.input(params.b_out)
+        self.ids = [tape.input(a) for a in params.arrays()]
 
     def param_ids(self) -> list[int]:
-        out = [i for lay in self.layer_ids for i in lay]
-        return out + [self.w_out_id, self.b_out_id]
+        return list(self.ids)
 
-    def step(self, state_rows: list[int], x_row: int) -> tuple[list[int], int]:
-        """One gated update per layer on (1, dim) rows; returns new state rows
-        and the (1, out_dim) readout row."""
+    def step(self, s: int, x_row: int) -> tuple[int, int]:
+        """One gated update on (1, dim) rows; returns the new state row and
+        the (1, out_dim) readout row."""
         t = self.tape
-        inp = x_row
-        new_rows = []
-        for (wz, wr, wh, bz, br, bh), s in zip(self.layer_ids, state_rows):
-            sx = forward(t, "concat", (s, inp), axis=1)
-            def gate(w, b, kind):
-                z = forward(t, "matmul", (sx, w))
-                z = forward(t, "add", (z, forward(t, "broadcast", b,
-                                                  shape=t.shape(z), axis=0)))
-                return forward(t, kind, z)
-            z = gate(wz, bz, "sigmoid")
-            r = gate(wr, br, "sigmoid")
-            rs = forward(t, "mul", (r, s))
-            rsx = forward(t, "concat", (rs, inp), axis=1)
-            cand = forward(t, "matmul", (rsx, wh))
-            cand = forward(t, "add", (cand, forward(t, "broadcast", bh,
-                                                    shape=t.shape(cand), axis=0)))
-            cand = forward(t, "tanh", cand)
-            one = t.input(np.ones(t.shape(z)))
-            keep = forward(t, "mul", (forward(t, "sub", (one, z)), s))
-            new_s = forward(t, "add", (keep, forward(t, "mul", (z, cand))))
-            new_rows.append(new_s)
-            inp = new_s
-        top = new_rows[-1]
-        ro = forward(t, "matmul", (top, self.w_out_id))
-        ro = forward(t, "add", (ro, forward(t, "broadcast", self.b_out_id,
-                                            shape=t.shape(ro), axis=0)))
-        return new_rows, ro
+        wz, wr, wh, bz, br, bh, w_out, b_out = self.ids
+
+        def affine(a, w, b):
+            z = forward(t, "matmul", (a, w))
+            return forward(t, "add", (z, forward(t, "broadcast", b,
+                                                 shape=t.shape(z), axis=0)))
+
+        sx = forward(t, "concat", (s, x_row), axis=1)
+        z = forward(t, "sigmoid", affine(sx, wz, bz))
+        r = forward(t, "sigmoid", affine(sx, wr, br))
+        rsx = forward(t, "concat", (forward(t, "mul", (r, s)), x_row), axis=1)
+        cand = forward(t, "tanh", affine(rsx, wh, bh))
+        one = t.input(np.ones(t.shape(z)))
+        keep = forward(t, "mul", (forward(t, "sub", (one, z)), s))
+        new_s = forward(t, "add", (keep, forward(t, "mul", (z, cand))))
+        return new_s, affine(new_s, w_out, b_out)
 
 
-def summarize_step(r: md.RecurrentParams, state: md.SummaryState, x: int,
+def summarize_step(r: md.RecurrentParams, state: np.ndarray, x: int,
                    tape: Tape, *, bound: BoundRecurrent | None = None):
     """Absorb one domain's mean feature vector, the (input_size,) node x, into
-    the recurrent state on the tape. Returns (new SummaryState, readout node),
-    differentiable w.r.t. the summarizer parameters and x."""
+    the (hidden,) recurrent state on the tape. Returns (new state, readout
+    node), differentiable w.r.t. the summarizer parameters and x."""
     if tape.shape(x) != (r.input_size,):
         raise ValueError(f"summary vector shape {tape.shape(x)} does not "
                          f"match summarizer input size {r.input_size}")
     x_row = forward(tape, "broadcast", x, shape=(1, r.input_size), axis=0)
     b = bound if bound is not None else BoundRecurrent(tape, r)
-    state_rows = [forward(tape, "broadcast", tape.input(h), shape=(1, r.hidden), axis=0)
-                  for h in state.hidden]
-    new_rows, readout_row = b.step(state_rows, x_row)
+    s_row = forward(tape, "broadcast", tape.input(state), shape=(1, r.hidden),
+                    axis=0)
+    new_row, readout_row = b.step(s_row, x_row)
     # (1, d) -> (d,) squeeze
-    readout = forward(tape, "sum", readout_row, axis=0)
-    new_state = md.SummaryState([tape.val(forward(tape, "sum", row, axis=0)).copy()
-                                 for row in new_rows], state.count + 1)
-    return new_state, readout
+    new_state = tape.val(forward(tape, "sum", new_row, axis=0)).copy()
+    return new_state, forward(tape, "sum", readout_row, axis=0)
 
 
 # ---------------------------------------------------------------------------

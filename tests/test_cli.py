@@ -51,6 +51,12 @@ def write_config(tmp_path, text=None, name="exp.toml"):
     return p
 
 
+def state_dir(config_path) -> Path:
+    """The folder where runs of the config at config_path keep their
+    stage-boundary state."""
+    return cli._state_dir(cli.load_config(config_path))
+
+
 # data rows of a valid two-domain, two-class sequence file
 TWO_DOMAINS = "0,0,0.5\n0,1,1.5\n1,0,0.5\n1,1,1.5\n"
 
@@ -129,6 +135,32 @@ BAD_VALUES = [
                  id="lr_model_bool"),
     pytest.param("seeds = [1, 2]", "seeds = [true]",
                  "seeds: could not convert True to an integer", id="seeds_bool"),
+    # a non-finite float is the key's error, not a divergence or a
+    # generator's complaint
+    pytest.param("lambda = 1.0", "lambda = nan",
+                 r"^\[train\] lambda: must be finite, got nan$", id="lambda_nan"),
+    pytest.param("lambda = 1.0", "lr_model = nan",
+                 r"^\[train\] lr_model: must be finite, got nan$",
+                 id="lr_model_nan"),
+    pytest.param("lambda = 1.0", "gp_factor = inf",
+                 r"^\[train\] gp_factor: must be finite, got inf$",
+                 id="gp_factor_inf"),
+    pytest.param("noise_sigma = 0.1", "noise_sigma = nan",
+                 r"^\[generator\] noise_sigma: must be finite, got nan$",
+                 id="noise_sigma_nan"),
+    pytest.param('kind = "rotating_moons"\nT = 3\nn = 80\nseed = 0\n'
+                 "total_degrees = 60.0\nnoise_sigma = 0.1",
+                 'kind = "shifting_gaussians"\nT = 3\nn = 80\nsigma = nan',
+                 r"^\[generator\] sigma: must be finite, got nan$",
+                 id="sigma_nan"),
+    pytest.param('kind = "rotating_moons"\nT = 3\nn = 80\nseed = 0\n'
+                 "total_degrees = 60.0\nnoise_sigma = 0.1",
+                 'kind = "shifting_gaussians"\nT = 3\nn = 80\n'
+                 "class_means = [-1.0, inf]",
+                 r"^\[generator\] class_means: must be finite, got inf$",
+                 id="class_means_inf"),
+    pytest.param("holdout = 0.25", "holdout = -inf",
+                 r"^holdout: must be finite, got -inf$", id="holdout_inf"),
 ]
 
 # bytes spliced into a valid config, or values swapped for other TOML literals
@@ -167,10 +199,10 @@ class TestConfigParse:
         cfg = cli.load_config(write_config(tmp_path, MINIMAL.replace(
             'output_dir = "x"', 'output_dir = "hi"\nseeds = [1, 2]\n'
             "holdout = 0.5") + "[train]\nlabeled_target = false\n"
-            "lambda = 2\noptimizer = \"sgd\"\n"))
+            "lambda = 2\nk_critic = 3\n"))
         assert (cfg.output_dir, cfg.seeds, cfg.holdout) == ("hi", [1, 2], 0.5)
         assert cfg.generator == {"kind": "rotating_moons", "T": 3, "n": 10}
-        assert cfg.train == ob.TrainConfig(lam=2.0, optimizer="sgd",
+        assert cfg.train == ob.TrainConfig(lam=2.0, k_critic=3,
                                            labeled_target=False)
         assert cfg.model == ob.ModelSpec() and cfg.loss_spec == ob.LossSpec()
 
@@ -193,7 +225,11 @@ class TestConfigParse:
                 (base.replace("lambda", "seed = 3\nlambda"), "seed"),
                 (base.replace("lambda", "rho = 2.0\nlambda"), "rho"),
                 (base.replace("critic_hidden", "summarizer = true\n"
-                              "critic_hidden"), "summarizer")]:
+                              "critic_hidden"), "summarizer"),
+                (base.replace("lambda", 'optimizer = "adam"\nlambda'),
+                 "optimizer"),
+                (base.replace("critic_hidden", "summarizer_layers = 1\n"
+                              "critic_hidden"), "summarizer_layers")]:
             with pytest.raises(cli.ConfigError, match=key):
                 cli.load_config(write_config(tmp_path, text))
 
@@ -363,16 +399,17 @@ class TestCheckpointFormat:
                             summarizer_hidden=8)
         seq = dom.make_rotating_moons(2, 10)
         model = ob.initial_model("gradual_temporal", seq, spec, seed=5)
-        model.summary_state.count = 3
+        model.summary_state[:] = dc.rng_normal(6, (8,))
         ck = cli.Checkpoint(cli.model_to_arrays(model), 1, 0, bytes(32))
         p = tmp_path / "model.ckpt"
         cli.save_checkpoint(p, ck)
         back = cli.load_checkpoint(p)
         template = ob.initial_model("gradual_temporal", seq, spec, seed=99)
         restored = cli.arrays_to_model(template, back.arrays)
+        assert len(back.arrays) == 14 + 8 + 1
         for a, b in zip(cli.model_to_arrays(model), cli.model_to_arrays(restored)):
             assert np.array_equal(a, b)
-        assert restored.summary_state.count == 3
+        assert np.array_equal(restored.summary_state, model.summary_state)
 
 
 # every schedule on a tiny task; output_dir is relative, so the config's
@@ -434,6 +471,47 @@ gradual_temporal-s2,2,gradual_temporal,2,1,0.653824083,0.00330494704,0.941814177
 """, "b6aa2c4209f9bd6f3b7907fd728d9caf58ee889404e108eb10c0ea95f00a2373"),
 }
 
+# labeled_target -> sha256 of each checkpoints/*.ckpt of PINNED_CONFIG; a
+# gradual_temporal checkpoint ends with the summarizer and its state
+PINNED_CHECKPOINTS = {
+    True: {
+        "direct-s1.ckpt":
+            "10498c55bc28a4a0e74898173e821fd3200e41997c55be133d91e779201de417",
+        "direct-s2.ckpt":
+            "b59fe1f255518bfeabdf4cab072630b0bee9d5977338224b76ff493cbfed718b",
+        "gradual-s1.ckpt":
+            "16d2d557820c0b2417b651743431db6f717e4d4ea61b4aee2bfa3664db636580",
+        "gradual-s2.ckpt":
+            "7d12f9b40951039e182113d5da02e825d37a39ca5d6fb8393bca6a84bd343c74",
+        "gradual_temporal-s1.ckpt":
+            "48f466b956b9c0030253575cea4abfb9c815580556ab38b16bc16a67c0c519e1",
+        "gradual_temporal-s2.ckpt":
+            "3d1c227619055ae943c99c94ecb9869110cbc331a2a0a4b016b2f5f2daef187d",
+        "no_adaptation-s1.ckpt":
+            "3a197e22a4e47e986d97c3930ee3ccec5e2a05471de0ba20284eaacb440d634c",
+        "no_adaptation-s2.ckpt":
+            "67158de7ed4163058334f3fbc6ec6918de44b9286dbd6be4e6f8d20bdb896a9e",
+    },
+    False: {
+        "direct-s1.ckpt":
+            "be004782e4051127387724ecc3599162a6a8ea7d3a97827a3ad164d4ed7e5ff3",
+        "direct-s2.ckpt":
+            "0840b87f1be4d9ec54b09ea01f80ba255fd0a8269b01bb97e6b37e4cab6d04bd",
+        "gradual-s1.ckpt":
+            "1b39ce88c6aaddfbf7c4375d866ba0e6c8983413a3392fd8e85312f0aaf7cd7a",
+        "gradual-s2.ckpt":
+            "fe3f8834dbcfa4a2dabd200ef4ba5bf0b962b29631d9bda18545a9919ae61d84",
+        "gradual_temporal-s1.ckpt":
+            "96433a419e1ee8fde029459d02a517689fce47bd86b33b6fe32d7745e7e37a1c",
+        "gradual_temporal-s2.ckpt":
+            "ee14e0ad5da259ad396165cb2f0537f0eecd03c7860d60441f7c16d20eafa99c",
+        "no_adaptation-s1.ckpt":
+            "9a8f0f5f6519ba6d89b2df9bf41b0a900ceef64b6d304489dd489a9e12a0c1a3",
+        "no_adaptation-s2.ckpt":
+            "418126f3e767c60dbfd1157487a1eb4a263cd3b5901453c32ef8123f429a62cb",
+    },
+}
+
 
 def _diverging_run_one(cfg, schedule, seed, halt_after):
     """A stand-in for cli._run_one in pool workers, at module level so the
@@ -455,7 +533,8 @@ class TestRunExperiment:
                              ids=["labeled", "unlabeled"])
     def test_training_bytes_pinned(self, tmp_path, monkeypatch, capsys,
                                    labeled):
-        # the artifacts of every schedule, byte for byte, at one worker
+        # the artifacts of every schedule, byte for byte, at one worker:
+        # the model bits in each final checkpoint too
         monkeypatch.chdir(tmp_path)
         extra = "" if labeled else "labeled_target = false\n"
         (tmp_path / "exp.toml").write_text(PINNED_CONFIG.format(extra=extra))
@@ -464,6 +543,9 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "metrics.csv").read_text() == metrics
         report = (tmp_path / "out" / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == report_sha
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted((tmp_path / "out" / "checkpoints").glob(
+                    "*.ckpt"))} == PINNED_CHECKPOINTS[labeled]
 
     def test_artifacts_and_bookkeeping(self, tmp_path, capsys):
         p = write_config(tmp_path)
@@ -497,7 +579,7 @@ class TestRunExperiment:
         text = SMALL_CONFIG.format(out=tmp_path / "out2")
         p2 = write_config(tmp_path, text, name="exp2.toml")
         assert cli.run_experiment(p2, halt_after=0) == 0
-        assert (tmp_path / "out2" / "state" / "gradual-s1.ckpt").exists()
+        assert (state_dir(p2) / "gradual-s1.ckpt").exists()
         assert not (tmp_path / "out2" / "metrics.csv").exists()
         assert cli.run_experiment(p2) == 0
         resumed = (tmp_path / "out2" / "metrics.csv").read_bytes()
@@ -523,7 +605,7 @@ class TestRunExperiment:
                           name="exp2.toml")
         assert cli.run_experiment(p2, halt_after=0) == 0
         assert not (tmp_path / "out2" / "metrics.csv").exists()
-        assert len(list((tmp_path / "out2" / "state").glob("*.ckpt"))) == 8
+        assert len(list(state_dir(p2).glob("*.ckpt"))) == 8
         assert cli.run_experiment(p2) == 0
         assert sorted(calls) == uninterrupted
         assert len(uninterrupted) == 12
@@ -549,7 +631,7 @@ class TestRunExperiment:
         shutil.rmtree(out)
         monkeypatch.setenv("GRADSHIFT_THREADS", "2")
         assert cli.run_experiment(p, halt_after=1) == 0
-        assert len(list((out / "state").glob("*.ckpt"))) == 8
+        assert len(list(state_dir(p).glob("*.ckpt"))) == 8
         assert not (out / "metrics.csv").exists()
         assert cli.run_experiment(p) == 0
         assert artifacts() == serial
@@ -588,7 +670,7 @@ class TestRunExperiment:
         monkeypatch.setattr(ob, "_run_stage", interrupted_on(7))
         with pytest.raises(KeyboardInterrupt):
             cli.run_experiment(p)
-        assert len(list((out / "state").glob("*.ckpt"))) == 5
+        assert len(list(state_dir(p).glob("*.ckpt"))) == 5
         calls.clear()
         monkeypatch.setattr(ob, "_run_stage", interrupted_on(None))
         assert cli.run_experiment(p) == 0
@@ -619,10 +701,46 @@ class TestRunExperiment:
             lines.append(capsys.readouterr().out)
             assert calls == stages
             calls.clear()
-            state = tmp_path / "out" / "state" / "gradual-s1.ckpt"
+            state = state_dir(p) / "gradual-s1.ckpt"
             assert cli.load_checkpoint(state).domain_index == 1
         assert lines[0] == lines[1]
         assert "run gradual-s1: injected" in lines[0]
+
+    def test_edited_config_reruns_after_divergence(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the usual reply to exit 3, a smaller lr_model, starts the runs
+        # afresh: the state of the diverged config stays where it was, and
+        # the edited config's own state is removed once its runs finish
+        text = SMALL_CONFIG.replace('"no_adaptation", ', "").replace(
+            "T = 3", "T = 4").format(out=tmp_path / "out")
+        p = write_config(tmp_path, text)
+        old_state = state_dir(p)
+        calls = []
+        run_stage = ob._run_stage
+
+        def diverging(*args, **kwargs):
+            calls.append(kwargs["stage"])
+            if kwargs["stage"] == 2:
+                raise ob.TrainingDiverged("injected")
+            return run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(ob, "_run_stage", diverging)
+        assert cli.run_experiment(p) == 3
+        assert (old_state / "gradual-s1.ckpt").exists()
+        p.write_text(text.replace("lambda = 1.0",
+                                  "lambda = 1.0\nlr_model = 0.0005"))
+        assert state_dir(p) != old_state
+        calls.clear()
+        monkeypatch.setattr(ob, "_run_stage", lambda *a, **k: (
+            calls.append(k["stage"]), run_stage(*a, **k))[1])
+        capsys.readouterr()
+        assert cli.run_experiment(p) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "output_dir": str(tmp_path / "out"), "runs": 2}
+        assert calls == [0, 1, 2, 0, 1, 2]
+        assert (tmp_path / "out" / "metrics.csv").exists()
+        assert not state_dir(p).exists()
+        assert [f.name for f in old_state.iterdir()] == ["gradual-s1.ckpt"]
 
     @pytest.mark.parametrize("table,stage", [(None, 0), (np.zeros((1, 5)), 1)],
                              ids=["no_table", "table_rows_not_stages"])
@@ -635,7 +753,7 @@ class TestRunExperiment:
             '"no_adaptation", ', "").format(out=tmp_path / "out"))
         cfg = cli.load_config(p)
         model = ob.initial_model("gradual", cfg.sequence_for(1), cfg.model, 1)
-        state = tmp_path / "out" / "state" / "gradual-s1.ckpt"
+        state = cli._state_dir(cfg) / "gradual-s1.ckpt"
         arrays = cli.model_to_arrays(model) + ([] if table is None else [table])
         cli.save_checkpoint(state, cli.Checkpoint(arrays, stage, 3, cfg.digest))
         calls = []
@@ -721,7 +839,7 @@ class TestRunExperiment:
 
     def test_divergence_exit_3(self, tmp_path, capsys):
         text = SMALL_CONFIG.format(out=tmp_path / "outd").replace(
-            "lambda = 1.0", "lambda = 1.0\nlr_model = 1e160\noptimizer = \"sgd\"")
+            "lambda = 1.0", "lambda = 1.0\nlr_model = 1e160")
         p = write_config(tmp_path, text, name="div.toml")
         # the run overflows on purpose; a mark cannot lift the module's
         # error filter, since pytest applies the module's mark last
@@ -968,6 +1086,38 @@ class TestSubcommands:
         assert cli.main(["w1", str(a), str(a)]) == 2
         out = json.loads(capsys.readouterr().out)
         assert "can't decode byte 0xff" in out["error"]
+
+    @pytest.mark.parametrize("text", ["0.0,1.5\n\n-2.25,1e-3\n",
+                                      "0.0,1.5\n1.0\n", "0.0,1.5\n\nx,1\n"],
+                             ids=["valid", "widths", "parse"])
+    def test_points_crlf_as_lf(self, tmp_path, text):
+        # \r\n line ends read as \n ones: the same points, or the same
+        # error on the same line
+        outcomes = []
+        for end in ("\n", "\r\n"):
+            p = tmp_path / f"{len(end)}.csv"
+            p.write_bytes(text.replace("\n", end).encode())
+            try:
+                outcomes.append(cli._load_points(p).tobytes())
+            except cli.ConfigError as e:
+                outcomes.append(str(e).replace(str(p), "PATH"))
+        assert outcomes[0] == outcomes[1]
+
+    def test_points_peak_memory(self, tmp_path):
+        # 16,000 2-D points (254 KB), read one line at a time, peak at 0.27
+        # MiB traced: no copy of the file's text or of its lines is held
+        p = tmp_path / "p.csv"
+        p.write_text("".join(f"{i * 0.001},{-i * 0.5}\n"
+                             for i in range(16000)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pts = cli._load_points(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (16000, 2)
+        assert peak <= 2 ** 19
 
     @settings(max_examples=200, deadline=None)
     @given(raw=POINT_BYTES)

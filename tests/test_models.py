@@ -215,13 +215,11 @@ class TestForwards:
 
 
 class TestSummarizer:
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_closed_form_matches_tape(self, layers):
-        r = md.init_recurrent(31, 3, 4, layers, 3)
+    def test_closed_form_matches_tape(self):
+        r = md.init_recurrent(31, 3, 4, 3)
         for i, a in enumerate(r.arrays()):
             a += dc.rng_normal(dc.substream(32, i), a.shape, 0.0, 0.3)
-        state = md.SummaryState([dc.rng_normal(dc.substream(33, i), (4,))
-                                 for i in range(layers)], 2)
+        state = dc.rng_normal(dc.substream(33, 0), (4,))
         x = dc.rng_normal(34, (3,))
         w = dc.rng_normal(35, (3,))
         new, readout, cache = md.gru_step(r, state, x)
@@ -231,40 +229,47 @@ class TestSummarizer:
         bound = BoundRecurrent(t, r)
         ref_state, ref_read = summarize_step(r, state, xid, t, bound=bound)
         assert np.max(np.abs(readout - t.val(ref_read))) < 1e-12
-        for a, b in zip(new.hidden, ref_state.hidden):
-            assert np.max(np.abs(a - b)) < 1e-12
-        assert new.count == 3
+        assert np.max(np.abs(new - ref_state)) < 1e-12
         loss = forward(t, "sum", forward(t, "mul", (ref_read, t.input(w))))
         g = backward(t, loss, bound.param_ids() + [xid])
         want = np.concatenate([g[i].ravel() for i in bound.param_ids()])
         assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want)
         assert np.linalg.norm(d_x - g[xid]) <= 1e-10 * np.linalg.norm(g[xid])
 
+    def test_sizes_and_flat_views(self):
+        # the sizes are read off the arrays, and each array is a view of
+        # flat in arrays() order
+        r = md.init_recurrent(36, 3, 5, 2)
+        assert (r.input_size, r.hidden, r.out_dim) == (3, 5, 2)
+        assert [a.shape for a in r.arrays()] == [(8, 5)] * 3 + [(5,)] * 3 + \
+            [(5, 2), (2,)]
+        r.b_h[:] = 7.0
+        assert np.array_equal(r.flat[3 * 40 + 10:3 * 40 + 15], np.full(5, 7.0))
+        with pytest.raises(ValueError, match="w_r"):
+            md.RecurrentParams(r.w_z, r.w_r[:-1], *r.arrays()[2:])
+
     def test_zero_params_halves_state(self):
-        r = md.init_recurrent(0, 4, 3, 1, 4)
-        for lay in r.layers:
-            lay.w_z[:] = 0; lay.w_r[:] = 0; lay.w_h[:] = 0
-        state = md.SummaryState([np.array([1.0, -2.0, 4.0])], 0)
+        r = md.init_recurrent(0, 4, 3, 4)
+        r.w_z[:] = 0; r.w_r[:] = 0; r.w_h[:] = 0
         t = Tape()
-        new_state, _ = summarize_step(r, state, t.input(np.zeros(4)), t)
-        assert np.allclose(new_state.hidden[0], [0.5, -1.0, 2.0])
-        assert new_state.count == 1
+        new_state, _ = summarize_step(r, np.array([1.0, -2.0, 4.0]),
+                                      t.input(np.zeros(4)), t)
+        assert np.allclose(new_state, [0.5, -1.0, 2.0])
 
     def test_deterministic(self):
-        r = md.init_recurrent(5, 4, 3, 2, 4)
-        state = md.fresh_state(r)
+        r = md.init_recurrent(5, 4, 3, 4)
+        state = np.zeros(r.hidden)
         x = dc.rng_normal(1, (4,))
         t1, t2 = Tape(), Tape()
         s1, r1 = summarize_step(r, state, t1.input(x), t1)
         s2, r2 = summarize_step(r, state, t2.input(x), t2)
         assert np.array_equal(t1.val(r1), t2.val(r2))
-        for a, b in zip(s1.hidden, s2.hidden):
-            assert np.array_equal(a, b)
+        assert np.array_equal(s1, s2)
 
     def test_vs_scalar_reimplementation(self):
         # independently re-derive the gate equations with plain numpy
-        r = md.init_recurrent(77, 3, 5, 2, 3)
-        state = md.SummaryState([dc.rng_normal(10, (5,)), dc.rng_normal(11, (5,))], 2)
+        r = md.init_recurrent(77, 3, 5, 3)
+        state = dc.rng_normal(10, (5,))
         x = dc.rng_normal(12, (3,))
         t = Tape()
         got_state, read = summarize_step(r, state, t.input(x), t)
@@ -274,36 +279,30 @@ class TestSummarizer:
             return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)),
                             np.exp(v) / (1.0 + np.exp(v)))
 
-        inp = x
-        ref_hidden = []
-        for lay, s in zip(r.layers, state.hidden):
-            sx = np.concatenate([s, inp])
-            z = sigma(sx @ lay.w_z + lay.b_z)
-            rr = sigma(sx @ lay.w_r + lay.b_r)
-            cand = np.tanh(np.concatenate([rr * s, inp]) @ lay.w_h + lay.b_h)
-            s_new = (1.0 - z) * s + z * cand
-            ref_hidden.append(s_new)
-            inp = s_new
-        ref_read = ref_hidden[-1] @ r.w_out + r.b_out
-        for a, b in zip(got_state.hidden, ref_hidden):
-            assert np.max(np.abs(a - b)) < 1e-12
+        sx = np.concatenate([state, x])
+        z = sigma(sx @ r.w_z + r.b_z)
+        rr = sigma(sx @ r.w_r + r.b_r)
+        cand = np.tanh(np.concatenate([rr * state, x]) @ r.w_h + r.b_h)
+        ref_state = (1.0 - z) * state + z * cand
+        ref_read = ref_state @ r.w_out + r.b_out
+        assert np.max(np.abs(got_state - ref_state)) < 1e-12
         assert np.max(np.abs(got_read - ref_read)) < 1e-12
-        assert got_state.count == 3
 
     def test_dimension_mismatch(self):
-        r = md.init_recurrent(0, 4, 3, 1, 4)
+        r = md.init_recurrent(0, 4, 3, 4)
         t = Tape()
         with pytest.raises(ValueError, match="input size"):
-            summarize_step(r, md.fresh_state(r), t.input(np.zeros(5)), t)
+            summarize_step(r, np.zeros(r.hidden), t.input(np.zeros(5)), t)
+        with pytest.raises(ValueError, match="input size"):
+            md.gru_step(r, np.zeros(r.hidden), np.zeros(5))
 
     def test_on_tape_differentiable(self):
-        r = md.init_recurrent(3, 3, 4, 1, 3)
-        state = md.fresh_state(r)
+        r = md.init_recurrent(3, 3, 4, 3)
         x = dc.rng_normal(8, (3,))
         t = Tape()
         xid = t.input(x)
         bound = BoundRecurrent(t, r)
-        _, readout = summarize_step(r, state, xid, t, bound=bound)
+        _, readout = summarize_step(r, np.zeros(r.hidden), xid, t, bound=bound)
         loss = forward(t, "sum", forward(t, "square", readout))
         grads = backward(t, loss, bound.param_ids() + [xid])
         assert any(np.linalg.norm(grads[i]) > 0 for i in bound.param_ids())
@@ -311,13 +310,12 @@ class TestSummarizer:
 
     def test_parameter_gradients_vs_fd(self):
         from test_diffcore import fd_scalar, rel_err
-        state = md.SummaryState([dc.rng_normal(20, (3,))], 1)
+        state = dc.rng_normal(20, (3,))
         x = dc.rng_normal(21, (2,))
-        base = md.init_recurrent(22, 2, 3, 1, 2)
+        base = md.init_recurrent(22, 2, 3, 2)
 
         def build(arrays):
-            lay = md.GruLayer(*arrays[:6])
-            r = md.RecurrentParams([lay], arrays[6], arrays[7], 3, 2)
+            r = md.RecurrentParams(*arrays)
             t = Tape()
             b = BoundRecurrent(t, r)
             _, readout = summarize_step(r, state, t.input(x), t, bound=b)
