@@ -220,6 +220,9 @@ CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
                  ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
                  ["tanh", "tanh", "tanh"]]
 
+# Adam step sizes: the trainer's default lr_critic and a step 20 times larger
+CRITIC_LRS = [5e-4, 1e-2]
+
 
 def _supported(activations) -> bool:
     """The critic loop takes tanh hidden layers under an identity head."""
@@ -272,11 +275,12 @@ class TestCriticAscentStep:
         critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
         _assert_rejected(critic, 12)
 
+    @pytest.mark.parametrize("lr", CRITIC_LRS)
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
     @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
                              ids=lambda h: "-".join(h) or "linear")
-    def test_loop_matches_taped_steps(self, hidden, nb, gp_factor):
+    def test_loop_matches_taped_steps(self, hidden, nb, gp_factor, lr):
         # k steps in one critic loop call against k taped steps, each taken at
         # the loop's own iterate (Adam turns rounding noise in a gradient
         # that is zero in exact arithmetic, such as the head bias's, into
@@ -292,7 +296,7 @@ class TestCriticAscentStep:
         if not _supported(critic.activations):
             return _assert_rejected(critic, 12)
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
-        closed = _Tee(ob._Opt([critic.flat], 1e-2))
+        closed = _Tee(ob._Opt([critic.flat], lr))
         gap, pen = ascend(critic, closed, fa, fb, gp_factor,
                           gp_draws(seeds, 12), "test")
         assert len(closed.grads) == len(seeds)
@@ -322,15 +326,16 @@ class TestCriticAscentStep:
         assert got == want
         assert np.array_equal(critic.flat, ref.flat)
 
-    def test_train_critic_matches_taped_loop(self):
+    @pytest.mark.parametrize("lr", CRITIC_LRS)
+    def test_train_critic_matches_taped_loop(self, lr):
         fa = dc.rng_normal(dc.substream(72, "a"), (32, 4))
         fb = dc.rng_normal(dc.substream(72, "b"), (32, 4), 0.7, 1.0)
         critic = md.init_mlp(dc.substream(72, "c"), [4, 16, 16, 1],
                              ["tanh", "tanh", "identity"])
         critic.weights[-1][:] = 0.0
         ref = critic.copy()
-        gap = train_critic(critic, fa, fb, steps=20, lr=1e-2, seed=72)
-        opt = ob._Opt(ref.arrays(), 1e-2)
+        gap = train_critic(critic, fa, fb, steps=20, lr=lr, seed=72)
+        opt = ob._Opt(ref.arrays(), lr)
         for step in range(20):
             gap_ref, _ = taped_ascent_step(ref, opt, fa, fb, 5.0,
                                            dc.substream(72, "gp", step))
@@ -409,13 +414,14 @@ class TestCriticBitOracle:
     call. A critic of another shape than tanh hidden layers under an
     identity head is rejected."""
 
+    @pytest.mark.parametrize("lr", CRITIC_LRS)
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("n,steps", [(1, 4), (7, 4), (64, 4), (7, 70)],
                              ids=["n1", "n7", "n64", "n7-70steps"])
     @pytest.mark.parametrize("head", ["identity", "tanh", "relu"])
     @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
                              ids=lambda h: "-".join(h) or "linear")
-    def test_random_critics(self, hidden, head, n, steps, gp_factor):
+    def test_random_critics(self, hidden, head, n, steps, gp_factor, lr):
         seed = dc.substream(79, len(hidden), *hidden, head, n)
         critic = md.init_mlp(dc.substream(seed, "c"),
                              [3] + [5] * len(hidden) + [1], hidden + [head])
@@ -426,11 +432,12 @@ class TestCriticBitOracle:
         if not _supported(critic.activations):
             return _assert_rejected(critic, n)
         seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
-        got, want = _oracle_pair(critic, 1e-2, fa, fb, gp_factor, seeds)
+        got, want = _oracle_pair(critic, lr, fa, fb, gp_factor, seeds)
         assert got == want
 
+    @pytest.mark.parametrize("lr", CRITIC_LRS)
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
-    def test_moons_critic(self, gp_factor):
+    def test_moons_critic(self, gp_factor, lr):
         # the training critic's shape, 8 -> 16 -> 16 -> 1 with a zero head,
         # on a batch of 64 and one batch's k_critic = 5 steps
         critic = md.init_mlp(dc.substream(81, "c"), [8, 16, 16, 1],
@@ -439,7 +446,7 @@ class TestCriticBitOracle:
         fa = dc.rng_normal(dc.substream(81, "a"), (64, 8))
         fb = dc.rng_normal(dc.substream(81, "b"), (64, 8), 0.5, 1.0)
         seeds = [dc.substream(81, "gp", kk) for kk in range(5)]
-        got, want = _oracle_pair(critic, 5e-4, fa, fb, gp_factor, seeds)
+        got, want = _oracle_pair(critic, lr, fa, fb, gp_factor, seeds)
         assert got == want
         assert isinstance(got[0], tuple)
 
@@ -486,14 +493,15 @@ class TestCriticBitOracle:
 
 
 class TestOptimizer:
-    def test_flat_update_matches_per_array(self):
+    @pytest.mark.parametrize("lr", CRITIC_LRS)
+    def test_flat_update_matches_per_array(self, lr):
         # _Opt updates a network's flat vector in whole-vector ops; the same
         # update written out array by array gives the same bits
         net = md.init_mlp(80, [3, 5, 4, 1], ["tanh", "relu", "identity"])
         ref = [a.copy() for a in net.arrays()]
         m = [np.zeros_like(a) for a in ref]
         v = [np.zeros_like(a) for a in ref]
-        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        b1, b2, eps = 0.9, 0.999, 1e-8
         opt = ob._Opt([net.flat], lr)
         for step in range(1, 8):
             grad = dc.rng_normal(dc.substream(80, step), net.flat.shape)
@@ -516,22 +524,25 @@ def _model_step_cases():
     for schedule in ob.SCHEDULES:
         for loss in ("cross_entropy_bounded", "hinge"):
             for labeled in (True, False):
-                yield pytest.param(
-                    schedule, loss, labeled,
-                    id=f"{schedule}-{loss}-"
-                       f"{'labeled' if labeled else 'unlabeled'}")
+                for lr in (1e-3, 1e-2):
+                    yield pytest.param(
+                        schedule, loss, labeled, lr,
+                        id=f"{schedule}-{loss}-"
+                           f"{'labeled' if labeled else 'unlabeled'}-{lr}")
 
 
 class TestModelStep:
-    @pytest.mark.parametrize("schedule,loss,labeled", list(_model_step_cases()))
-    def test_matches_tape(self, monkeypatch, schedule, loss, labeled):
+    @pytest.mark.parametrize("schedule,loss,labeled,lr_model",
+                             list(_model_step_cases()))
+    def test_matches_tape(self, monkeypatch, schedule, loss, labeled,
+                          lr_model):
         # every batch of a short schedule: the closed-form model gradient
         # against the taped one under the same, just updated, critic
         seq = dom.make_rotating_moons(3, 48, total_degrees=60.0,
                                       noise_sigma=0.1, seed=12)
         cfg = ob.TrainConfig(seed=12, epochs_per_domain=2, batch_size=16,
-                             k_critic=2, lam=2.0, lr_critic=0.05,
-                             labeled_target=labeled)
+                             k_critic=2, lam=2.0, lr_model=lr_model,
+                             lr_critic=0.05, labeled_target=labeled)
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
                             summarizer_hidden=6)
         step = ob._primal_dual_step
