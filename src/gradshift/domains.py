@@ -169,9 +169,10 @@ def save_sequence(seq: DomainSequence, path) -> None:
     d = seq.d
     lines = ["t,y," + ",".join(f"x{i}" for i in range(d))]
     for dom in seq.domains:
-        for i in range(dom.n):
-            feats = ",".join(repr(float(v)) for v in dom.features[i])
-            lines.append(f"{dom.t},{dom.labels[i]},{feats}")
+        # each value as repr(float(v)), one list repr per feature column
+        cols = [repr(col.tolist())[1:-1].split(", ") for col in dom.features.T]
+        for y, *feats in zip(dom.labels.tolist(), *cols):
+            lines.append(f"{dom.t},{y},{','.join(feats)}")
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tmp.replace(path)
@@ -191,12 +192,13 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _lines(path):
-    """The lines of a UTF-8 file as str.splitlines gives them, read one at a
-    time. Bytes that are not UTF-8 raise SequenceFormatError."""
+    """The lines of a UTF-8 file as str.splitlines gives them, read in
+    chunks of about 16 KiB of whole lines, each chunk split once. Bytes that
+    are not UTF-8 raise SequenceFormatError."""
     try:
         with open(path, encoding="utf-8") as f:
-            for raw in f:
-                yield from raw.splitlines()
+            while lines := "".join(f.readlines(1 << 14)).splitlines():
+                yield from lines
     except UnicodeDecodeError as e:
         raise SequenceFormatError(f"{path}: {e}") from None
 

@@ -150,51 +150,97 @@ def feature_block(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def mlp_layers(params: MlpParams, a: np.ndarray,
-               outs: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Forward pass in plain numpy over a feature-major block `a` (see
-    feature_block): one gemm per layer with its [W; b] block. Returns `a`
-    and every layer's output in the same form, ones row last; matches
-    BoundMlp's recorded pass. Given `outs`, an earlier result for the same
-    block `a` since refilled in place, it recomputes into those arrays; new
-    outputs get only their ones row written, the gemms fill the rest."""
-    if outs is None:
-        outs = [a] + [np.empty((blk.shape[1] + 1, a.shape[1]))
-                      for blk in params.blocks()]
-        for h in outs[1:]:
-            h[-1] = 1.0
-    for blk, act, inp, h in zip(params.blocks(), params.activations, outs,
-                                outs[1:]):
-        z = h[:-1]
-        np.dot(blk.T, inp, out=z)
-        if act == "relu":
-            np.maximum(z, 0.0, out=z)
-        elif act == "tanh":
-            np.tanh(z, out=z)
+def mlp_outputs(params: MlpParams, a: np.ndarray) -> list[np.ndarray]:
+    """`a` and an array for every layer's output over the block `a`, in
+    mlp_layers' form; only the ones rows are written."""
+    outs = [a] + [np.empty((blk.shape[1] + 1, a.shape[1]))
+                  for blk in params.blocks()]
+    for h in outs[1:]:
+        h[-1] = 1.0
     return outs
 
 
-def mlp_backward(params: MlpParams, outs: list[np.ndarray], g: np.ndarray,
+class MlpForward:
+    """The forward pass of one network bound to its outputs `outs` (as
+    mlp_outputs lays them out, outs[0] the input block): construction binds
+    each layer's [W; b] block, transposed, its input and its output, and a
+    call reruns the pass over the block's current values into them and
+    returns `outs`. One gemm per layer, then the activation in place."""
+
+    def __init__(self, params: MlpParams, outs: list[np.ndarray]):
+        self.outs = outs
+        self.layers = [(blk.T, inp, h[:-1], act)
+                       for blk, act, inp, h in zip(params.blocks(),
+                                                   params.activations, outs,
+                                                   outs[1:])]
+
+    def __call__(self) -> list[np.ndarray]:
+        for w_t, inp, z, act in self.layers:
+            np.dot(w_t, inp, out=z)
+            if act == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif act == "tanh":
+                np.tanh(z, out=z)
+        return self.outs
+
+
+def mlp_layers(params: MlpParams, a: np.ndarray) -> list[np.ndarray]:
+    """Forward pass in plain numpy over a feature-major block `a` (see
+    feature_block), through MlpForward on fresh outputs. Returns `a` and
+    every layer's output in the same form, ones row last; matches BoundMlp's
+    recorded pass."""
+    return MlpForward(params, mlp_outputs(params, a))()
+
+
+class MlpBackward:
+    """Backprop through the layers of one network, from the last of the
+    mlp_layers outputs `outs` it is bound to, with every work array bound
+    at construction: a call allocates nothing and writes each product into
+    its array through out=.
+
+    A call takes g, (out_dim, rows), a gradient w.r.t. the values of the
+    last output, and returns the gradient w.r.t. the input values, (in_dim,
+    rows), and the flat parameter gradient (the layout of params.flat), one
+    gemm per layer block each; a half not asked for is None, and its gemms
+    are skipped. Both results are the bound arrays, which the next call
+    overwrites."""
+
+    def __init__(self, params: MlpParams, outs: list[np.ndarray], *,
                  to_params: bool = True, to_input: bool = True):
-    """Backprop g, (out_dim, rows), a gradient w.r.t. the values of the last
-    of mlp_layers' outputs `outs`, through the layers. Returns the gradient
-    w.r.t. the input values, (in_dim, rows), and the flat parameter gradient
-    (the layout of params.flat), one gemm per layer block each; a half not
-    asked for is None, and its gemms and vector are skipped."""
-    blocks = params.blocks()
-    grad = np.empty_like(params.flat) if to_params else None
-    d_blocks = params.blocks(grad) if to_params else None
-    for l in reversed(range(len(blocks))):
-        act, h = params.activations[l], outs[l + 1][:-1]
-        if act == "relu":
-            g = g * (h > 0.0)
-        elif act == "tanh":
-            g = g * (1.0 - np.square(h))
-        if to_params:
-            np.dot(outs[l], g.T, out=d_blocks[l])
-        if l or to_input:
-            g = blocks[l][:-1] @ g
-    return (g if to_input else None), grad
+        rows = outs[0].shape[1]
+        self.grad = np.empty_like(params.flat) if to_params else None
+        d_blocks = (params.blocks(self.grad) if to_params
+                    else [None] * len(params.weights))
+        layers = []
+        for l, (blk, act) in enumerate(zip(params.blocks(),
+                                           params.activations)):
+            h = outs[l + 1][:-1]
+            # the slope at h (a 0/1 mask for relu) and g times it
+            slope = g_act = None
+            if act != "identity":
+                slope = np.empty(h.shape, dtype=bool if act == "relu"
+                                 else np.float64)
+                g_act = np.empty(h.shape)
+            below = (np.empty((blk.shape[0] - 1, rows))
+                     if l or to_input else None)
+            layers.append((act == "relu", h, slope, g_act, outs[l],
+                           d_blocks[l], blk[:-1], below))
+        self.layers, self.to_input = layers[::-1], to_input
+
+    def __call__(self, g: np.ndarray):
+        for relu, h, slope, g_act, inp, d_blk, w, below in self.layers:
+            if relu:
+                np.greater(h, 0.0, out=slope)
+                g = np.multiply(g, slope, out=g_act)
+            elif slope is not None:
+                np.square(h, out=slope)
+                np.subtract(1.0, slope, out=slope)
+                g = np.multiply(g, slope, out=g_act)
+            if d_blk is not None:
+                np.dot(inp, g.T, out=d_blk)
+            if below is not None:
+                g = np.dot(w, g, out=below)
+        return (g if self.to_input else None), self.grad
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:

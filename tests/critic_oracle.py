@@ -58,14 +58,14 @@ def critic_ascent(critic: md.MlpParams, opt: _Opt, features_a, features_b,
     seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
     deltas = [None] * n_layers + [np.ones((1, n))]
     gammas, second, pen_w = ([None] * n_layers for _ in range(3))
-    outs, gap, pen = None, 0.0, 0.0
+    gap, pen = 0.0, 0.0
     for step in range(len(gp_seeds)):
         if step % 64 == 0:          # the next 64 steps' draws in one pass
             u = dc.uniform_rows([dc.substream(s, "gp_u")
                                  for s in gp_seeds[step:step + 64]], n)
         np.multiply(xa, u[step % 64], out=xh)
         xh += (1.0 - u[step % 64]) * xb
-        outs = md.mlp_layers(critic, x, outs)
+        outs = md.mlp_layers(critic, x)
         hs = [h[:-1] for h in outs[1:]]
         # each layer's slope from its output h (None: identity)
         slopes = [None if a == "identity" else (h > 0.0) if a == "relu"

@@ -252,6 +252,56 @@ class TestSaveLoad:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_file_bytes_as_per_value_repr(self, tmp_path, d):
+        # a column formatted by one list repr writes the bytes of one
+        # repr(float(v)) per value, signed zeros and extremes included
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2,
+                   1.0, -2.5e-17, 123456789.125]
+        rng = np.random.default_rng(d)
+        domains = []
+        for t in range(2):
+            n = len(special) + 5
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-20, 20, (n, d))
+            x[:len(special), t % d] = special
+            domains.append(dom.DomainBatch(t, x, rng.integers(0, 3, n), 3))
+        seq = dom.DomainSequence(domains, {"note": "bytes"})
+        p = tmp_path / "seq.csv"
+        dom.save_sequence(seq, p)
+        want = ["t,y," + ",".join(f"x{i}" for i in range(d))]
+        for b in domains:
+            for i in range(b.n):
+                feats = ",".join(repr(float(v)) for v in b.features[i])
+                want.append(f"{b.t},{b.labels[i]},{feats}")
+        assert p.read_bytes() == ("\n".join(want) + "\n").encode()
+        back = dom.load_sequence(p)
+        for a, b in zip(domains, back.domains):
+            assert a.features.tobytes() == b.features.tobytes()
+
+    def test_lines_split_as_str_splitlines(self, tmp_path):
+        # chunks of whole lines, joined and split once, give the lines that
+        # splitting each line gives: form feeds, file separators, line
+        # separators and blank lines inside a file, across chunk ends
+        p = tmp_path / "seq.csv"
+        block = ("t,y,x0\n\n0,0,1.5\x0c0,1,2.5\n0,1,\x1c3.5\n \n"
+                 "1,0,4.5\u20281,1,5.5\r\n\r1,0,6.5\n")
+        p.write_text(block * 5000 + "2,1,7.5", encoding="utf-8", newline="")
+        with p.open(encoding="utf-8") as f:
+            want = [line for raw in f for line in raw.splitlines()]
+        assert p.stat().st_size > 16 * (1 << 14)
+        assert list(dom._lines(p)) == want
+        assert want[:9] == ["t,y,x0", "", "0,0,1.5", "0,1,2.5", "0,1,",
+                            "3.5", " ", "1,0,4.5", "1,1,5.5"]
+        assert want[-1] == "2,1,7.5"
+
+    def test_lines_reject_non_utf8_naming_the_path(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        p.write_bytes(b"t,y,x0\n0,0,1.0\n" * 9000 + b"0,1,\xc3(\n")
+        with pytest.raises(dom.SequenceFormatError,
+                           match=f"^{re.escape(str(p))}: 'utf-8' codec can't "
+                                 "decode byte 0xc3"):
+            list(dom._lines(p))
+
     def test_hand_written_csv(self, tmp_path):
         p = tmp_path / "tiny.csv"
         p.write_text("t,y,x0,x1\n0,0,0.0,1.0\n0,1,1.0,0.0\n1,0,0.5,0.5\n")

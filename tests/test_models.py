@@ -4,6 +4,7 @@ import pytest
 from gradshift import diffcore as dc
 from gradshift import models as md
 from gradshift.diffcore import Tape, backward, forward
+import step_oracle
 from tape_oracle import BoundRecurrent, critic_forward, summarize_step
 
 
@@ -69,19 +70,23 @@ class TestLayerBlocks:
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_rerun_into_outs(self, act):
         # a pass allocates its outputs empty and writes only their ones
-        # rows; a rerun into them gives the same bits, and after the block is
-        # refilled, the bits of a fresh pass over the new rows
+        # rows; a bound forward's rerun into them gives the same bits, and
+        # after the block is refilled, the bits of a fresh pass over the
+        # new rows
         p = md.init_mlp(21, [3, 6, 5, 2], [act, act, "identity"])
         x, y = dc.rng_normal(22, (7, 3)), dc.rng_normal(23, (7, 3))
         a = md.feature_block(x)
-        outs = md.mlp_layers(p, a)
+        outs = md.mlp_outputs(p, a)
         assert all(np.array_equal(o[-1], np.ones(7)) for o in outs)
+        forward = md.MlpForward(p, outs)
+        assert forward() is outs
         first = [o.tobytes() for o in outs]
-        assert md.mlp_layers(p, a, outs) is outs
+        assert first == [o.tobytes() for o in md.mlp_layers(p, a)]
+        forward()
         assert [o.tobytes() for o in outs] == first
         want = [o.tobytes() for o in md.mlp_layers(p, md.feature_block(y))]
         a[:-1] = y.T
-        md.mlp_layers(p, a, outs)
+        forward()
         assert [o.tobytes() for o in outs] == want
 
 
@@ -196,8 +201,8 @@ class TestForwards:
             b[:] = dc.rng_normal(dc.substream(15, i), b.shape, 0.0, 0.5)
         x = dc.rng_normal(16, (7, 3))
         d_out = dc.rng_normal(17, (7, 2))
-        d_x, grad = md.mlp_backward(p, md.mlp_layers(p, md.feature_block(x)),
-                                    d_out.T)
+        outs = md.mlp_layers(p, md.feature_block(x))
+        d_x, grad = md.MlpBackward(p, outs)(d_out.T)
         t = Tape()
         xid = t.input(x)
         bound = md.BoundMlp(t, p)
@@ -207,11 +212,32 @@ class TestForwards:
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(d_x.T - g[xid]) <= 1e-12 * np.linalg.norm(g[xid])
         # each half alone: the same bits, and None for the other
-        outs = md.mlp_layers(p, md.feature_block(x))
-        no_x, only_p = md.mlp_backward(p, outs, d_out.T, to_input=False)
-        only_x, no_p = md.mlp_backward(p, outs, d_out.T, to_params=False)
+        no_x, only_p = md.MlpBackward(p, outs, to_input=False)(d_out.T)
+        only_x, no_p = md.MlpBackward(p, outs, to_params=False)(d_out.T)
         assert no_x is None and no_p is None
         assert np.array_equal(only_p, grad) and np.array_equal(only_x, d_x)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("acts", [["identity"], ["relu", "identity"],
+                                      ["tanh", "tanh", "identity"],
+                                      ["tanh", "relu", "tanh"]])
+    def test_bound_backward_matches_allocating_bits(self, acts, rows):
+        # the bound backward, called twice on its arrays, against the
+        # backprop that allocated every product (tests/step_oracle.py)
+        sizes = [3] + [5] * (len(acts) - 1) + [2]
+        p = md.init_mlp(dc.substream(18, len(acts)), sizes, acts)
+        for i, b in enumerate(p.biases):
+            b[:] = dc.rng_normal(dc.substream(19, i), b.shape, 0.0, 0.5)
+        outs = md.mlp_outputs(p, md.feature_block(np.zeros((rows, 3))))
+        forward, back = md.MlpForward(p, outs), md.MlpBackward(p, outs)
+        for call in range(2):
+            x = dc.rng_normal(dc.substream(20, call), (rows, 3))
+            d_out = dc.rng_normal(dc.substream(21, call), (rows, 2))
+            outs[0][:-1] = x.T
+            forward()
+            got = back(d_out.T)
+            want = step_oracle.mlp_backward(p, outs, d_out.T)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestSummarizer:

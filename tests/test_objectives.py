@@ -1,4 +1,5 @@
 import dataclasses
+from contextlib import nullcontext
 import math
 import re
 import statistics
@@ -13,6 +14,7 @@ from gradshift import objectives as ob
 from gradshift import transport as tp
 from gradshift.diffcore import Tape, backward, forward
 import critic_oracle
+import step_oracle
 import tape_oracle
 from critic_training import ascend, gp_draws, train_critic
 from tape_oracle import alignment_gap, gradient_penalty, loss_eval
@@ -492,32 +494,51 @@ class TestCriticBitOracle:
         assert got[1] != critic.flat.tobytes()
 
 
+def _adam_nets(case):
+    """The networks one optimizer holds: a critic-like net alone, or a
+    temporal model's g, h and summarizer, as a stage's model step holds
+    them."""
+    if case == "one":
+        return [md.init_mlp(80, [3, 5, 4, 1], ["tanh", "relu", "identity"])]
+    model = ob.build_model(ob.ModelSpec(feature_dim=4, hidden=8), 2, 3, 80)
+    return [model.g, model.h, md.init_recurrent(81, 4, 6, 4)]
+
+
 class TestOptimizer:
-    @pytest.mark.parametrize("lr", CRITIC_LRS)
-    def test_flat_update_matches_per_array(self, lr):
-        # _Opt updates a network's flat vector in whole-vector ops; the same
-        # update written out array by array gives the same bits
-        net = md.init_mlp(80, [3, 5, 4, 1], ["tanh", "relu", "identity"])
-        ref = [a.copy() for a in net.arrays()]
-        m = [np.zeros_like(a) for a in ref]
-        v = [np.zeros_like(a) for a in ref]
+    @pytest.mark.parametrize("lr,case", [
+        pytest.param(lr, case, id=str(lr) if case == "one" else f"{lr}-{case}")
+        for case in ("one", "g-h-summarizer") for lr in CRITIC_LRS])
+    def test_flat_update_matches_per_array(self, lr, case):
+        # _Opt updates each flat vector in whole-array ops, its two moments
+        # stacked; the same update written out array by array, vector after
+        # vector, gives the same bits
+        nets = _adam_nets(case)
+        ref = [[a.copy() for a in net.arrays()] for net in nets]
+        m = [[np.zeros_like(a) for a in arrays] for arrays in ref]
+        v = [[np.zeros_like(a) for a in arrays] for arrays in ref]
         b1, b2, eps = 0.9, 0.999, 1e-8
-        opt = ob._Opt([net.flat], lr)
+        opt = ob._Opt([net.flat for net in nets], lr)
         for step in range(1, 8):
-            grad = dc.rng_normal(dc.substream(80, step), net.flat.shape)
-            opt.step([grad])
+            grads = [dc.rng_normal(dc.substream(80, step, i), net.flat.shape)
+                     for i, net in enumerate(nets)]
+            opt.step(grads)
             c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-            ofs = 0
-            for p, mi, vi in zip(ref, m, v):
-                g = grad[ofs:ofs + p.size].reshape(p.shape)
-                ofs += p.size
-                mi *= b1
-                mi += (1 - b1) * g
-                vi *= b2
-                vi += (1 - b2) * g * g
-                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
-        assert [float(x).hex() for x in net.flat] == \
-            [float(x).hex() for a in ref for x in a.ravel()]
+            for grad, arrays, ms, vs in zip(grads, ref, m, v):
+                ofs = 0
+                for p, mi, vi in zip(arrays, ms, vs):
+                    g = grad[ofs:ofs + p.size].reshape(p.shape)
+                    ofs += p.size
+                    mi *= b1
+                    mi += (1 - b1) * g
+                    vi *= b2
+                    vi += (1 - b2) * g * g
+                    p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+        for net, arrays in zip(nets, ref):
+            assert [float(x).hex() for x in net.flat] == \
+                [float(x).hex() for a in arrays for x in a.ravel()]
+        assert opt.mv.tobytes() == np.stack(
+            [np.concatenate([a.ravel() for ms in m for a in ms]),
+             np.concatenate([a.ravel() for vs in v for a in vs])]).tobytes()
 
 
 def _model_step_cases():
@@ -545,19 +566,18 @@ class TestModelStep:
                              lr_critic=0.05, labeled_target=labeled)
         spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
                             summarizer_hidden=6)
-        step = ob._primal_dual_step
+        run = ob._ModelStep.run
         errors = []
 
-        def checked(model, opt_model, opt_critic, xs, ys, xt, yt, cfg,
-                    loss_spec, *, loop, draws, where):
+        def checked(self, opt_model, opt_critic, xs, ys, xt, yt, draws,
+                    where):
             got = _Recorded()
-            ce, gap, pen = step(model, got, opt_critic, xs, ys, xt, yt, cfg,
-                                loss_spec, loop=loop, draws=draws,
-                                where=where)
-            align = loop is not None
+            ce, gap, pen = run(self, got, opt_critic, xs, ys, xt, yt, draws,
+                               where)
+            align = self.loop is not None
             ce_ref, want = tape_oracle.taped_model_step(
-                model, xs, ys, xt, yt, cfg, loss_spec, align=align,
-                labeled_target=align and labeled,
+                self.model, xs, ys, xt, yt, cfg, ob.LossSpec(loss),
+                align=align, labeled_target=align and labeled,
                 temporal=align and schedule == "gradual_temporal")
             assert [g.shape for g in got.grads] == [g.shape for g in want]
             assert abs(ce - ce_ref) <= 1e-12 * ce_ref
@@ -567,7 +587,7 @@ class TestModelStep:
             opt_model.step(got.grads)
             return ce, gap, pen
 
-        monkeypatch.setattr(ob, "_primal_dual_step", checked)
+        monkeypatch.setattr(ob._ModelStep, "run", checked)
         ob.train_schedule(schedule, seq, cfg, spec, loss_spec=ob.LossSpec(loss))
         assert len(errors) >= 6 and max(errors) <= 1e-10
 
@@ -587,6 +607,119 @@ class TestModelStep:
         assert made == []
         dc.Tape()
         assert len(made) == 1
+
+
+def _oracle_step_cases():
+    for schedule in ob.SCHEDULES:
+        for loss in ("cross_entropy_bounded", "hinge"):
+            for labeled in (True, False):
+                yield pytest.param(
+                    schedule, loss, labeled, 1e-2, 10,
+                    id=f"{schedule}-{loss}-"
+                       f"{'labeled' if labeled else 'unlabeled'}")
+        for labeled in (True, False):
+            tag = f"{schedule}-{'labeled' if labeled else 'unlabeled'}"
+            # batches of 7 leave a ragged batch of one row
+            yield pytest.param(schedule, "cross_entropy_bounded", labeled,
+                               1e-2, 7, id=f"{tag}-batch7")
+            # lr 1e160 diverges within the first stage
+            yield pytest.param(schedule, "cross_entropy_bounded", labeled,
+                               1e160, 10, id=f"{tag}-diverging")
+
+
+def _step_outcome(step):
+    """A step's (class loss, gap, penalty), or the message it diverged with."""
+    try:
+        return step()
+    except ob.TrainingDiverged as e:
+        return str(e)
+
+
+class TestModelStepBitOracle:
+    """The stage's model step, its arrays bound once per batch size, against
+    the step that allocated them afresh, with the Adam that kept its two
+    moments as two arrays (tests/step_oracle.py): the same floating-point
+    operations in the same order, so after every batch the same (class
+    loss, gap, penalty) or divergence message, the same model bytes and the
+    same optimizer state."""
+
+    @pytest.mark.parametrize("schedule,loss,labeled,lr_model,batch",
+                             list(_oracle_step_cases()))
+    def test_schedule(self, monkeypatch, schedule, loss, labeled, lr_model,
+                      batch):
+        # 48 rows a domain, 36 after the holdout (72 where direct pools two
+        # domains): the last batch of an epoch is ragged
+        seq = dom.make_rotating_moons(3, 48, total_degrees=60.0,
+                                      noise_sigma=0.1, seed=21)
+        cfg = ob.TrainConfig(seed=21, epochs_per_domain=2, batch_size=batch,
+                             k_critic=2, lam=0.7, lr_model=lr_model,
+                             lr_critic=0.05, labeled_target=labeled)
+        spec = ob.ModelSpec(feature_dim=4, hidden=8, critic_hidden=8,
+                            summarizer_hidden=6)
+        run = ob._ModelStep.run
+        twin = {}
+        sizes = []
+
+        def checked(self, opt_model, opt_critic, xs, ys, xt, yt, draws,
+                    where):
+            align = self.loop is not None
+            if twin.get("opt") is not opt_model:
+                # a new stage: the oracle starts from the model as it stands,
+                # with fresh optimizers over the same networks
+                ref = self.model.copy()
+                nets = [ref.g, ref.h]
+                if align and ref.summarizer is not None:
+                    nets.append(ref.summarizer)
+                twin.update(opt=opt_model, model=ref, loops={},
+                            opt_model=step_oracle.Opt(
+                                [n.flat for n in nets], self.cfg.lr_model),
+                            opt_critic=step_oracle.Opt(
+                                [ref.critic.flat], self.cfg.lr_critic)
+                            if align else None)
+            ref, n = twin["model"], len(xs)
+            loop = None
+            if align:
+                loop = twin["loops"].get(n) or twin["loops"].setdefault(
+                    n, ob._CriticLoop(ref.critic, n))
+            want = _step_outcome(lambda: step_oracle.primal_dual_step(
+                ref, twin["opt_model"], twin["opt_critic"], xs, ys, xt, yt,
+                self.cfg, self.loss_spec, loop=loop, draws=draws,
+                where=where))
+            got = _step_outcome(lambda: run(self, opt_model, opt_critic, xs,
+                                            ys, xt, yt, draws, where))
+            assert got == want
+            model = self.model
+            for a, b in ((model.g, ref.g), (model.h, ref.h),
+                         (model.critic, ref.critic),
+                         (model.summarizer, ref.summarizer)):
+                assert (a is None and b is None) or \
+                    a.flat.tobytes() == b.flat.tobytes()
+            for opt, old in ((opt_model, twin["opt_model"]),
+                             (opt_critic, twin["opt_critic"])):
+                assert (opt is None) == (old is None)
+                if opt is not None:
+                    assert opt.step_count == old.step_count
+                    old_mv = np.stack([np.concatenate(old.m),
+                                       np.concatenate(old.v)])
+                    assert opt.mv.tobytes() == old_mv.tobytes()
+            sizes.append(n)
+            if isinstance(got, str):
+                raise ob.TrainingDiverged(got)
+            return got
+
+        monkeypatch.setattr(ob._ModelStep, "run", checked)
+        diverging = lr_model > 1
+        with np.errstate(all="ignore") if diverging else nullcontext():
+            try:
+                ob.train_schedule(schedule, seq, cfg, spec,
+                                  loss_spec=ob.LossSpec(loss))
+            except ob.TrainingDiverged:
+                assert diverging
+            else:
+                assert not diverging
+        if not diverging:
+            rows = 72 if schedule == "direct" else 36
+            assert sorted(set(sizes)) == [rows % batch, batch]
 
 
 def small_task(seed, T=3, n=120, degrees=40.0):
