@@ -182,7 +182,7 @@ class _Opt:
     """Adam (Kingma and Ba 2014) over a fixed list of arrays. Training passes
     each network's flat parameter vector. The arrays' moments are stacked
     in one (2, P) array, m over v, P the arrays' total size: a step copies
-    the gradients into one vector when there are several, runs nine
+    the gradients into one vector when there are several, runs ten
     whole-vector operations, m and v together where they take the same
     operation with the rows [b1; b2] and [1 - b1; 1 - b2], and subtracts
     each array's slice of the update from it."""

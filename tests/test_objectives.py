@@ -1,8 +1,8 @@
 import dataclasses
-from contextlib import nullcontext
 import math
 import re
 import statistics
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -619,7 +619,8 @@ def _oracle_step_cases():
                        f"{'labeled' if labeled else 'unlabeled'}")
         for labeled in (True, False):
             tag = f"{schedule}-{'labeled' if labeled else 'unlabeled'}"
-            # batches of 7 leave a ragged batch of one row
+            # batches of 7 leave a ragged batch of one row (of two where
+            # direct pools two domains)
             yield pytest.param(schedule, "cross_entropy_bounded", labeled,
                                1e-2, 7, id=f"{tag}-batch7")
             # lr 1e160 diverges within the first stage
