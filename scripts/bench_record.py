@@ -12,16 +12,22 @@ The file holds, for this checkout and, under "against", for DIR:
     checkout, at its own default length, and the number of rounds it
     timed; the checkouts take turns, workload by workload;
   - layers: one critic step, one model step without its critic loop, and
-    one `gradual` stage epoch at batch 64, each the median (with
-    quartiles) of 15 blocks in process time. One worker process per
-    checkout imports that checkout's src and times them; the workers take
-    turns block by block, and the three layers alternate their order.
+    one `gradual` stage epoch at batch 64; the exact assignment's auction
+    and its search timed apart at n = 256 and n = 1024; and one Sinkhorn
+    solve at n = 256 with the default epsilon and max_iters 2000. Each is
+    the median (with quartiles) of 15 blocks in process time. One worker
+    process per checkout imports that checkout's src and times them; the
+    workers take turns block by block, and the layers alternate their
+    order. The W1 layers solve the drift benchmark's pair: n standard
+    normal 2-D points against n more shifted by 0.5 in x.
 
 The critic step is timed through its one entry,
 `objectives._CriticLoop(critic, 64).run(...)`, bound once before the timer
 as a stage binds it, so DIR is a checkout whose critic loop takes the
 steps' interpolation draws, whose `_Opt(params, lr)` is Adam alone and
-whose `_run_stage` aligns exactly when it is given a target. Two checkouts
+whose `_run_stage` aligns exactly when it is given a target; the
+assignment is timed through `transport._auction_prices(C)`, which consumes
+C, and `transport._solve_assignment(C, prices)`. Two checkouts
 timed in one run share the state of the machine; two files recorded one
 after the other do not, so compare commits with --against.
 """
@@ -44,7 +50,13 @@ K_CRITIC = 5
 BLOCKS = 15
 STAGE_ROWS = 375       # a moons benchmark domain's training rows (n = 500,
                        # holdout 0.25): 6 batches per epoch at batch 64
-LAYERS = ("critic_step_us", "model_step_us", "stage_epoch_ms")
+W1_SIZES = (256, 1024)
+SINKHORN_ITERS = 2000
+LAYERS = ("critic_step_us", "model_step_us", "stage_epoch_ms",
+          "auction_256_ms", "search_256_ms", "auction_1024_ms",
+          "search_1024_ms", "sinkhorn_256_ms")
+# blocks' repetitions per layer at scale 1
+REPS = (200, 10, 3, 10, 10, 1, 1, 2)
 
 
 def header(root: Path) -> dict:
@@ -93,13 +105,16 @@ def _quartiles(xs: list[float]) -> dict:
 class Layers:
     """The layer timers of the gradshift on the import path, in process
     time, each on a fresh copy of one model unless given a model to train
-    in place, so every block does the same arithmetic."""
+    in place, and each W1 solve on the same pair, so every block does the
+    same arithmetic."""
 
     def __init__(self, batch: int = BATCH, rows: int = STAGE_ROWS):
+        import numpy as np
         from gradshift import diffcore as dc
         from gradshift import domains as dom
         from gradshift import objectives as ob
-        self.ob = ob
+        from gradshift import transport as tp
+        self.ob, self.tp = ob, tp
         seq = dom.make_rotating_moons(2, rows, total_degrees=24.0,
                                       noise_sigma=0.1, seed=0)
         self.source, self.target = seq.domains
@@ -114,6 +129,15 @@ class Layers:
             [dc.substream(dc.substream(0, "gp", kk), "gp_u")
              for kk in range(K_CRITIC)], batch)
         self.n_batches = -(-rows // batch)
+        # per W1 size: the drift benchmark's pair, its cost matrix and the
+        # auction's prices, which start the search
+        self.pairs, self.costs, self.prices = {}, {}, {}
+        for n in W1_SIZES:
+            rng = np.random.default_rng([0, 1])
+            self.pairs[n] = (rng.standard_normal((n, 2)),
+                             rng.standard_normal((n, 2)) + [0.5, 0.0])
+            self.costs[n] = tp.cost_matrix(*self.pairs[n])
+            self.prices[n] = tp._auction_prices(self.costs[n].copy())
 
     def critic_step_us(self, reps: int) -> float:
         ob = self.ob
@@ -134,6 +158,42 @@ class Layers:
             self.ob._run_stage(m, self.source, self.target, self.cfg,
                                stage=0, loss_spec=self.ob.LossSpec(),
                                eval_batch=None)
+        return (time.process_time() - t) / reps * 1e3
+
+    def _assignment_ms(self, n: int, reps: int, search: bool) -> float:
+        """The auction on a fresh copy of the cost matrix, which it
+        consumes, or the search from the auction's prices."""
+        total = 0.0
+        for _ in range(reps):
+            C = self.costs[n].copy()
+            t = time.process_time()
+            if search:
+                self.tp._solve_assignment(C, self.prices[n])
+            else:
+                self.tp._auction_prices(C)
+            total += time.process_time() - t
+        return total / reps * 1e3
+
+    def auction_256_ms(self, reps: int) -> float:
+        return self._assignment_ms(256, reps, search=False)
+
+    def search_256_ms(self, reps: int) -> float:
+        return self._assignment_ms(256, reps, search=True)
+
+    def auction_1024_ms(self, reps: int) -> float:
+        return self._assignment_ms(1024, reps, search=False)
+
+    def search_1024_ms(self, reps: int) -> float:
+        return self._assignment_ms(1024, reps, search=True)
+
+    def sinkhorn_256_ms(self, reps: int) -> float:
+        """One solve at transport.w1's default epsilon, a hundredth of the
+        pair's mean cost."""
+        a, b = self.pairs[256]
+        eps = 0.01 * float(self.costs[256].mean())
+        t = time.process_time()
+        for _ in range(reps):
+            self.tp.sinkhorn(a, b, eps, max_iters=SINKHORN_ITERS)
         return (time.process_time() - t) / reps * 1e3
 
     def model_step_us(self, reps: int, model=None) -> float:
@@ -166,8 +226,7 @@ def layers(roots: list[Path], blocks: int = BLOCKS, scale: float = 1.0,
            batch: int = BATCH, rows: int = STAGE_ROWS) -> list[dict]:
     """Each checkout's layer timings, one worker process per checkout.
     `scale` shrinks the work per block (the tests run a tiny size)."""
-    reps = dict(zip(LAYERS, (max(1, int(200 * scale)), max(1, int(10 * scale)),
-                             max(1, int(3 * scale)))))
+    reps = {name: max(1, int(r * scale)) for name, r in zip(LAYERS, REPS)}
     workers = [subprocess.Popen(
         [sys.executable, __file__, "--worker", str(root), "--batch",
          str(batch), "--rows", str(rows)], stdin=subprocess.PIPE,
@@ -199,7 +258,10 @@ def layers(roots: list[Path], blocks: int = BLOCKS, scale: float = 1.0,
     n_batches = -(-rows // batch)
     shape = {"batch": batch, "stage_rows": rows, "batches_per_epoch": n_batches,
              "k_critic": K_CRITIC,
-             "critic": "8-16-16-1 tanh/tanh/identity, zero head, adam"}
+             "critic": "8-16-16-1 tanh/tanh/identity, zero head, adam",
+             "w1_pair": "n N(0, I) points in 2-D against n N((0.5, 0), I)",
+             "sinkhorn": f"epsilon 0.01 x mean cost, {SINKHORN_ITERS} "
+                         "iterations at most"}
     return [{**{name: _quartiles(xs) for name, xs in t.items()}, "shape": shape}
             for t in times]
 

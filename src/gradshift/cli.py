@@ -483,6 +483,12 @@ def _run_experiment(config_path, halt_after: int | None) -> dict:
     cfg = load_config(config_path)
     outdir = Path(cfg.output_dir)
     runs = [(schedule, seed) for schedule in cfg.schedules for seed in cfg.seeds]
+    for schedule, seed in runs:      # before any run trains
+        old = outdir / "state" / f"{_run_id(schedule, seed)}.ckpt"
+        if old.exists():
+            raise ConfigError(f"{old}: run state from before state/<config "
+                              "digest>/ is neither resumed nor removed; "
+                              "remove it to rerun")
     workers = max(1, min(_thread_cap(), len(runs)))
     results: dict[tuple, list] = {}
     if workers == 1:
@@ -666,6 +672,17 @@ def _int_from(low: int):
     return parse
 
 
+def _finite(text: str) -> float:
+    """An argparse type: a finite float flag value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"          # argparse: "invalid float value: 'x'"
+
+
 class _JsonArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"error": message}, sort_keys=True))
@@ -689,9 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     w1.add_argument("file_b")
     w1.add_argument("--method", choices=["exact", "sorted_1d", "sinkhorn"],
                     default="exact")
-    w1.add_argument("--epsilon", type=float, default=None)
+    w1.add_argument("--epsilon", type=_finite, default=None)
     w1.add_argument("--max-iters", type=int, default=5000)
-    w1.add_argument("--tol", type=float, default=1e-6)
+    w1.add_argument("--tol", type=_finite, default=1e-6)
     w1.add_argument("--seed", type=int, default=0)
     w1.set_defaults(handler=cmd_w1)
 
@@ -702,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--T", type=int, required=True)
         sp.add_argument("--n", type=int, required=True)
         for dest, name in _BOUND_FLAGS.items():
-            sp.add_argument("--" + dest.replace("_", "-"), type=float,
+            sp.add_argument("--" + dest.replace("_", "-"), type=_finite,
                             default=bound_defaults[name])
 
     bound = sub.add_parser("bound", help="evaluate the excess-risk bound terms")
@@ -720,13 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
                                        "gaussians")
     disc.add_argument("--T", type=_int_from(2), default=5)
     disc.add_argument("--n", type=_int_from(1), default=2000)
-    disc.add_argument("--shift", type=float, default=0.3)
-    disc.add_argument("--sigma", type=float, default=0.5)
+    disc.add_argument("--shift", type=_finite, default=0.3)
+    disc.add_argument("--sigma", type=_finite, default=0.5)
     disc.add_argument("--seed", type=int, default=0)
     disc.add_argument("--pool-random", type=_int_from(0), default=64)
     disc.add_argument("--pool-snapshots", type=_int_from(0), default=8)
-    disc.add_argument("--M", type=float, default=5.0)
-    disc.add_argument("--rho", type=float, default=1.0)
+    disc.add_argument("--M", type=_finite, default=5.0)
+    disc.add_argument("--rho", type=_finite, default=1.0)
     disc.add_argument("--feature-dim", type=int, default=4)
     disc.add_argument("--hidden", type=int, default=8)
     disc.set_defaults(handler=cmd_disc)
@@ -741,13 +758,13 @@ def build_parser() -> argparse.ArgumentParser:
     seqrad.set_defaults(handler=cmd_seqrad)
 
     lem = sub.add_parser("lemma1", help="two-domain loss-gap bound check")
-    lem.add_argument("--shift", type=float, default=0.3)
-    lem.add_argument("--sigma", type=float, default=1.0)
+    lem.add_argument("--shift", type=_finite, default=0.3)
+    lem.add_argument("--sigma", type=_finite, default=1.0)
     lem.add_argument("--trials", type=int, default=1000)
     lem.add_argument("--n", type=int, default=2000)
     lem.add_argument("--seed", type=int, default=0)
-    lem.add_argument("--rho", type=float, default=1.0)
-    lem.add_argument("--clamp", type=float, default=5.0)
+    lem.add_argument("--rho", type=_finite, default=1.0)
+    lem.add_argument("--clamp", type=_finite, default=5.0)
     lem.set_defaults(handler=cmd_lemma1)
     return p
 

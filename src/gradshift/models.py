@@ -140,24 +140,28 @@ class BoundMlp:
         return h
 
 
+def bias_block(width: int, cols: int) -> np.ndarray:
+    """A feature-major block (width + 1, cols) whose last row, the one every
+    [W; b] block's bias row multiplies, is ones; the other rows are empty."""
+    out = np.empty((width + 1, cols))
+    out[-1] = 1.0
+    return out
+
+
 def feature_block(x: np.ndarray) -> np.ndarray:
     """Rows x, (rows, width), as a feature-major block (width + 1, rows): one
     column per row and a row of ones last, the input of mlp_layers."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[1] + 1, x.shape[0]))
+    out = bias_block(x.shape[1], x.shape[0])
     out[:-1] = x.T
-    out[-1] = 1.0
     return out
 
 
 def mlp_outputs(params: MlpParams, a: np.ndarray) -> list[np.ndarray]:
     """`a` and an array for every layer's output over the block `a`, in
     mlp_layers' form; only the ones rows are written."""
-    outs = [a] + [np.empty((blk.shape[1] + 1, a.shape[1]))
+    return [a] + [bias_block(blk.shape[1], a.shape[1])
                   for blk in params.blocks()]
-    for h in outs[1:]:
-        h[-1] = 1.0
-    return outs
 
 
 class MlpForward:

@@ -233,111 +233,96 @@ class _Opt:
 class _CriticLoop:
     """The critic's closed-form ascent steps on batches of n rows, bound by
     _run_stage once per batch size: the constructor is the one entry to the
-    critic step, and it rejects any critic but build_model's, tanh hidden
-    layers under an identity head of width 1.
+    critic step, and it rejects any critic but build_model's, tanh, tanh
+    and identity layers with weights w1, w2, w3 and a head of width 1.
 
     Each step's gradient is computed in closed form from one numpy forward
-    pass over the columns [a, b, interpolates] of a feature-major block
-    (mlp_layers' form). The input gradient at the interpolates is the
-    backward chain delta_L = W_L 1 (the identity head), gamma_l =
-    delta_{l+1} * s_l, delta_l = W_l gamma_l, with s_l = 1 - h_l^2 each
-    hidden layer's slope. The penalty's adjoint then runs forward through
-    that chain (double backprop), where each tanh layer also sends a
-    second-derivative term to its pre-activation. One primal backprop over
-    all columns, seeded with the gap's -1/n and +1/n, carries those terms
-    to the parameters. The tests hold it to the taped gap and penalty, and
-    to the bits of the loop that allocated its arrays afresh each step
+    pass over the columns [a, b, interpolates] of a feature-major block x
+    (mlp_layers' form), with hidden outputs h1, h2 and slopes s = 1 - h^2.
+    The input gradient at the interpolates is the backward chain gamma2 =
+    w3 s2, dh1 = w2 gamma2, gamma1 = dh1 s1, dx = w1 gamma1. The penalty's
+    adjoint adj_x then runs forward through that chain (double backprop):
+    adj_g1 = w1' adj_x, adj_h1 = adj_g1 s1, adj_g2 = w2' adj_h1, adj_h2 =
+    adj_g2 s2, and each tanh layer sends a second-derivative term to its
+    pre-activation, sec1 = adj_g1 dh1 (-2 h1 s1) and sec2 = adj_g2 w3
+    (-2 h2 s2). One primal backprop over all columns (back2, then back1),
+    seeded with the gap's -1/n and +1/n, carries those terms to the
+    parameters. The tests hold it to the taped gap and penalty, and to the
+    bits of the loop that allocated its arrays afresh each step
     (tests/critic_oracle.py).
 
     Construction binds every view and work buffer, so a step allocates
     nothing (a run allocates its steps' interpolates): each numpy call
     writes into a bound array through out=, and the forward pass is a
-    models.MlpForward on the bound outputs. Work that is the same
-    arithmetic over several arrays is one call over a buffer that holds
-    them all: the hidden layers' outputs share one buffer, so their slopes,
-    their second-derivative factors and the product of those factors with
-    the adjoint's terms are one pass each; a run forms all its steps'
+    models.MlpForward on the bound outputs. h1 and h2 share one buffer, so
+    their slopes, their factors -2 h s and the product of those factors
+    with sec1 and sec2 are one pass each; a run forms all its steps'
     interpolates at once; the gap's two sums are one reduction; and the
     penalty's weight gradients sit in a vector laid out like the gradient,
     whose bias rows hold -0.0, so one addition adds them and leaves every
-    other bit as it is (x + -0.0 is x). The head's products with the ones
-    row (delta_L = W_L 1) and with the gap's seed have one term each, so
-    they are exact broadcasts of W_L instead of gemms.
+    other bit as it is (x + -0.0 is x). The head's input gradient w3 1 and
+    its product with the gap's seed have one term each, so they are exact
+    broadcasts of w3 instead of gemms.
     """
 
     def __init__(self, critic: md.MlpParams, n: int):
         acts = list(critic.activations)
-        if (critic.out_dim != 1 or acts[-1] != "identity"
-                or any(a != "tanh" for a in acts[:-1])):
-            raise ValueError(f"the critic loop needs tanh hidden layers and "
-                             f"an identity head of width 1, got {acts} and "
+        if acts != ["tanh", "tanh", "identity"] or critic.out_dim != 1:
+            raise ValueError(f"the critic loop needs tanh, tanh and identity "
+                             f"layers with a head of width 1, got {acts} and "
                              f"width {critic.out_dim}")
-        m, k = critic.in_dim, 2 * n
+        blk1, blk2, blk3 = critic.blocks()
+        (m, c1), c2, k = blk1[:-1].shape, blk2.shape[1], 2 * n
         self.n = n
+        self.w1, self.w2, self.w3 = blk1[:-1], blk2[:-1], blk3[:-1]
+        self.w1_t, self.w2_t = self.w1.T, self.w2.T
         # columns [a, b] are written once per run; each step copies its
         # interpolates into the last n
-        x = np.empty((m + 1, k + n))
-        x[m] = 1.0
+        self.x = x = md.bias_block(m, k + n)
         self.xa, self.xb, self.xh = x[:m, :n], x[:m, n:k], x[:m, k:]
-        self.grad = np.empty_like(critic.flat)
-        self.pen = np.empty_like(critic.flat)
-        pen_blocks = critic.blocks(self.pen)
-        for blk in pen_blocks:
-            blk[-1] = -0.0
-        self.seed_g = seed_g = np.zeros((1, k + n))
-        seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
-        # the hidden layers' outputs, each with its ones row, stacked in
-        # hid; row for row, their slopes s in slopes, and at the
-        # interpolates their second-derivative factors -2 h s in curv and
-        # the adjoint's second-derivative terms in secs (zero in the gaps)
-        ws = [blk[:-1] for blk in critic.blocks()]
-        edges = np.cumsum([0] + [w.shape[1] + 1 for w in ws[:-1]]).tolist()
-        self.hid = hid = np.empty((edges[-1], k + n))
+        # h1 over h2, each with its ones row; row for row, their slopes,
+        # and at the interpolates their factors -2 h s in curv and the
+        # second-derivative terms in secs (zero in the ones rows)
+        self.hid = hid = np.empty((c1 + c2 + 2, k + n))
+        self.h1, self.h2 = h1, h2 = hid[:c1 + 1], hid[c1 + 1:]
+        h1[-1] = h2[-1] = 1.0
         self.slopes = slopes = np.empty_like(hid)
-        self.curv = curv = np.empty((edges[-1], n))
-        self.secs = secs = np.zeros_like(curv)
-        outs = ([x] + [hid[a:b] for a, b in zip(edges, edges[1:])]
-                + [np.empty((2, k + n))])
-        for h in outs[1:]:
-            h[-1] = 1.0
-        self.forward = md.MlpForward(critic, outs)
-        # Layer l, with W_l of shape (fan_in, fan_out), has: its output h
-        # (in outs[l + 1], ones row last); the chain's deltas[l] (fan_in,
-        # n; the head's is W_L itself, broadcast); the adjoint's
-        # d_deltas[l] (fan_in, n) and pen_w (fan_in, fan_out, in pen); the
-        # primal backprop's gradient at h, backs[l] (fan_out, k + n; the
-        # head's is the gap's seed itself). A hidden layer also has its
-        # slope s over all k + n columns, and the chain's gamma, the
-        # adjoint's d_gamma and second-derivative term sec (fan_out, n).
-        # The suffix _i marks the columns of the interpolates.
-        d_blocks = critic.blocks(self.grad)
-        deltas = [np.empty((w.shape[0], n)) for w in ws[:-1]] + [ws[-1]]
-        d_deltas = [np.empty((w.shape[0], n)) for w in ws]
-        backs = [np.empty((w.shape[1], k + n)) for w in ws[:-1]] + [seed_g]
-        pen_ws = [blk[:-1] for blk in pen_blocks]
-        chain, adjoint, primal = [], [], []
-        for l, w in enumerate(ws[:-1]):
-            rows = slice(edges[l], edges[l + 1] - 1)
-            s, above, back = slopes[rows], deltas[l + 1], backs[l]
-            gamma, d_gamma = (np.empty((w.shape[1], n)) for _ in range(2))
-            sec = secs[rows]
-            chain.append((s[:, k:], above, gamma, w, deltas[l]))
-            adjoint.append((d_deltas[l], gamma.T, pen_ws[l], w.T, d_gamma,
-                            sec, above, s[:, k:], d_deltas[l + 1]))
-            primal.append((back, s, back[:, k:], sec, outs[l], back.T,
-                           d_blocks[l], w, backs[l - 1] if l else None))
+        self.s1, self.s2 = slopes[:c1], slopes[c1 + 1:-1]
+        self.s1_i, self.s2_i = self.s1[:, k:], self.s2[:, k:]
         self.hid_i, self.slopes_i = hid[:, k:], slopes[:, k:]
-        self.chain, self.adjoint = chain[::-1], adjoint
-        self.primal = primal[::-1]
-        self.delta0, self.d_delta0 = deltas[0], d_deltas[0]
-        self.head = (ws[-1], d_deltas[-1], np.ones((1, n)).T, pen_ws[-1],
-                     outs[-2], seed_g.T, d_blocks[-1],
-                     backs[-2] if len(ws) > 1 else None)
+        self.curv = np.empty((c1 + c2 + 2, n))
+        self.secs = secs = np.zeros_like(self.curv)
+        self.sec1, self.sec2 = secs[:c1], secs[c1 + 1:-1]
+        head = md.bias_block(1, k + n)
+        self.forward = md.MlpForward(critic, [x, h1, h2, head])
         # the head's a and b columns as the rows of one (2, n) view
-        self.head_ab = outs[-1][0, :k].reshape(2, n)
+        self.head_ab = head[0, :k].reshape(2, n)
         self.sums = np.empty(2)
+        # the input-gradient chain at the interpolates
+        self.gamma1, self.gamma2 = np.empty((c1, n)), np.empty((c2, n))
+        self.gamma1_t, self.gamma2_t = self.gamma1.T, self.gamma2.T
+        self.dx, self.dh1 = np.empty((m, n)), np.empty((c1, n))
         self.norms, self.norms_m1, self.work_n = (np.empty(n), np.empty(n),
                                                   np.empty(n))
+        # the penalty's adjoint and its weight gradients
+        self.adj_x, self.adj_h1, self.adj_h2 = (np.empty((m, n)),
+                                                np.empty((c1, n)),
+                                                np.empty((c2, n)))
+        self.adj_g1, self.adj_g2 = np.empty((c1, n)), np.empty((c2, n))
+        self.ones_t = np.ones((1, n)).T
+        self.pen = np.empty_like(critic.flat)
+        pen1, pen2, pen3 = critic.blocks(self.pen)
+        pen1[-1] = pen2[-1] = pen3[-1] = -0.0
+        self.pen_w1, self.pen_w2, self.pen_w3 = pen1[:-1], pen2[:-1], pen3[:-1]
+        # the primal backprop over all columns, from the gap's seed
+        self.seed_g = seed_g = np.zeros((1, k + n))
+        seed_g[0, :n], seed_g[0, n:k] = -1.0 / n, 1.0 / n
+        self.seed_t = seed_g.T
+        self.back1, self.back2 = np.empty((c1, k + n)), np.empty((c2, k + n))
+        self.back1_t, self.back2_t = self.back1.T, self.back2.T
+        self.back1_i, self.back2_i = self.back1[:, k:], self.back2[:, k:]
+        self.grad = np.empty_like(critic.flat)
+        self.grad1, self.grad2, self.grad3 = critic.blocks(self.grad)
 
     def run(self, opt: _Opt, fa: np.ndarray, fb: np.ndarray,
             gp_factor: float, draws: np.ndarray, where: str):
@@ -346,72 +331,65 @@ class _CriticLoop:
         the gradient penalty at the interpolates u a + (1 - u) b between
         the paired rows of the finite (n, width) batches fa, fb. Returns
         the last step's (gap, penalty), before its update."""
-        n, seed_g = self.n, self.seed_g
-        xa, xb, xh = self.xa, self.xb, self.xh
-        xa[...], xb[...] = fa.T, fb.T
-        forward = self.forward
-        hid, slopes, hid_i, slopes_i, curv, secs = (
-            self.hid, self.slopes, self.hid_i, self.slopes_i, self.curv,
-            self.secs)
-        chain, adjoint, primal = self.chain, self.adjoint, self.primal
-        (w_head, d_delta_head, ones_t, pen_w_head, inp_head, seed_t,
-         d_blk_head, below_head) = self.head
-        delta0, d_delta0, head_ab, sums = (self.delta0, self.d_delta0,
-                                           self.head_ab, self.sums)
-        norms, norms_m1, work_n = self.norms, self.norms_m1, self.work_n
-        grad, pen_grad = self.grad, self.pen
-        sq0 = d_delta0                      # free until the adjoint fills it
-        grads = [grad]
+        n = self.n
+        self.xa[...], self.xb[...] = fa.T, fb.T
+        grads = [self.grad]
         adjoint_scale = gp_factor * 2.0 / n
         # every step's interpolates, (steps, width, n)
         u = draws[:, None, :]
-        inter = np.multiply(xa, u)
-        inter += np.multiply(np.subtract(1.0, u), xb)
+        inter = np.multiply(self.xa, u)
+        inter += np.multiply(np.subtract(1.0, u), self.xb)
         gap, pen = 0.0, 0.0
         for step, x_i in enumerate(inter):
-            np.copyto(xh, x_i)
-            forward()
-            np.square(hid, out=slopes)
-            np.subtract(1.0, slopes, out=slopes)
-            np.multiply(hid_i, -2.0, out=curv)
-            curv *= slopes_i
-            for s_i, above, gamma, w, delta in chain:
-                np.multiply(above, s_i, out=gamma)
-                w.dot(gamma, out=delta)
-            np.square(delta0, out=sq0)
-            np.add.reduce(sq0, axis=0, out=norms)
-            norms += 1e-24
-            np.sqrt(norms, out=norms)
-            np.subtract(norms, 1.0, out=norms_m1)
-            pen = float(np.add.reduce(np.square(norms_m1, out=work_n))) / n
-            sum_a, sum_b = np.add.reduce(head_ab, axis=1, out=sums).tolist()
+            np.copyto(self.xh, x_i)
+            self.forward()
+            np.square(self.hid, out=self.slopes)
+            np.subtract(1.0, self.slopes, out=self.slopes)
+            np.multiply(self.hid_i, -2.0, out=self.curv)
+            self.curv *= self.slopes_i
+            np.multiply(self.w3, self.s2_i, out=self.gamma2)
+            self.w2.dot(self.gamma2, out=self.dh1)
+            np.multiply(self.dh1, self.s1_i, out=self.gamma1)
+            self.w1.dot(self.gamma1, out=self.dx)
+            # adj_x is free until the adjoint fills it
+            np.square(self.dx, out=self.adj_x)
+            np.add.reduce(self.adj_x, axis=0, out=self.norms)
+            self.norms += 1e-24
+            np.sqrt(self.norms, out=self.norms)
+            np.subtract(self.norms, 1.0, out=self.norms_m1)
+            pen = float(np.add.reduce(np.square(self.norms_m1,
+                                                out=self.work_n))) / n
+            sum_a, sum_b = np.add.reduce(self.head_ab, axis=1,
+                                         out=self.sums).tolist()
             gap = sum_a / n - sum_b / n
             if not math.isfinite(pen * gp_factor - gap):
                 raise TrainingDiverged(
                     f"non-finite critic loss at {where}, critic step {step}")
             # the penalty's adjoint, forward through the input-gradient chain
-            np.divide(norms_m1, norms, out=work_n)
-            work_n *= adjoint_scale
-            np.multiply(work_n, delta0, out=d_delta0)
-            for (d_delta, gamma_t, pen_w, w_t, d_gamma, sec, above, s_i,
-                 d_next) in adjoint:
-                d_delta.dot(gamma_t, out=pen_w)
-                w_t.dot(d_delta, out=d_gamma)
-                np.multiply(d_gamma, above, out=sec)
-                np.multiply(d_gamma, s_i, out=d_next)
-            d_delta_head.dot(ones_t, out=pen_w_head)
-            secs *= curv
+            np.divide(self.norms_m1, self.norms, out=self.work_n)
+            self.work_n *= adjoint_scale
+            np.multiply(self.work_n, self.dx, out=self.adj_x)
+            self.adj_x.dot(self.gamma1_t, out=self.pen_w1)
+            self.w1_t.dot(self.adj_x, out=self.adj_g1)
+            np.multiply(self.adj_g1, self.dh1, out=self.sec1)
+            np.multiply(self.adj_g1, self.s1_i, out=self.adj_h1)
+            self.adj_h1.dot(self.gamma2_t, out=self.pen_w2)
+            self.w2_t.dot(self.adj_h1, out=self.adj_g2)
+            np.multiply(self.adj_g2, self.w3, out=self.sec2)
+            np.multiply(self.adj_g2, self.s2_i, out=self.adj_h2)
+            self.adj_h2.dot(self.ones_t, out=self.pen_w3)
+            self.secs *= self.curv
             # primal backprop over all columns, from the head down
-            inp_head.dot(seed_t, out=d_blk_head)
-            if below_head is not None:
-                np.multiply(w_head, seed_g, out=below_head)
-            for g, s, g_i, sec, inp, g_t, d_blk, w, below in primal:
-                g *= s
-                g_i += sec
-                inp.dot(g_t, out=d_blk)
-                if below is not None:
-                    w.dot(g, out=below)
-            grad += pen_grad
+            self.h2.dot(self.seed_t, out=self.grad3)
+            np.multiply(self.w3, self.seed_g, out=self.back2)
+            self.back2 *= self.s2
+            self.back2_i += self.sec2
+            self.h1.dot(self.back2_t, out=self.grad2)
+            self.w2.dot(self.back2, out=self.back1)
+            self.back1 *= self.s1
+            self.back1_i += self.sec1
+            self.x.dot(self.back1_t, out=self.grad1)
+            self.grad += self.pen
             opt.step(grads)
         return gap, pen
 
@@ -455,8 +433,7 @@ class _ModelStep:
         d, m = model.g.in_dim, model.g.out_dim
         # feature-major blocks throughout (see models.mlp_layers): a row of
         # a batch is a column here, and the labeled rows are [xs; xt]
-        x = np.empty((d + 1, 2 * n if labeled else n))
-        x[d] = 1.0
+        x = md.bias_block(d, 2 * n if labeled else n)
         self.xs, self.xt = x[:d, :n], x[:d, n:] if labeled else None
         self.y = np.empty(2 * n, dtype=np.int64) if labeled else None
         self.g_fwd = md.MlpForward(model.g, md.mlp_outputs(model.g, x))
@@ -479,8 +456,7 @@ class _ModelStep:
             self.f_t = g_outs[-1][:-1, n:]
         else:
             # the target rows' own pass through g
-            xt = np.empty((d + 1, n))
-            xt[d] = 1.0
+            xt = md.bias_block(d, n)
             self.xt = xt[:d]
             self.t_fwd = md.MlpForward(model.g, md.mlp_outputs(model.g, xt))
             self.f_t = self.t_fwd.outs[-1][:-1]
@@ -488,8 +464,7 @@ class _ModelStep:
                                          to_input=False)
         # the critic's pass over the columns [f_t, hist], seeded with the
         # gradient of lam (mean c(f_t) - mean c(hist))
-        xc = np.empty((m + 1, 2 * n))
-        xc[m] = 1.0
+        xc = md.bias_block(m, 2 * n)
         self.xc_t, self.xc_h = xc[:m, :n], xc[:m, n:]
         self.c_fwd = md.MlpForward(model.critic,
                                    md.mlp_outputs(model.critic, xc))

@@ -21,8 +21,12 @@ def test_layer_timings_tiny():
     # given by --against
     got = _load().layers([ROOT, ROOT], blocks=3, scale=0.01, batch=8, rows=20)
     assert len(got) == 2
+    names = {"critic_step_us", "model_step_us", "stage_epoch_ms",
+             "auction_256_ms", "search_256_ms", "auction_1024_ms",
+             "search_1024_ms", "sinkhorn_256_ms"}
     for timings in got:
-        for name in ("critic_step_us", "model_step_us", "stage_epoch_ms"):
+        assert set(timings) == names | {"shape"}
+        for name in names:
             t = timings[name]
             assert t["blocks"] == 3
             assert 0.0 <= t["q1"] <= t["median"] <= t["q3"]

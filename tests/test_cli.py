@@ -765,6 +765,25 @@ class TestRunExperiment:
         assert calls == []
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pool"])
+    def test_state_before_digest_folders_exit_2(self, tmp_path, monkeypatch,
+                                                capsys, threads):
+        # state at output_dir/state/<run_id>.ckpt, where runs kept it before
+        # it was keyed by config digest, was neither read nor removed: the
+        # run retrained from stage 0, exited 0 and left state/ behind; now
+        # every run is checked first, and the file is named and left as it is
+        monkeypatch.setenv("GRADSHIFT_THREADS", threads)
+        p = write_config(tmp_path)
+        old = tmp_path / "out" / "state" / "gradual-s2.ckpt"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"GSHIFT01 state of an older layout")
+        assert cli.run_experiment(p) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"{old}: ")
+        assert old.read_bytes() == b"GSHIFT01 state of an older layout"
+        assert sorted((tmp_path / "out").rglob("*")) == [old.parent, old]
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", "+2", " 2"])
     def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch,
                                      value):
@@ -874,6 +893,14 @@ def _valid_and_rejected(tmp_path, command):
         "lemma1": (["lemma1", "--trials", "5", "--n", "20"],
                    ["lemma1", "--trials", "many"]),
     }[command]
+
+
+def _float_flags():
+    """(subcommand, flag) for every flag whose value is a float."""
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return [(name, a.option_strings[0]) for name, sp in sub.choices.items()
+            for a in sp._actions if getattr(a.type, "__name__", "") == "float"]
 
 
 class TestSubcommands:
@@ -1011,15 +1038,16 @@ class TestSubcommands:
         assert cli.main(["w1", str(a), str(b), "--method", "sinkhorn",
                          "--epsilon", epsilon]) == 2
         assert capsys.readouterr().out == json.dumps(
-            {"error": f"epsilon must be positive and finite, got {epsilon}"}) + "\n"
+            {"error": f"argument --epsilon: must be finite, got {epsilon!r}"}
+        ) + "\n"
 
     @pytest.mark.parametrize("argv, error", [
         (["bound", "--T", "5", "--n", "10", "--M", "1e308"],
          "bound terms overflow float64"),
         (["bound", "--T", "5", "--n", "10", "--M", "inf"],
-         "M must be finite, got inf"),
+         "argument --M: must be finite, got 'inf'"),
         (["sweep", "--T-min", "2", "--T-max", "5", "--n", "10", "--M", "nan"],
-         "M must be finite, got nan"),
+         "argument --M: must be finite, got 'nan'"),
     ], ids=["bound_overflow", "bound_inf", "sweep_nan"])
     def test_bound_non_finite_exit_2(self, capsys, argv, error):
         # these once printed Infinity or NaN terms, which are not JSON
@@ -1035,8 +1063,10 @@ class TestSubcommands:
         b.write_text("1,0\n2,2\n")
         assert cli.main(["w1", str(a), str(b), "--method", "sinkhorn",
                          "--tol", tol]) == 2
+        error = (f"argument --tol: must be finite, got {tol!r}" if tol == "nan"
+                 else f"tol must be positive and finite, got {float(tol)}")
         assert capsys.readouterr().out.splitlines() == [json.dumps(
-            {"error": f"tol must be positive and finite, got {float(tol)}"})]
+            {"error": error})]
 
     def test_sweep_wide_range_exit_2_unbuilt(self, capsys):
         # the guard once ran after sorting a set of every horizon in range
@@ -1070,6 +1100,23 @@ class TestSubcommands:
         assert capsys.readouterr().out.splitlines() == [json.dumps(
             {"error": f"argument {flag}: must be >= {low}, got {value}"})]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", _float_flags())
+    def test_non_finite_float_flag_exit_2(self, monkeypatch, capsys, command,
+                                          flag):
+        # every float flag took nan and inf: lemma1 --sigma nan and disc
+        # --rho nan failed only on the JSON echo, disc after building its
+        # pool, and with a message that named no flag; now argparse rejects
+        # the value before the command runs
+        monkeypatch.setattr(cli, "_emit", None)
+        argv = {"w1": ["w1", "a.csv", "b.csv"],
+                "bound": ["bound", "--T", "2", "--n", "10"],
+                "sweep": ["sweep", "--n", "10", "--T-max", "3"]}.get(
+                    command, [command])
+        for value in ("nan", "inf", "-inf", "NaN"):
+            assert cli.main(argv + [f"{flag}={value}"]) == 2
+            assert capsys.readouterr().out.splitlines() == [json.dumps(
+                {"error": f"argument {flag}: must be finite, got {value!r}"})]
 
     def test_non_finite_result_exit_2(self, capsys):
         # a NaN or inf that reaches the printed line is an error, not JSON

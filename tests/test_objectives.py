@@ -217,7 +217,8 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
     return pool[np.arange(n) % len(pool)]
 
 
-# hidden activations of random critics, depths 0-3 under an identity head
+# hidden activations of random critics, depths 0-3 under an identity head;
+# the critic loop takes only depth 2 with two tanh layers
 CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
                  ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
                  ["tanh", "tanh", "tanh"]]
@@ -227,9 +228,15 @@ CRITIC_LRS = [5e-4, 1e-2]
 
 
 def _supported(activations) -> bool:
-    """The critic loop takes tanh hidden layers under an identity head."""
-    return (activations[-1] == "identity"
-            and all(a == "tanh" for a in activations[:-1]))
+    """The critic loop takes build_model's critic shape alone: two tanh
+    hidden layers under an identity head."""
+    return list(activations) == ["tanh", "tanh", "identity"]
+
+
+def _rejection(activations, width) -> str:
+    """The critic loop's one ValueError for any other critic shape."""
+    return (f"the critic loop needs tanh, tanh and identity layers with a "
+            f"head of width 1, got {list(activations)} and width {width}")
 
 
 def _assert_rejected(critic, n):
@@ -237,9 +244,7 @@ def _assert_rejected(critic, n):
     rows, rejects the critic's shape, naming its activations and head
     width, and leaves the critic's bytes untouched."""
     before = critic.flat.tobytes()
-    message = (f"the critic loop needs tanh hidden layers and an identity "
-               f"head of width 1, got {list(critic.activations)} and width "
-               f"{critic.out_dim}")
+    message = _rejection(critic.activations, critic.out_dim)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ob._CriticLoop(critic, n)
     assert critic.flat.tobytes() == before
@@ -274,7 +279,8 @@ class TestCriticAscentStep:
     @pytest.mark.parametrize("head", ["tanh", "relu"])
     def test_nonlinear_head_rejected(self, head):
         # the trainer's critic has an identity head: any other is rejected
-        critic = md.init_mlp(dc.substream(78, head), [3, 5, 1], ["tanh", head])
+        critic = md.init_mlp(dc.substream(78, head), [3, 5, 5, 1],
+                             ["tanh", "tanh", head])
         _assert_rejected(critic, 12)
 
     @pytest.mark.parametrize("lr", CRITIC_LRS)
@@ -317,7 +323,7 @@ class TestCriticAscentStep:
         # one call with 70 rows of draws equals 70 one-row calls bit for bit
         fa = dc.rng_normal(dc.substream(77, "a"), (9, 3))
         fb = dc.rng_normal(dc.substream(77, "b"), (9, 3), 0.5, 1.0)
-        critic = md.init_mlp(77, [3, 6, 1], ["tanh", "identity"])
+        critic = md.init_mlp(77, [3, 6, 6, 1], ["tanh", "tanh", "identity"])
         ref = critic.copy()
         draws = gp_draws([dc.substream(77, "gp", step) for step in range(70)], 9)
         got = ascend(critic, ob._Opt([critic.flat], 1e-2), fa, fb,
@@ -345,40 +351,37 @@ class TestCriticAscentStep:
         for a, b in zip(critic.arrays(), ref.arrays()):
             assert np.max(np.abs(a - b)) <= 1e-9
 
-    # case -> the error and the text it raises with
+    # case -> the critic's activations and head width, or None for the
+    # overflow case, whose critic has the trainer's shape
     ERRORS = {
-        "out_dim": (ValueError, r"\['tanh', 'identity'\] and width 2"),
-        "relu_hidden": (ValueError, r"\['relu', 'identity'\] and width 1"),
-        "identity_hidden": (ValueError,
-                            r"\['identity', 'identity'\] and width 1"),
-        "tanh_head": (ValueError, r"\['tanh', 'tanh'\] and width 1"),
-        "relu_head": (ValueError, r"\['tanh', 'relu'\] and width 1"),
-        "overflow": (ob.TrainingDiverged,
-                     "non-finite critic loss at step 3, critic step 0"),
+        "out_dim": (["tanh", "tanh", "identity"], 2),
+        "relu_hidden": (["relu", "tanh", "identity"], 1),
+        "identity_hidden": (["identity", "identity", "identity"], 1),
+        "tanh_head": (["tanh", "tanh", "tanh"], 1),
+        "relu_head": (["tanh", "tanh", "relu"], 1),
+        "overflow": None,
     }
 
     @pytest.mark.parametrize("case", list(ERRORS))
     def test_errors(self, case):
-        # through the one entry: a critic of another shape than tanh hidden
-        # layers under an identity head of width 1 is rejected before a
+        # through the one entry: a critic of another shape than tanh, tanh
+        # and identity layers with a head of width 1 is rejected before a
         # loop is bound, and neither error updates the critic
-        critic = md.init_mlp(73, [2, 4, 1], ["tanh", "identity"])
         fa = dc.rng_normal(74, (6, 2))
         fb = dc.rng_normal(75, (6, 2))
-        if case == "out_dim":
-            critic = md.init_mlp(73, [2, 4, 2], ["tanh", "identity"])
-        elif case.endswith(("_hidden", "_head")):
-            act = case.split("_")[0]
-            critic = md.init_mlp(73, [2, 4, 1], [act, "identity"] if
-                                 case.endswith("_hidden") else ["tanh", act])
+        if self.ERRORS[case] is None:
+            # h2 saturates at about 1, so each head output sums four terms
+            # of 1e308 and overflows
+            critic = md.init_mlp(73, [2, 4, 4, 1],
+                                 ["tanh", "tanh", "identity"])
+            critic.biases[1][:] = 10.0
+            critic.weights[2][:] = 1e308
+            error = ob.TrainingDiverged
+            message = "non-finite critic loss at step 3, critic step 0"
         else:
-            critic = md.MlpParams([np.full((2, 1), 1e300)], [np.zeros(1)],
-                                  ["identity"])
-            fa = fa * 1e10
-        error, message = self.ERRORS[case]
-        if error is ValueError:
-            message = ("the critic loop needs tanh hidden layers and an "
-                       "identity head of width 1, got " + message)
+            acts, width = self.ERRORS[case]
+            critic = md.init_mlp(73, [2, 4, 4, width], acts)
+            error, message = ValueError, re.escape(_rejection(acts, width))
         before = critic.flat.tobytes()
         # the overflow case overflows on purpose
         with pytest.raises(error, match=f"^{message}$"), \
@@ -413,7 +416,7 @@ class TestCriticBitOracle:
     against the loop that allocated its arrays afresh each step
     (tests/critic_oracle.py): the same floating-point operations in the same
     order, so the same (gap, pen) and the same critic bytes after one
-    call. A critic of another shape than tanh hidden layers under an
+    call. A critic of another shape than two tanh hidden layers under an
     identity head is rejected."""
 
     @pytest.mark.parametrize("lr", CRITIC_LRS)
@@ -454,7 +457,7 @@ class TestCriticBitOracle:
 
     def test_width_one_features(self):
         # one input feature: the chain's input-side products are K = 1
-        critic = md.init_mlp(82, [1, 4, 1], ["tanh", "identity"])
+        critic = md.init_mlp(82, [1, 4, 4, 1], ["tanh", "tanh", "identity"])
         fa = dc.rng_normal(dc.substream(82, "a"), (9, 1))
         fb = dc.rng_normal(dc.substream(82, "b"), (9, 1), 0.5, 1.0)
         seeds = [dc.substream(82, "gp", kk) for kk in range(6)]
