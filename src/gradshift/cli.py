@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import tomllib
@@ -684,6 +685,16 @@ _finite.__name__ = "float"          # argparse: "invalid float value: 'x'"
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
+    # a word read as a flag's value, not as an option: a negative decimal,
+    # in exponent form too, or -inf or -nan in any case (argparse's own
+    # matcher takes only -1 and -.5 forms); subparsers share the class
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
     def error(self, message):
         print(json.dumps({"error": message}, sort_keys=True))
         raise SystemExit(EXIT_CONFIG)

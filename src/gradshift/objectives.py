@@ -276,8 +276,8 @@ class _CriticLoop:
         self.n = n
         self.w1, self.w2, self.w3 = blk1[:-1], blk2[:-1], blk3[:-1]
         self.w1_t, self.w2_t = self.w1.T, self.w2.T
-        # columns [a, b] are written once per run; each step copies its
-        # interpolates into the last n
+        # columns [a, b] are written once per run, and stay for the model
+        # step's gap pass; each step copies its interpolates into the last n
         self.x = x = md.bias_block(m, k + n)
         self.xa, self.xb, self.xh = x[:m, :n], x[:m, n:k], x[:m, k:]
         # h1 over h2, each with its ones row; row for row, their slopes,
@@ -430,7 +430,7 @@ class _ModelStep:
         self.model, self.n, self.cfg, self.loss_spec = model, n, cfg, loss_spec
         self.labeled = labeled = align and cfg.labeled_target
         self.temporal = align and model.summarizer is not None
-        d, m = model.g.in_dim, model.g.out_dim
+        d = model.g.in_dim
         # feature-major blocks throughout (see models.mlp_layers): a row of
         # a batch is a column here, and the labeled rows are [xs; xt]
         x = md.bias_block(d, 2 * n if labeled else n)
@@ -463,11 +463,10 @@ class _ModelStep:
             self.t_back = md.MlpBackward(model.g, self.t_fwd.outs,
                                          to_input=False)
         # the critic's pass over the columns [f_t, hist], seeded with the
-        # gradient of lam (mean c(f_t) - mean c(hist))
-        xc = md.bias_block(m, 2 * n)
-        self.xc_t, self.xc_h = xc[:m, :n], xc[:m, n:]
-        self.c_fwd = md.MlpForward(model.critic,
-                                   md.mlp_outputs(model.critic, xc))
+        # gradient of lam (mean c(f_t) - mean c(hist)): the loop's run leaves
+        # them in its block's first 2n columns
+        self.c_fwd = md.MlpForward(
+            model.critic, md.mlp_outputs(model.critic, self.loop.x[:, :2 * n]))
         self.c_ab = self.c_fwd.outs[-1][0].reshape(2, n)
         self.sums = np.empty(2)
         self.c_back = md.MlpBackward(model.critic, self.c_fwd.outs,
@@ -516,7 +515,6 @@ class _ModelStep:
             gap, pen = loop.run(opt_critic, f_t.T, hist.T, cfg.gp_factor,
                                 draws, where)
             # lam times the gap under the updated critic
-            self.xc_t[...], self.xc_h[...] = f_t, hist
             self.c_fwd()
             sum_t, sum_h = np.add.reduce(self.c_ab, axis=1,
                                          out=self.sums).tolist()

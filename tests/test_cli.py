@@ -903,6 +903,15 @@ def _float_flags():
             for a in sp._actions if getattr(a.type, "__name__", "") == "float"]
 
 
+def _float_flag_argv(command):
+    """The argv of a subcommand with its required arguments, to which a
+    float flag is added."""
+    return {"w1": ["w1", "a.csv", "b.csv"],
+            "bound": ["bound", "--T", "2", "--n", "10"],
+            "sweep": ["sweep", "--n", "10", "--T-max", "3"]}.get(command,
+                                                                 [command])
+
+
 class TestSubcommands:
     @pytest.mark.parametrize("command", _subcommands())
     def test_one_json_line(self, tmp_path, capsys, command):
@@ -1107,16 +1116,29 @@ class TestSubcommands:
         # every float flag took nan and inf: lemma1 --sigma nan and disc
         # --rho nan failed only on the JSON echo, disc after building its
         # pool, and with a message that named no flag; now argparse rejects
-        # the value before the command runs
+        # the value before the command runs, given after "=" or, as -inf
+        # once could not be, as its own word
         monkeypatch.setattr(cli, "_emit", None)
-        argv = {"w1": ["w1", "a.csv", "b.csv"],
-                "bound": ["bound", "--T", "2", "--n", "10"],
-                "sweep": ["sweep", "--n", "10", "--T-max", "3"]}.get(
-                    command, [command])
-        for value in ("nan", "inf", "-inf", "NaN"):
-            assert cli.main(argv + [f"{flag}={value}"]) == 2
-            assert capsys.readouterr().out.splitlines() == [json.dumps(
-                {"error": f"argument {flag}: must be finite, got {value!r}"})]
+        argv = _float_flag_argv(command)
+        for value in ("nan", "inf", "-inf", "NaN", "-NaN", "-Infinity"):
+            for words in ([f"{flag}={value}"], [flag, value]):
+                assert cli.main(argv + words) == 2
+                assert capsys.readouterr().out.splitlines() == [json.dumps(
+                    {"error": f"argument {flag}: must be finite, "
+                              f"got {value!r}"})]
+
+    @pytest.mark.parametrize("command,flag", _float_flags())
+    def test_negative_float_flag_own_word(self, command, flag):
+        # argparse read a word as a negative number only in the forms -1 and
+        # -.5, so lemma1 --shift -1e-3 exited 2 with "argument --shift:
+        # expected one argument" while --shift=-1e-3 ran
+        argv = _float_flag_argv(command)
+        parser = cli.build_parser()
+        dest = flag.lstrip("-").replace("-", "_")
+        for value in ("-1e-3", "-2.5E+1", "-.5e1", "-7"):
+            got = parser.parse_args(argv + [flag, value])
+            assert got == parser.parse_args(argv + [f"{flag}={value}"])
+            assert getattr(got, dest) == float(value)
 
     def test_non_finite_result_exit_2(self, capsys):
         # a NaN or inf that reaches the printed line is an error, not JSON

@@ -217,26 +217,43 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
     return pool[np.arange(n) % len(pool)]
 
 
-# hidden activations of random critics, depths 0-3 under an identity head;
-# the critic loop takes only depth 2 with two tanh layers
-CRITIC_LAYERS = [[], ["relu"], ["tanh"], ["identity"], ["relu", "relu"],
-                 ["tanh", "tanh"], ["identity", "identity"], ["tanh", "relu"],
-                 ["tanh", "tanh", "tanh"]]
+# (m, c1, c2): random tanh/tanh/identity critics m -> c1 -> c2 -> 1, the
+# one shape the critic loop takes, at equal and unequal hidden widths and
+# one input feature
+CRITIC_WIDTHS = [(3, 5, 5), (1, 4, 4), (3, 5, 7), (4, 9, 2)]
+
+# every other (hidden activations, head) shape of random critics at depth
+# 0-3: the critic loop rejects each
+UNSUPPORTED = [hidden + [head]
+               for hidden in ([], ["relu"], ["tanh"], ["identity"],
+                              ["relu", "relu"], ["tanh", "tanh"],
+                              ["identity", "identity"], ["tanh", "relu"],
+                              ["tanh", "tanh", "tanh"])
+               for head in ("identity", "tanh", "relu")
+               if hidden + [head] != ["tanh", "tanh", "identity"]]
 
 # Adam step sizes: the trainer's default lr_critic and a step 20 times larger
 CRITIC_LRS = [5e-4, 1e-2]
 
 
-def _supported(activations) -> bool:
-    """The critic loop takes build_model's critic shape alone: two tanh
-    hidden layers under an identity head."""
-    return list(activations) == ["tanh", "tanh", "identity"]
+def _widths_id(widths) -> str:
+    return "-".join(map(str, widths))
 
 
 def _rejection(activations, width) -> str:
     """The critic loop's one ValueError for any other critic shape."""
     return (f"the critic loop needs tanh, tanh and identity layers with a "
             f"head of width 1, got {list(activations)} and width {width}")
+
+
+def _random_critic(seed, widths) -> md.MlpParams:
+    """A tanh/tanh/identity critic m -> c1 -> c2 -> 1 at widths (m, c1, c2),
+    with random biases as well as weights."""
+    critic = md.init_mlp(dc.substream(seed, "c"), [*widths, 1],
+                         ["tanh", "tanh", "identity"])
+    for i, b in enumerate(critic.biases):
+        b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
+    return critic
 
 
 def _assert_rejected(critic, n):
@@ -253,19 +270,14 @@ def _assert_rejected(critic, n):
 class TestCriticAscentStep:
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
-    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
-                             ids=lambda h: "-".join(h) or "linear")
-    def test_matches_tape(self, hidden, nb, gp_factor):
-        seed = dc.substream(71, len(hidden), *hidden, nb)
-        sizes = [3] + [5] * len(hidden) + [1]
-        critic = md.init_mlp(dc.substream(seed, "c"), sizes, hidden + ["identity"])
-        for i, b in enumerate(critic.biases):
-            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
-        fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
-        fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
+    @pytest.mark.parametrize("widths", CRITIC_WIDTHS, ids=_widths_id)
+    def test_matches_tape(self, widths, nb, gp_factor):
+        seed = dc.substream(71, *widths, nb)
+        critic = _random_critic(seed, widths)
+        m = widths[0]
+        fa = dc.rng_normal(dc.substream(seed, "a"), (12, m))
+        fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, m), 0.5, 1.0),
                      12)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, 12)
         closed, taped = _Recorded(), _Recorded()
         gap, pen = ascend(critic, closed, fa, fb, gp_factor, gp_draws([9], 12),
                           "test")
@@ -276,33 +288,32 @@ class TestCriticAscentStep:
         want = np.concatenate([g.ravel() for g in taped.grads])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("head", ["tanh", "relu"])
-    def test_nonlinear_head_rejected(self, head):
-        # the trainer's critic has an identity head: any other is rejected
-        critic = md.init_mlp(dc.substream(78, head), [3, 5, 5, 1],
-                             ["tanh", "tanh", head])
+    @pytest.mark.parametrize("activations", UNSUPPORTED,
+                             ids=lambda a: "-".join(a))
+    def test_unsupported_shape_rejected(self, activations):
+        # the trainer's critic has two tanh hidden layers under an identity
+        # head: a critic of any other depth, hidden activation or head is
+        # rejected
+        critic = md.init_mlp(dc.substream(78, *activations),
+                             [3] + [5] * (len(activations) - 1) + [1],
+                             activations)
         _assert_rejected(critic, 12)
 
     @pytest.mark.parametrize("lr", CRITIC_LRS)
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("nb", [12, 7], ids=["equal", "unequal"])
-    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
-                             ids=lambda h: "-".join(h) or "linear")
-    def test_loop_matches_taped_steps(self, hidden, nb, gp_factor, lr):
+    @pytest.mark.parametrize("widths", CRITIC_WIDTHS, ids=_widths_id)
+    def test_loop_matches_taped_steps(self, widths, nb, gp_factor, lr):
         # k steps in one critic loop call against k taped steps, each taken at
         # the loop's own iterate (Adam turns rounding noise in a gradient
         # that is zero in exact arithmetic, such as the head bias's, into
         # steps of up to lr, so two separately updated critics drift apart)
-        seed = dc.substream(76, len(hidden), *hidden, nb)
-        sizes = [3] + [5] * len(hidden) + [1]
-        critic = md.init_mlp(dc.substream(seed, "c"), sizes, hidden + ["identity"])
-        for i, b in enumerate(critic.biases):
-            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
-        fa = dc.rng_normal(dc.substream(seed, "a"), (12, 3))
-        fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, 3), 0.5, 1.0),
+        seed = dc.substream(76, *widths, nb)
+        critic = _random_critic(seed, widths)
+        m = widths[0]
+        fa = dc.rng_normal(dc.substream(seed, "a"), (12, m))
+        fb = _paired(dc.rng_normal(dc.substream(seed, "fb"), (nb, m), 0.5, 1.0),
                      12)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, 12)
         seeds = [dc.substream(seed, "gp", kk) for kk in range(4)]
         closed = _Tee(ob._Opt([critic.flat], lr))
         gap, pen = ascend(critic, closed, fa, fb, gp_factor,
@@ -416,26 +427,20 @@ class TestCriticBitOracle:
     against the loop that allocated its arrays afresh each step
     (tests/critic_oracle.py): the same floating-point operations in the same
     order, so the same (gap, pen) and the same critic bytes after one
-    call. A critic of another shape than two tanh hidden layers under an
-    identity head is rejected."""
+    call, for the one critic shape the loop takes, two tanh hidden layers
+    of any widths under an identity head."""
 
     @pytest.mark.parametrize("lr", CRITIC_LRS)
     @pytest.mark.parametrize("gp_factor", [0.0, 5.0])
     @pytest.mark.parametrize("n,steps", [(1, 4), (7, 4), (64, 4), (7, 70)],
                              ids=["n1", "n7", "n64", "n7-70steps"])
-    @pytest.mark.parametrize("head", ["identity", "tanh", "relu"])
-    @pytest.mark.parametrize("hidden", CRITIC_LAYERS,
-                             ids=lambda h: "-".join(h) or "linear")
-    def test_random_critics(self, hidden, head, n, steps, gp_factor, lr):
-        seed = dc.substream(79, len(hidden), *hidden, head, n)
-        critic = md.init_mlp(dc.substream(seed, "c"),
-                             [3] + [5] * len(hidden) + [1], hidden + [head])
-        for i, b in enumerate(critic.biases):
-            b[:] = dc.rng_normal(dc.substream(seed, "b", i), b.shape, 0.0, 0.5)
-        fa = dc.rng_normal(dc.substream(seed, "a"), (n, 3))
-        fb = dc.rng_normal(dc.substream(seed, "fb"), (n, 3), 0.5, 1.0)
-        if not _supported(critic.activations):
-            return _assert_rejected(critic, n)
+    @pytest.mark.parametrize("widths", CRITIC_WIDTHS, ids=_widths_id)
+    def test_random_critics(self, widths, n, steps, gp_factor, lr):
+        seed = dc.substream(79, *widths, n)
+        critic = _random_critic(seed, widths)
+        m = widths[0]
+        fa = dc.rng_normal(dc.substream(seed, "a"), (n, m))
+        fb = dc.rng_normal(dc.substream(seed, "fb"), (n, m), 0.5, 1.0)
         seeds = [dc.substream(seed, "gp", step) for step in range(steps)]
         got, want = _oracle_pair(critic, lr, fa, fb, gp_factor, seeds)
         assert got == want
