@@ -219,8 +219,15 @@ def _paired(pool: np.ndarray, n: int) -> np.ndarray:
 
 # (m, c1, c2): random tanh/tanh/identity critics m -> c1 -> c2 -> 1, the
 # one shape the critic loop takes, at equal and unequal hidden widths and
-# one input feature
-CRITIC_WIDTHS = [(3, 5, 5), (1, 4, 4), (3, 5, 7), (4, 9, 2)]
+# one input feature; the widths training builds (build_model's default
+# 8 -> 16 -> 16, and the acceptance runs' 4 and 1 features); hidden layers
+# of one unit; and odd and wide hidden widths, whose gemms take other
+# kernel edges than the narrow ones
+CRITIC_WIDTHS = [(3, 5, 5), (1, 4, 4), (3, 5, 7), (4, 9, 2),
+                 (8, 16, 16), (4, 16, 16), (1, 16, 16),
+                 (1, 1, 1), (2, 1, 6), (2, 6, 1), (5, 2, 3),
+                 (2, 17, 17), (3, 31, 33), (6, 24, 8), (9, 3, 20),
+                 (8, 32, 32), (2, 64, 64), (7, 65, 40)]
 
 # every other (hidden activations, head) shape of random critics at depth
 # 0-3: the critic loop rejects each
